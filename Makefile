@@ -50,6 +50,7 @@ race:
 # bug hunt. Override with e.g. `make fuzz-smoke FUZZTIME=5m` to dig.
 fuzz-smoke:
 	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stg -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched/incremental -run '^$$' -fuzz FuzzScheduleInvariants -fuzztime $(FUZZTIME)

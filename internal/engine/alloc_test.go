@@ -117,3 +117,28 @@ func TestWarmRescheduleSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state swap/Reschedule cycle allocates %.1f objects per run, want 0", avg)
 	}
 }
+
+// TestFingerprintOrdersAllocsConstant pins the per-scenario fingerprint to
+// a fixed number of allocations (digest state, buffered serializer, sum
+// and hex encoding) that does not grow with the task count. The
+// hotpathalloc analyzer cannot see an escape through an interface
+// argument such as hash.Hash.Write, so this guard observes it instead: an
+// integer serialized through a stack array that escapes would add one
+// allocation per task.
+func TestFingerprintOrdersAllocsConstant(t *testing.T) {
+	const maxAllocs = 5
+	for _, layers := range []int{6, 60} { // 384 and 3,840 tasks
+		p := gen.NewParams(layers, 64)
+		p.Seed = 5
+		img, err := engine.Compile(gen.MustLayered(p), sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := img.NewOrders()
+		img.FingerprintOrders(o) // build the frozen midstate once
+		avg := testing.AllocsPerRun(20, func() { img.FingerprintOrders(o) })
+		if avg > maxAllocs {
+			t.Errorf("FingerprintOrders at %d tasks allocates %.0f objects per call, want ≤ %d", img.NumTasks, avg, maxAllocs)
+		}
+	}
+}

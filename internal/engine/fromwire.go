@@ -24,17 +24,27 @@ func CompileFromWire(data []byte, opts sched.Options) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompileRaw(raw, opts)
+	return compileRaw(raw, opts), nil
 }
 
-// CompileRaw builds an image around an already-validated flat graph. The
-// image adopts raw's backing arrays — the caller must not mutate raw after
-// handing it over. Use CompileFromWire unless you already hold a decoded
-// RawGraph.
-func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
-	if err := raw.Validate(); err != nil {
+// CompileJSON decodes a graph JSON document straight into a problem image:
+// the JSON twin of CompileFromWire. model.DecodeJSON scans the document
+// once into the flat form — validating it exactly as Builder would — and
+// the image adopts those arrays as its slab, so no model.Graph is built on
+// the way. The image is indistinguishable from Compile on the graph
+// model.ReadJSON returns for the same bytes.
+func CompileJSON(data []byte, opts sched.Options) (*Image, error) {
+	raw, err := model.DecodeJSON(data)
+	if err != nil {
 		return nil, err
 	}
+	return compileRaw(raw, opts), nil
+}
+
+// compileRaw builds an image around a flat graph that passed
+// RawGraph.Validate — both decoders validate what they return. The image
+// adopts raw's backing arrays, so raw must not be mutated afterwards.
+func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
 	opts.Arbiter = opts.EffectiveArbiter()
 	opts.Deadline = opts.EffectiveDeadline()
 
@@ -66,7 +76,7 @@ func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
 	}
 	fillDemandMask(img.DemandMask, raw.Demand, raw.Banks, words)
 	buildAdjacency(img, raw.Edges, n)
-	return img, nil
+	return img
 }
 
 // fillDemandMask sets bit b of each task's mask row iff the task's demand

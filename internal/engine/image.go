@@ -88,13 +88,13 @@ type Image struct {
 	// resolved to their effective values.
 	Opts sched.Options
 
-	// Exactly one of g / raw is set at Compile time. JSON-path images
-	// (Compile) carry a frozen private graph clone; wire-path images
-	// (CompileFromWire) carry the decoded flat form and only materialize a
-	// graph lazily, if NewGraph is ever called — fingerprints and edges are
-	// served from the flat form directly, keeping graph assembly off the
-	// hot ingest path. Methods branch on raw (never on g, which gOnce may
-	// be concurrently populating).
+	// Exactly one of g / raw is set at Compile time. Graph-path images
+	// (Compile) carry a frozen private graph clone; decoded images
+	// (CompileFromWire, CompileJSON) carry the flat form and only
+	// materialize a graph lazily, if NewGraph is ever called —
+	// fingerprints and edges are served from the flat form directly,
+	// keeping graph assembly off the hot ingest path. Methods branch on
+	// raw (never on g, which gOnce may be concurrently populating).
 	g     *model.Graph
 	raw   *model.RawGraph
 	gOnce sync.Once
@@ -228,7 +228,7 @@ func (img *Image) Edges() []model.Edge {
 
 // Fingerprint returns the canonical content hash of the compiled graph
 // with its baseline orders (see model.Graph.Fingerprint). Computed once,
-// lazily; safe for concurrent use. Wire-path and JSON-path images of the
+// lazily; safe for concurrent use. Decoded and graph-path images of the
 // same graph hash identically — model.RawGraph.Fingerprint replicates
 // model.Graph.Fingerprint byte for byte.
 func (img *Image) Fingerprint() string {
@@ -269,7 +269,7 @@ func (img *Image) orderHasher() *model.OrderHasher {
 }
 
 // graph returns the image's private graph, materializing it from the flat
-// form on first use for wire-path images. The raw form passed full
+// form on first use for decoded images. The raw form passed full
 // validation at decode time, so materialization cannot fail; an error here
 // is a broken invariant, not an input condition.
 func (img *Image) graph() *model.Graph {
@@ -279,7 +279,7 @@ func (img *Image) graph() *model.Graph {
 		}
 		g, err := img.raw.Graph()
 		if err != nil {
-			panic("engine: validated wire image failed graph materialization: " + err.Error())
+			panic("engine: validated decoded image failed graph materialization: " + err.Error())
 		}
 		img.g = g
 	})

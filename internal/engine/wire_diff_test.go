@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -166,4 +167,153 @@ func TestCompileFromWireRejects(t *testing.T) {
 	if _, err := engine.CompileFromWire(wire.Encode(r), corpusOpts(0)); err == nil {
 		t.Fatal("CompileFromWire accepted a past-MaxInput WCET")
 	}
+}
+
+// TestJSONIngestBitIdentical is the CompileJSON twin of
+// TestWireIngestBitIdentical: over the full differential corpus, an image
+// ingested straight from graph JSON is indistinguishable from Compile on
+// the graph Builder assembles from the same tasks, edges and orders — same
+// Fingerprint, and bit-identical analysis output from both backends, cold,
+// warm, and after an edit. WriteJSON always writes every core's order, so
+// two variants drop orders to reach the default-order path: one with no
+// "order" key at all and one listing orders for the first half of the
+// cores only. The reference fills the missing orders through Builder's own
+// topological default, independently of the scanner. The source graph has
+// one legal adjacent swap applied, so a listed order is not the default
+// order and the partial variant mixes both kinds.
+func TestJSONIngestBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	backends := map[string]engine.Backend{
+		"incremental": engine.MustNew(engine.Incremental),
+		"fixpoint":    engine.MustNew(engine.Fixpoint),
+	}
+	corpus := diffCorpus()
+	if len(corpus) < 200 {
+		t.Fatalf("corpus has %d instances, want ≥ 200", len(corpus))
+	}
+	for ci, p := range corpus {
+		g := gen.MustLayered(p)
+		if core, pos, ok := legalSwap(g); ok {
+			g.SwapOrder(core, pos)
+		}
+		opts := corpusOpts(ci)
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatalf("corpus[%d]: WriteJSON: %v", ci, err)
+		}
+		for _, keep := range []int{g.Cores, 0, g.Cores / 2} {
+			label := fmt.Sprintf("corpus[%d] %d layers × %d, %d×%d, orders for %d of %d cores",
+				ci, p.Layers, p.LayerSize, p.Cores, p.Banks, keep, g.Cores)
+			doc := buf.Bytes()
+			if keep < g.Cores {
+				doc = withOrders(t, doc, keep)
+			}
+			jsonImg, err := engine.CompileJSON(doc, opts)
+			if err != nil {
+				t.Fatalf("%s: CompileJSON: %v", label, err)
+			}
+			refImg, err := engine.Compile(rebuildWithOrders(t, g, keep), opts)
+			if err != nil {
+				t.Fatalf("%s: compile reference: %v", label, err)
+			}
+			if got, want := jsonImg.Fingerprint(), refImg.Fingerprint(); got != want {
+				t.Fatalf("%s: json fingerprint %s, reference %s", label, got, want)
+			}
+			if keep == g.Cores && jsonImg.Fingerprint() != g.Fingerprint() {
+				t.Fatalf("%s: json fingerprint %s, source graph %s", label, jsonImg.Fingerprint(), g.Fingerprint())
+			}
+			for name, be := range backends {
+				wantCold, err := be.Analyze(ctx, refImg)
+				if err != nil {
+					t.Fatalf("%s/%s: reference cold: %v", label, name, err)
+				}
+				gotCold, err := be.Analyze(ctx, jsonImg)
+				if err != nil {
+					t.Fatalf("%s/%s: json cold: %v", label, name, err)
+				}
+				identical(t, label+"/"+name+"/cold", gotCold, wantCold)
+
+				wj := be.NewWarm(jsonImg)
+				gotWarm, err := wj.Analyze(ctx)
+				if err != nil {
+					t.Fatalf("%s/%s: json warm: %v", label, name, err)
+				}
+				identical(t, label+"/"+name+"/warm", gotWarm, wantCold)
+
+				if core, pos, ok := legalSwapImage(jsonImg); ok {
+					wr := be.NewWarm(refImg)
+					if _, err := wr.Analyze(ctx); err != nil {
+						t.Fatalf("%s/%s: reference warm baseline: %v", label, name, err)
+					}
+					wr.Orders().Swap(core, pos)
+					wj.Orders().Swap(core, pos)
+					edit := engine.Edit{Core: core, From: pos}
+					// A second swap can deadlock across cores; both images
+					// must then report the same verdict.
+					wantEdit, werr := wr.Reschedule(ctx, edit)
+					gotEdit, gerr := wj.Reschedule(ctx, edit)
+					switch {
+					case fmt.Sprint(werr) != fmt.Sprint(gerr):
+						t.Fatalf("%s/%s: edited verdicts diverge: json %v, reference %v", label, name, gerr, werr)
+					case werr == nil:
+						identical(t, label+"/"+name+"/edited", gotEdit, wantEdit)
+					}
+					if got, want := jsonImg.FingerprintOrders(wj.Orders()), refImg.FingerprintOrders(wr.Orders()); got != want {
+						t.Fatalf("%s/%s: edited fingerprints diverge: %s vs %s", label, name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// withOrders rewrites a graph document to list execution orders for its
+// first keep cores only (no "order" key when keep is 0).
+func withOrders(t *testing.T, doc []byte, keep int) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &m); err != nil {
+		t.Fatal(err)
+	}
+	var orders []json.RawMessage
+	if err := json.Unmarshal(m["order"], &orders); err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "order")
+	if keep > 0 {
+		kept, err := json.Marshal(orders[:keep])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m["order"] = kept
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rebuildWithOrders assembles g's tasks and edges through Builder, fixing
+// the orders of the first keep cores to g's and leaving the rest to
+// Builder's topological default — the graph a document with only those
+// orders describes. Demands recompile under the default policy, which is
+// the policy every corpus platform uses (shared corpora have one bank).
+func rebuildWithOrders(t *testing.T, g *model.Graph, keep int) *model.Graph {
+	t.Helper()
+	b := model.NewBuilder(g.Cores, g.Banks)
+	for _, task := range g.Tasks() {
+		b.AddTask(model.TaskSpec{Name: task.Name, WCET: task.WCET, Core: task.Core, MinRelease: task.MinRelease, Local: task.Local})
+	}
+	for _, e := range g.Edges() {
+		b.AddEdge(e.From, e.To, e.Words)
+	}
+	for k := 0; k < keep; k++ {
+		b.SetOrder(model.CoreID(k), g.Order(model.CoreID(k)))
+	}
+	ref, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }

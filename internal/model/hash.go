@@ -38,50 +38,50 @@ func (g *Graph) Fingerprint() string {
 // OrderHasher once instead: it freezes the digest midstate after the
 // static sections, so each overlay pays only for its own bytes.
 func (g *Graph) FingerprintWithOrders(orders [][]TaskID) string {
-	h := sha256.New()
-	g.hashStatic(h)
-	hashOrders(h, orders)
+	w := &digestWriter{h: sha256.New()}
+	g.hashStatic(w)
+	hashOrders(w, orders)
 	for k := 0; k < g.Cores; k++ {
-		putInt(h, int64(g.BankOf(CoreID(k))))
+		w.int(int64(g.BankOf(CoreID(k))))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return w.sum()
 }
 
 // hashStatic feeds the order-independent prefix of the canonical
-// serialization — version, platform shape, tasks, edges — into h. The
+// serialization — version, platform shape, tasks, edges — into w. The
 // orders section and the bank table follow it, in that order.
-func (g *Graph) hashStatic(h hash.Hash) {
-	putInt(h, fingerprintVersion)
-	putInt(h, int64(g.Cores))
-	putInt(h, int64(g.Banks))
+func (g *Graph) hashStatic(w *digestWriter) {
+	w.int(fingerprintVersion)
+	w.int(int64(g.Cores))
+	w.int(int64(g.Banks))
 
-	putInt(h, int64(len(g.tasks)))
+	w.int(int64(len(g.tasks)))
 	for _, t := range g.tasks {
-		putInt(h, int64(t.WCET))
-		putInt(h, int64(t.Core))
-		putInt(h, int64(t.MinRelease))
-		putInt(h, int64(t.Local))
-		putInt(h, int64(len(t.Demand)))
+		w.int(int64(t.WCET))
+		w.int(int64(t.Core))
+		w.int(int64(t.MinRelease))
+		w.int(int64(t.Local))
+		w.int(int64(len(t.Demand)))
 		for _, d := range t.Demand {
-			putInt(h, int64(d))
+			w.int(int64(d))
 		}
 	}
 
-	putInt(h, int64(len(g.edges)))
+	w.int(int64(len(g.edges)))
 	for _, e := range g.edges {
-		putInt(h, int64(e.From))
-		putInt(h, int64(e.To))
-		putInt(h, int64(e.Words))
+		w.int(int64(e.From))
+		w.int(int64(e.To))
+		w.int(int64(e.Words))
 	}
 }
 
 // hashOrders feeds the orders section of the canonical serialization.
-func hashOrders(h hash.Hash, orders [][]TaskID) {
-	putInt(h, int64(len(orders)))
+func hashOrders(w *digestWriter, orders [][]TaskID) {
+	w.int(int64(len(orders)))
 	for _, order := range orders {
-		putInt(h, int64(len(order)))
+		w.int(int64(len(order)))
 		for _, id := range order {
-			putInt(h, int64(id))
+			w.int(int64(id))
 		}
 	}
 }
@@ -102,21 +102,23 @@ type OrderHasher struct {
 
 // OrderHasher returns a reusable overlay fingerprinter for this graph.
 func (g *Graph) OrderHasher() *OrderHasher {
-	h := sha256.New()
-	g.hashStatic(h)
+	//mialint:ignore hotpathalloc -- constructor: the serializer is built once per graph, like the frozen midstate below
+	w := &digestWriter{h: sha256.New()}
+	g.hashStatic(w)
 	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
 	bank := make([]int64, g.Cores)
 	for k := range bank {
 		bank[k] = int64(g.BankOf(CoreID(k)))
 	}
-	return newOrderHasher(h, bank)
+	return newOrderHasher(w, bank)
 }
 
-// newOrderHasher freezes the digest midstate. The stdlib SHA-256 digest
-// implements encoding.BinaryMarshaler and never fails; a failure here is a
-// broken invariant, not an input condition.
-func newOrderHasher(h hash.Hash, bank []int64) *OrderHasher {
-	m, ok := h.(encoding.BinaryMarshaler)
+// newOrderHasher freezes the digest midstate after flushing w. The stdlib
+// SHA-256 digest implements encoding.BinaryMarshaler and never fails; a
+// failure here is a broken invariant, not an input condition.
+func newOrderHasher(w *digestWriter, bank []int64) *OrderHasher {
+	w.flush()
+	m, ok := w.h.(encoding.BinaryMarshaler)
 	if !ok {
 		panic("model: sha256 digest does not marshal")
 	}
@@ -134,13 +136,14 @@ func newOrderHasher(h hash.Hash, bank []int64) *OrderHasher {
 //
 //mia:hotpath
 func (oh *OrderHasher) Sum(orders [][]TaskID) string {
-	h := sha256.New()
-	restoreMidstate(h, oh.state)
-	hashOrders(h, orders)
+	var w digestWriter
+	w.h = sha256.New()
+	restoreMidstate(w.h, oh.state)
+	hashOrders(&w, orders)
 	for _, b := range oh.bank {
-		putInt(h, b)
+		w.int(b)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return w.sum()
 }
 
 // restoreMidstate rewinds a fresh digest to a frozen midstate. Restoring a
@@ -153,10 +156,36 @@ func restoreMidstate(h hash.Hash, state []byte) {
 	}
 }
 
-// putInt feeds one integer into the hash in fixed-width little-endian form,
-// so field boundaries are unambiguous regardless of value magnitude.
-func putInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+// digestWriter feeds the canonical serialization into a digest: every
+// integer in fixed-width little-endian form, so field boundaries are
+// unambiguous regardless of value magnitude. Integers are batched through
+// a fixed buffer and written a block at a time — one Write per 64
+// integers instead of one heap-escaping 8-byte array per integer. SHA-256
+// does not depend on how its input is split across writes, so the digest
+// is byte-identical to hashing the integers one by one.
+type digestWriter struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
+}
+
+// int appends one integer to the serialization.
+func (w *digestWriter) int(v int64) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
+	w.n += 8
+}
+
+// flush writes the buffered integers to the digest.
+func (w *digestWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// sum flushes and returns the hex-encoded digest.
+func (w *digestWriter) sum() string {
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
 }

@@ -90,3 +90,30 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("undoing the swap did not restore the fingerprint")
 	}
 }
+
+// TestFingerprintAllocsConstant: a full fingerprint allocates a fixed
+// handful of objects (digest, serializer, sum, hex encoding) whatever the
+// graph size — the serialization batches integers through one buffer
+// instead of handing the digest an escaping 8-byte array per integer.
+func TestFingerprintAllocsConstant(t *testing.T) {
+	const maxAllocs = 5
+	for _, n := range []int{16, 1024} {
+		b := NewBuilder(4, 4)
+		for i := 0; i < n; i++ {
+			b.AddTask(TaskSpec{WCET: 3, Core: CoreID(i % 4), Local: 1})
+			if i > 0 {
+				b.AddEdge(TaskID(i-1), TaskID(i), 2)
+			}
+		}
+		g := b.MustBuild()
+		raw := g.Raw()
+		for _, c := range []struct {
+			name string
+			fp   func() string
+		}{{"Graph", g.Fingerprint}, {"RawGraph", raw.Fingerprint}} {
+			if avg := testing.AllocsPerRun(10, func() { c.fp() }); avg > maxAllocs {
+				t.Errorf("%s.Fingerprint at %d tasks allocates %.0f objects, want ≤ %d", c.name, n, avg, maxAllocs)
+			}
+		}
+	}
+}

@@ -55,51 +55,21 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses a graph from r, validates it, and compiles demands. Tasks
-// may appear in any order but their IDs must form the dense range 0..n-1.
+// ReadJSON reads a graph document from r and decodes it with the same
+// single-pass scanner as DecodeJSON, keeping the task names: it accepts
+// exactly what DecodeJSON accepts and yields the graph with the same
+// fingerprint. Tasks may appear in any order but their IDs must form the
+// dense range 0..n-1; a task without a name is named "n<id>", as Builder
+// names it.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var in graphJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("model: parsing graph JSON: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("model: reading graph JSON: %w", err)
 	}
-	specs := make([]TaskSpec, len(in.Tasks))
-	seen := make([]bool, len(in.Tasks))
-	for _, t := range in.Tasks {
-		if t.ID < 0 || int(t.ID) >= len(in.Tasks) {
-			return nil, fmt.Errorf("model: task ID %d outside dense range 0..%d", t.ID, len(in.Tasks)-1)
-		}
-		if seen[t.ID] {
-			return nil, fmt.Errorf("model: duplicate task ID %d", t.ID)
-		}
-		seen[t.ID] = true
-		specs[t.ID] = TaskSpec{Name: t.Name, WCET: t.WCET, Core: t.Core, MinRelease: t.MinRelease, Local: t.Local}
+	d := jsonDecoder{data: data, wantNames: true}
+	raw, err := d.decode()
+	if err != nil {
+		return nil, err
 	}
-	b := NewBuilder(in.Cores, in.Banks)
-	for _, spec := range specs {
-		b.AddTask(spec)
-	}
-	for _, e := range in.Edges {
-		b.AddEdge(e.From, e.To, e.Words)
-	}
-	if len(in.Order) > in.Cores {
-		return nil, fmt.Errorf("model: %d order lists for %d cores", len(in.Order), in.Cores)
-	}
-	for k, order := range in.Order {
-		b.SetOrder(CoreID(k), order)
-	}
-	switch in.BankPolicy {
-	case "", "default":
-		// Builder default.
-	case "shared":
-		b.SetBankPolicy(SharedBank)
-	case "perCore":
-		b.SetBankPolicy(BankPerCore)
-	case "striped":
-		b.SetBankPolicy(StripedBanks(in.Banks))
-	default:
-		return nil, fmt.Errorf("model: unknown bank policy %q (want shared, perCore or striped)", in.BankPolicy)
-	}
-	return b.Build()
+	return raw.graph(d.names)
 }

@@ -2,9 +2,7 @@ package model
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 )
 
 // RawGraph is the flattened, demand-compiled form of a Graph: every
@@ -73,9 +71,9 @@ func (r *RawGraph) Order(k CoreID) []TaskID {
 // what lets a wire-ingested image share warm-analyzer cache keys with a
 // JSON-ingested one.
 func (r *RawGraph) Fingerprint() string {
-	h := sha256.New()
-	r.hashInto(h, nil)
-	return hex.EncodeToString(h.Sum(nil))
+	w := &digestWriter{h: sha256.New()}
+	r.hashInto(w, nil)
+	return w.sum()
 }
 
 // FingerprintWith returns the fingerprint the graph would have if its
@@ -83,57 +81,57 @@ func (r *RawGraph) Fingerprint() string {
 // of Graph.FingerprintWithOrders, used by engine images built from wire
 // blobs to hash edited order overlays.
 func (r *RawGraph) FingerprintWith(orders [][]TaskID) string {
-	h := sha256.New()
-	r.hashInto(h, orders)
-	return hex.EncodeToString(h.Sum(nil))
+	w := &digestWriter{h: sha256.New()}
+	r.hashInto(w, orders)
+	return w.sum()
 }
 
-// hashInto feeds the canonical serialization into h. orders == nil means
+// hashInto feeds the canonical serialization into w. orders == nil means
 // "use the CSR orders carried by the RawGraph itself".
-func (r *RawGraph) hashInto(h hash.Hash, orders [][]TaskID) {
-	r.hashStatic(h)
+func (r *RawGraph) hashInto(w *digestWriter, orders [][]TaskID) {
+	r.hashStatic(w)
 	if orders != nil {
-		hashOrders(h, orders)
+		hashOrders(w, orders)
 	} else {
-		putInt(h, int64(r.Cores))
+		w.int(int64(r.Cores))
 		for k := 0; k < r.Cores; k++ {
 			order := r.Order(CoreID(k))
-			putInt(h, int64(len(order)))
+			w.int(int64(len(order)))
 			for _, id := range order {
-				putInt(h, int64(id))
+				w.int(int64(id))
 			}
 		}
 	}
 	for k := 0; k < r.Cores; k++ {
-		putInt(h, int64(r.BankTable[k]))
+		w.int(int64(r.BankTable[k]))
 	}
 }
 
 // hashStatic feeds the order-independent prefix — version, platform shape,
 // tasks, edges — matching Graph.hashStatic byte for byte.
-func (r *RawGraph) hashStatic(h hash.Hash) {
-	putInt(h, fingerprintVersion)
-	putInt(h, int64(r.Cores))
-	putInt(h, int64(r.Banks))
+func (r *RawGraph) hashStatic(w *digestWriter) {
+	w.int(fingerprintVersion)
+	w.int(int64(r.Cores))
+	w.int(int64(r.Banks))
 
 	n := r.NumTasks()
-	putInt(h, int64(n))
+	w.int(int64(n))
 	for i := 0; i < n; i++ {
-		putInt(h, int64(r.WCET[i]))
-		putInt(h, int64(r.Core[i]))
-		putInt(h, int64(r.MinRelease[i]))
-		putInt(h, int64(r.Local[i]))
-		putInt(h, int64(r.Banks)) // row width: rows are always full Banks wide
+		w.int(int64(r.WCET[i]))
+		w.int(int64(r.Core[i]))
+		w.int(int64(r.MinRelease[i]))
+		w.int(int64(r.Local[i]))
+		w.int(int64(r.Banks)) // row width: rows are always full Banks wide
 		for _, d := range r.DemandRow(TaskID(i)) {
-			putInt(h, int64(d))
+			w.int(int64(d))
 		}
 	}
 
-	putInt(h, int64(len(r.Edges)))
+	w.int(int64(len(r.Edges)))
 	for _, e := range r.Edges {
-		putInt(h, int64(e.From))
-		putInt(h, int64(e.To))
-		putInt(h, int64(e.Words))
+		w.int(int64(e.From))
+		w.int(int64(e.To))
+		w.int(int64(e.Words))
 	}
 }
 
@@ -141,14 +139,15 @@ func (r *RawGraph) hashStatic(h hash.Hash) {
 // RawGraph analogue of Graph.OrderHasher, sharing the same frozen-midstate
 // mechanics and the same output bytes.
 func (r *RawGraph) OrderHasher() *OrderHasher {
-	h := sha256.New()
-	r.hashStatic(h)
+	//mialint:ignore hotpathalloc -- constructor: the serializer is built once per graph, like the frozen midstate below
+	w := &digestWriter{h: sha256.New()}
+	r.hashStatic(w)
 	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
 	bank := make([]int64, r.Cores)
 	for k := range bank {
 		bank[k] = int64(r.BankTable[k])
 	}
-	return newOrderHasher(h, bank)
+	return newOrderHasher(w, bank)
 }
 
 // Raw flattens the graph into its RawGraph form. Demand rows are
@@ -193,7 +192,11 @@ func (g *Graph) Raw() *RawGraph {
 // rebuilt, and the result validated. Every slice is copied, so later
 // mutation of the returned graph never reaches the RawGraph's backing
 // arrays (which an engine image may have adopted).
-func (r *RawGraph) Graph() (*Graph, error) {
+func (r *RawGraph) Graph() (*Graph, error) { return r.graph(nil) }
+
+// graph is Graph with task names: task i is named names[i], or "n<i>" when
+// names is nil or the entry is empty (Builder's default).
+func (r *RawGraph) graph(names []string) (*Graph, error) {
 	if err := r.shapeError(); err != nil {
 		return nil, err
 	}
@@ -204,9 +207,16 @@ func (r *RawGraph) Graph() (*Graph, error) {
 	copy(dem, r.Demand)
 	g.tasks = make([]*Task, n)
 	for i := 0; i < n; i++ {
+		name := ""
+		if names != nil {
+			name = names[i]
+		}
+		if name == "" {
+			name = fmt.Sprintf("n%d", i)
+		}
 		slab[i] = Task{
 			ID:         TaskID(i),
-			Name:       fmt.Sprintf("n%d", i),
+			Name:       name,
 			WCET:       r.WCET[i],
 			Core:       r.Core[i],
 			MinRelease: r.MinRelease[i],
@@ -335,22 +345,7 @@ func (r *RawGraph) Validate() error {
 // adjacency it needs, once, at validation time.
 func (r *RawGraph) validateAcyclic() error {
 	n := r.NumTasks()
-	indeg := make([]int32, n)
-	succCount := make([]int32, n)
-	for _, e := range r.Edges {
-		indeg[e.To]++
-		succCount[e.From]++
-	}
-	succStart := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		succStart[i+1] = succStart[i] + succCount[i]
-	}
-	succ := make([]TaskID, len(r.Edges))
-	fill := make([]int32, n)
-	for _, e := range r.Edges {
-		succ[succStart[e.From]+fill[e.From]] = e.To
-		fill[e.From]++
-	}
+	succStart, succ, indeg := successorLists(n, r.Edges)
 	queue := make([]TaskID, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -372,6 +367,28 @@ func (r *RawGraph) validateAcyclic() error {
 		return fmt.Errorf("model: dependency graph has a cycle (%d of %d tasks unreachable from sources)", n-seen, seen)
 	}
 	return nil
+}
+
+// successorLists builds the CSR successor lists of n tasks under edges —
+// task id's successors are succ[start[id]:start[id+1]], in edge order —
+// and every task's in-degree. Edge endpoints must be in range.
+func successorLists(n int, edges []Edge) (start []int32, succ []TaskID, indeg []int32) {
+	indeg = make([]int32, n)
+	start = make([]int32, n+1)
+	for _, e := range edges {
+		indeg[e.To]++
+		start[e.From+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	succ = make([]TaskID, len(edges))
+	fill := append([]int32(nil), start[:n]...)
+	for _, e := range edges {
+		succ[fill[e.From]] = e.To
+		fill[e.From]++
+	}
+	return start, succ, indeg
 }
 
 // validateOrders mirrors Graph.validateOrders on the CSR form: every core's

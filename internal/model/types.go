@@ -30,6 +30,27 @@ const Infinity Cycles = 1<<62 - 1
 // under 2^60 while still allowing hour-long WCETs on a multi-GHz clock.
 const MaxInput = 1 << 40
 
+// Shape limits shared by every decoder of untrusted graphs (DecodeJSON,
+// ReadJSON, the wire codec and the STG reader). A declared count sizes
+// allocations before any per-element data backs it, so each limit is
+// checked before the first allocation it would size.
+const (
+	// MaxTasks bounds the task count: the 2^20 tasks MaxInput's overflow
+	// budget is computed for.
+	MaxTasks = 1 << 20
+	// MaxCores and MaxBanks bound the platform shape. A platform wider
+	// than any workload it could carry is meaningless here, and per-core
+	// and per-bank tables are allocated from these counts alone.
+	MaxCores = 1 << 16
+	MaxBanks = 1 << 16
+	// MaxDemandCells bounds tasks × banks, the size of the compiled demand
+	// matrix: 2^24 cells (128 MiB of int64), 32× the largest graph the
+	// repository's generators and sweeps build (32,768 tasks × 16 banks).
+	// Without it a few kilobytes of tasks on a 2^16-bank platform would
+	// allocate gigabytes.
+	MaxDemandCells = 1 << 24
+)
+
 // TaskID identifies a task within a Graph. IDs are dense: a graph with n
 // tasks uses IDs 0..n-1, so slices indexed by TaskID are the preferred
 // per-task storage in the schedulers.

@@ -11,16 +11,8 @@ import (
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
-	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/wire"
 )
-
-// readGraphJSON parses an embedded graph object (the "graph" field of a
-// batch request). The body size cap was already applied when the enclosing
-// request was read.
-func (s *Server) readGraphJSON(raw json.RawMessage) (*model.Graph, error) {
-	return model.ReadJSON(bytes.NewReader(raw))
-}
 
 // batchRequest is the JSON body of POST /v1/batch: one graph — by value or
 // by the fingerprint of an earlier analyze — plus an array of edit
@@ -133,11 +125,8 @@ func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
 					"unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")
 			}
 		case req.Graph != nil:
-			g, err := s.readGraphJSON(req.Graph)
-			if err != nil {
-				return fail(http.StatusBadRequest, err.Error())
-			}
-			if img, err = engine.Compile(g, s.cfg.Sched); err != nil {
+			var err error
+			if img, err = engine.CompileJSON(req.Graph, s.cfg.Sched); err != nil {
 				return fail(http.StatusBadRequest, err.Error())
 			}
 			s.met.ingestJSON.Add(1)

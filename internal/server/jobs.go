@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/explore/pareto"
-	"github.com/mia-rt/mia/internal/model"
 )
 
 // The jobs subsystem serves long-running multi-objective searches:
@@ -324,12 +322,8 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case len(req.Graph) > 0:
-		g, err := model.ReadJSON(strings.NewReader(string(req.Graph)))
-		if err != nil {
-			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
-			return
-		}
-		img, err = engine.Compile(g, s.cfg.Sched)
+		var err error
+		img, err = engine.CompileJSON(req.Graph, s.cfg.Sched)
 		if err != nil {
 			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
 			return

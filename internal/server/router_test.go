@@ -390,3 +390,22 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 		return st == jobCancelled || st == jobDone
 	})
 }
+
+// TestRouterRejectsHugeShapesAndKeepsServing: the router fingerprints
+// every analyze body before placing it, and the shard compiles it, so a
+// graph whose declared shape is past the limits used to kill both. Through
+// the router each such body now answers 400, and a valid analyze right
+// after it still answers 200.
+func TestRouterRejectsHugeShapesAndKeepsServing(t *testing.T) {
+	_, urls := newFleet(t, 2, Config{Workers: 1})
+	r := newFleetRouter(t, urls, shard.Config{})
+	valid := graphJSON(t, gen.Figure2())
+	for _, bad := range []string{hugeCoresGraph, hugeBanksGraph} {
+		if rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", []byte(bad)); rr.Code != http.StatusBadRequest {
+			t.Fatalf("routed %.40s…: got %d, want 400 (body %s)", bad, rr.Code, rr.Body.String())
+		}
+		if rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", valid); rr.Code != http.StatusOK {
+			t.Fatalf("valid analyze after %.40s…: got %d, want 200 (body %s)", bad, rr.Code, rr.Body.String())
+		}
+	}
+}

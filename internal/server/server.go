@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
-	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/pool"
 	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
@@ -368,12 +367,6 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 	s.met.countResponse(rep.status)
 }
 
-// readGraph decodes a request body as a task graph with the size cap
-// applied.
-func (s *Server) readGraph(r *http.Request) (*model.Graph, error) {
-	return model.ReadJSON(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
-}
-
 // wireContentType is the media type of binary wire-format graph bodies
 // (internal/wire). Graph-carrying endpoints accept it interchangeably with
 // graph JSON; the binary path compiles without materializing a graph.
@@ -389,16 +382,16 @@ func isWire(r *http.Request) bool {
 }
 
 // compileBody compiles a request body into a problem image, dispatching on
-// Content-Type: wire blobs take the zero-graph CompileFromWire fast path,
-// everything else parses as graph JSON. Both paths apply the body size cap
-// and full validation; the ingest counters record which one served each
-// graph-carrying request.
+// Content-Type: wire blobs take CompileFromWire, everything else
+// CompileJSON. Neither builds a graph on the way. Both paths apply the body
+// size cap and full validation; the ingest counters record which one
+// served each graph-carrying request.
 func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
+	if err != nil {
+		return nil, err
+	}
 	if isWire(r) {
-		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
-		if err != nil {
-			return nil, err
-		}
 		img, err := engine.CompileFromWire(body, s.cfg.Sched)
 		if err != nil {
 			return nil, err
@@ -406,11 +399,7 @@ func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
 		s.met.ingestWire.Add(1)
 		return img, nil
 	}
-	g, err := s.readGraph(r)
-	if err != nil {
-		return nil, err
-	}
-	img, err := engine.Compile(g, s.cfg.Sched)
+	img, err := engine.CompileJSON(body, s.cfg.Sched)
 	if err != nil {
 		return nil, err
 	}

@@ -340,6 +340,13 @@ func TestDrainRejectsNewFinishesAdmitted(t *testing.T) {
 	}
 }
 
+// Graph documents whose platform shape is past the decoder's limits: the
+// 62-byte body asks for 10^12 cores, the other for a 10^12-bank demand row.
+const (
+	hugeCoresGraph = `{"cores": 1000000000000, "banks": 1, "tasks": [], "edges": []}`
+	hugeBanksGraph = `{"cores": 1, "banks": 1000000000000, "tasks": [{"id": 0, "wcet": 1, "core": 0}], "edges": []}`
+)
+
 func TestBadInputs(t *testing.T) {
 	g := gen.Figure2()
 	s := newTestServer(t, Config{Workers: 1})
@@ -353,6 +360,13 @@ func TestBadInputs(t *testing.T) {
 	}{
 		{"malformed graph", "/v1/analyze", "{", http.StatusBadRequest},
 		{"invalid graph", "/v1/analyze", `{"cores":0,"banks":1}`, http.StatusBadRequest},
+		// Shapes past the decoder's limits: each used to size a
+		// terabyte allocation and kill the process.
+		{"huge cores", "/v1/analyze", hugeCoresGraph, http.StatusBadRequest},
+		{"huge banks", "/v1/analyze", hugeBanksGraph, http.StatusBadRequest},
+		{"huge cores inline batch", "/v1/batch", `{"graph":` + hugeCoresGraph + `,"items":[{"swaps":[]}]}`, http.StatusBadRequest},
+		{"huge banks inline job", "/v1/jobs", `{"graph":` + hugeBanksGraph + `}`, http.StatusBadRequest},
+		{"trailing data", "/v1/analyze", `{"cores":1,"banks":1,"tasks":[],"edges":[]} trailing-garbage`, http.StatusBadRequest},
 		{"malformed reschedule", "/v1/reschedule", "{", http.StatusBadRequest},
 		{"unknown field", "/v1/reschedule", `{"hash":"x","moves":[]}`, http.StatusBadRequest},
 		{"missing hash", "/v1/reschedule", `{"swaps":[]}`, http.StatusBadRequest},

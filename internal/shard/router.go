@@ -337,18 +337,29 @@ func (r *Router) routeFingerprint(req *http.Request, path string, body []byte) s
 			if req.Hash != "" {
 				return req.Hash
 			}
-			if len(req.Graph) > 0 {
-				if g, err := model.ReadJSON(bytes.NewReader(req.Graph)); err == nil {
-					return g.Fingerprint()
-				}
+			if fp := graphFingerprint(req.Graph); fp != "" {
+				return fp
 			}
 		}
 	default: // /v1/analyze
-		if g, err := model.ReadJSON(bytes.NewReader(body)); err == nil {
-			return g.Fingerprint()
+		if fp := graphFingerprint(body); fp != "" {
+			return fp
 		}
 	}
 	return string(body)
+}
+
+// graphFingerprint returns the canonical fingerprint of a graph JSON
+// document — the hash the shard will report for it — or "" when the
+// document is not a valid graph, which the shard then rejects itself. It
+// decodes into the flat form only; the request still forwards the client's
+// bytes verbatim.
+func graphFingerprint(data []byte) string {
+	raw, err := model.DecodeJSON(data)
+	if err != nil {
+		return ""
+	}
+	return raw.Fingerprint()
 }
 
 // isWireBody reports whether the request declares the binary wire media
@@ -759,9 +770,7 @@ func (r *Router) parseBatchBody(req *http.Request, body []byte) (*parsedBatch, e
 	case pb.hash != "":
 		pb.fp = pb.hash
 	case len(pb.graphJSON) > 0:
-		if g, err := model.ReadJSON(bytes.NewReader(pb.graphJSON)); err == nil {
-			pb.fp = g.Fingerprint()
-		} else {
+		if pb.fp = graphFingerprint(pb.graphJSON); pb.fp == "" {
 			pb.fp = string(body)
 		}
 	default:

@@ -35,9 +35,6 @@ import (
 	"github.com/mia-rt/mia/internal/model"
 )
 
-// maxTasks bounds the task count a file header may declare.
-const maxTasks = 1 << 20
-
 // Graph is a parsed STG file.
 type Graph struct {
 	// ProcTimes holds each task's processing time.
@@ -78,8 +75,8 @@ func Read(r io.Reader) (*Graph, error) {
 	// Reject absurd headers before allocating per-task slices: a corrupt
 	// count must fail cleanly, not exhaust memory. The largest published STG
 	// instances have 5002 tasks; 2²⁰ leaves three orders of magnitude slack.
-	if n > maxTasks {
-		return nil, fmt.Errorf("stg: task count %d exceeds limit %d", n, maxTasks)
+	if n > model.MaxTasks {
+		return nil, fmt.Errorf("stg: task count %d exceeds limit %d", n, model.MaxTasks)
 	}
 	g := &Graph{ProcTimes: make([]model.Cycles, n), Preds: make([][]int, n)}
 	seen := make([]bool, n)

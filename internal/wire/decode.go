@@ -32,7 +32,7 @@ func Size(data []byte) (int, error) {
 // maxBlobSize is the largest size a blob at the count limits could declare;
 // anything above it is rejected before allocation.
 func maxBlobSize() uint64 {
-	s := sectionSizes(maxTasks, maxEdges, maxCores, maxBanks)
+	s := sectionSizes(model.MaxTasks, maxEdges, model.MaxCores, model.MaxBanks)
 	total := uint64(payloadStart)
 	for id := 1; id <= sectionCount; id++ {
 		total += s[id]
@@ -63,12 +63,12 @@ func Decode(data []byte) (*model.RawGraph, error) {
 	tasks64 := binary.LittleEndian.Uint64(data[16:24])
 	edges64 := binary.LittleEndian.Uint64(data[24:32])
 	switch {
-	case cores < 1 || cores > maxCores:
-		return nil, fmt.Errorf("wire: core count %d outside [1, %d]", cores, maxCores)
-	case banks < 1 || banks > maxBanks:
-		return nil, fmt.Errorf("wire: bank count %d outside [1, %d]", banks, maxBanks)
-	case tasks64 > maxTasks:
-		return nil, fmt.Errorf("wire: task count %d exceeds limit %d", tasks64, maxTasks)
+	case cores < 1 || cores > model.MaxCores:
+		return nil, fmt.Errorf("wire: core count %d outside [1, %d]", cores, model.MaxCores)
+	case banks < 1 || banks > model.MaxBanks:
+		return nil, fmt.Errorf("wire: bank count %d outside [1, %d]", banks, model.MaxBanks)
+	case tasks64 > model.MaxTasks:
+		return nil, fmt.Errorf("wire: task count %d exceeds limit %d", tasks64, model.MaxTasks)
 	case edges64 > maxEdges:
 		return nil, fmt.Errorf("wire: edge count %d exceeds limit %d", edges64, maxEdges)
 	}

@@ -48,7 +48,7 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], 2) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 3) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 0) }))
-	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], maxTasks+1) }))
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], model.MaxTasks+1) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[24:32], 1<<60) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], 1<<50) }))
 	// Section table corruption.

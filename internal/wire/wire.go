@@ -93,17 +93,11 @@ const (
 	secBankTable  = 9
 )
 
-// Hard limits on declared counts, checked before any size arithmetic so a
-// hostile header cannot drive multiplication overflow or absurd
-// allocations. maxTasks matches the stg reader's bound; cores and banks are
-// bounded by the task limit (a platform wider than its largest workload is
-// meaningless here), and edges by the quadratic blowup cap below.
-const (
-	maxTasks = 1 << 20
-	maxCores = 1 << 16
-	maxBanks = 1 << 16
-	maxEdges = 1 << 24
-)
+// maxEdges bounds the declared edge count. Together with model.MaxTasks,
+// model.MaxCores and model.MaxBanks (the limits every graph decoder
+// shares) it is checked before any size arithmetic, so a hostile header
+// cannot drive multiplication overflow or absurd allocations.
+const maxEdges = 1 << 24
 
 // elemSize gives each section's element size in bytes.
 const (

@@ -114,7 +114,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8:12], 0)
 		}), "core count"},
 		{"huge tasks", corrupt(blob, func(b []byte) {
-			binary.LittleEndian.PutUint64(b[16:24], maxTasks+1)
+			binary.LittleEndian.PutUint64(b[16:24], model.MaxTasks+1)
 		}), "task count"},
 		{"huge edges", corrupt(blob, func(b []byte) {
 			binary.LittleEndian.PutUint64(b[24:32], maxEdges+1)
