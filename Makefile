@@ -60,8 +60,8 @@ fuzz-smoke:
 # of failing it (the allocation-free contracts are enforced for real by the
 # AllocsPerRun guard tests under `make test`). Refresh the baseline on a
 # quiet machine with:
-#   $(GO) test ./internal/sched/incremental ./internal/explore ./internal/engine \
-#     ./internal/wire ./internal/server \
+#   $(GO) test ./internal/sched/incremental ./internal/engine \
+#     ./internal/explore/pareto ./internal/wire ./internal/server \
 #     -run '^$$' -bench . -benchmem -benchtime 1s | $(GO) run ./cmd/benchdiff -update
 # After -update, re-pin BenchmarkParallelKernel/n=4096/P=4 to 1 alloc/op:
 # at the smoke benchtime that benchmark runs a single iteration, which can
@@ -69,7 +69,7 @@ fuzz-smoke:
 # at any longer benchtime; the analyzer's own 0-alloc contract is enforced
 # by the AllocsPerRun guard tests, not by this warn-only smoke pass).
 bench-smoke:
-	$(GO) test ./internal/sched/incremental ./internal/explore ./internal/engine \
+	$(GO) test ./internal/sched/incremental ./internal/engine \
 	  ./internal/explore/pareto ./internal/wire ./internal/server \
 	  -run '^$$' -bench . -benchmem -benchtime 100ms | $(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS)
 

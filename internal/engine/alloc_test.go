@@ -86,8 +86,7 @@ func TestWarmParallelAnalyzeSteadyStateAllocationFree(t *testing.T) {
 
 // TestWarmRescheduleSteadyStateAllocationFree pins the same contract for
 // the neighborhood-evaluation cycle through the façade: overlay swap, warm
-// Reschedule, swap back — exactly how the explorer and the serving layer
-// drive it.
+// Reschedule, swap back — exactly how the serving layer drives it.
 func TestWarmRescheduleSteadyStateAllocationFree(t *testing.T) {
 	img := allocImage(t)
 	w := engine.MustNew(engine.Incremental).NewWarm(img)

@@ -46,9 +46,9 @@ func BenchmarkCompilePerRun(b *testing.B) {
 
 // BenchmarkCompileOnce measures the engine consumer shape: one Compile
 // amortized across runs, each run a cold analysis over the shared image
-// through a long-lived analyzer (the explorer's DisableWarmStart oracle
-// path — no checkpoint replay, so the comparison isolates compile
-// amortization from warm-start reuse).
+// through a long-lived analyzer (the AnalyzeCold oracle path — no
+// checkpoint replay, so the comparison isolates compile amortization from
+// warm-start reuse).
 func BenchmarkCompileOnce(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -72,9 +72,9 @@ func BenchmarkCompileOnce(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmReplay measures the steady state the serving layer and the
-// explorer actually run in: a pre-compiled image plus checkpointed
-// warm-start replay of a single-swap edit.
+// BenchmarkWarmReplay measures the steady state the serving layer actually
+// runs in: a pre-compiled image plus checkpointed warm-start replay of a
+// single-swap edit.
 func BenchmarkWarmReplay(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

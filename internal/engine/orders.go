@@ -52,8 +52,7 @@ func (o *Orders) Swap(k model.CoreID, pos int) {
 // SetOrder overwrites core k's order with a copy of order — the bulk
 // counterpart of Swap for consumers that load whole candidate permutations
 // (the Pareto search's per-worker genome loading). The length must match
-// the compiled per-core order length: task migration requires a recompile,
-// exactly as for CopyFrom.
+// the compiled per-core order length: task migration requires a recompile.
 //
 //mia:hotpath
 func (o *Orders) SetOrder(k model.CoreID, order []model.TaskID) {
@@ -61,22 +60,6 @@ func (o *Orders) SetOrder(k model.CoreID, order []model.TaskID) {
 		panic("engine: Orders.SetOrder: per-core order length changed since Compile (task migration requires a recompile)")
 	}
 	copy(o.view[k], order)
-}
-
-// CopyFrom overwrites the overlay with g's current per-core orders. The
-// graph must have the compiled graph's task-to-core assignment (order
-// permutations are the supported mutation; task migration requires a
-// recompile), which keeps every per-core order length unchanged.
-//
-//mia:hotpath
-func (o *Orders) CopyFrom(g *model.Graph) {
-	for k := range o.view {
-		src := g.Order(model.CoreID(k))
-		if len(src) != len(o.view[k]) {
-			panic("engine: Orders.CopyFrom: per-core order length changed since Compile (task migration requires a recompile)")
-		}
-		copy(o.view[k], src)
-	}
 }
 
 // Reset restores the image's baseline orders.

@@ -30,16 +30,12 @@ func analyzed(t *testing.T) Eval {
 	return Eval{Img: img, Res: res}
 }
 
-func TestMakespanScalar(t *testing.T) {
+func TestMakespanScore(t *testing.T) {
 	e := analyzed(t)
 	if !e.Valid() {
 		t.Fatal("eval invalid")
 	}
-	var m Scalar = Makespan{}
-	if got := m.Cost(e); got != e.Res.Makespan {
-		t.Fatalf("Cost = %d, want %d", got, e.Res.Makespan)
-	}
-	if got := m.Score(e); got != float64(e.Res.Makespan) {
+	if got := (Makespan{}).Score(e); got != float64(e.Res.Makespan) {
 		t.Fatalf("Score = %g, want %g", got, float64(e.Res.Makespan))
 	}
 }

@@ -1,17 +1,60 @@
 package pareto
 
 import (
+	"fmt"
 	"math/rand"
 
 	"github.com/mia-rt/mia/internal/engine"
-	"github.com/mia-rt/mia/internal/explore/move"
 	"github.com/mia-rt/mia/internal/model"
+)
+
+// Policy identifies a bank-assignment policy a genome's demands are derived
+// under. The three explicit values mirror the model package's policy
+// functions; Striped and PerCore coincide when the platform has at least
+// one bank per core (CompileDemands folds the table modulo the bank count
+// either way).
+type Policy int
+
+const (
+	// Shared maps every core to bank 0 — maximal contention.
+	Shared Policy = iota
+	// PerCore reserves bank k (mod banks) for core k.
+	PerCore
+	// Striped maps core k to bank k mod banks.
+	Striped
 )
 
 // PolicyBaseline marks a genome that keeps the bank-assignment policy the
 // image was compiled under (whatever table that was), as opposed to one of
-// the explicit move.Policy values a mutation switched to.
-const PolicyBaseline move.Policy = -1
+// the explicit policies a mutation switched to.
+const PolicyBaseline Policy = -1
+
+// String implements fmt.Stringer.
+func (p Policy) String() string {
+	switch p {
+	case Shared:
+		return "shared"
+	case PerCore:
+		return "per-core"
+	case Striped:
+		return "striped"
+	}
+	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// Table materializes an explicit policy as a core→bank table. Demands are
+// always re-derived from a table, never from a policy closure: a closure
+// reading live graph state (the g.CompileDemands(g.BankOf) trap) would
+// observe its own partial updates.
+func (p Policy) Table(cores, banks int) []model.BankID {
+	tab := make([]model.BankID, cores)
+	for k := range tab {
+		if p != Shared { // PerCore and Striped both stripe modulo the bank count
+			tab[k] = model.BankID(k % banks)
+		}
+	}
+	return tab
+}
 
 // Genome is one candidate configuration: a full task→core assignment, the
 // per-core execution orders of that assignment, and the bank-assignment
@@ -20,9 +63,9 @@ const PolicyBaseline move.Policy = -1
 type Genome struct {
 	Assign []model.CoreID
 	Orders [][]model.TaskID
-	// Policy is PolicyBaseline or an explicit move.Policy the demands are
+	// Policy is PolicyBaseline or the explicit policy the demands are
 	// re-derived under.
-	Policy move.Policy
+	Policy Policy
 	// structural is true when Assign or Policy differ from the compiled
 	// image, forcing recompile+cold evaluation instead of the warm
 	// order-overlay path.
@@ -162,6 +205,6 @@ func (m *mutator) mutateRemap(g *Genome, rng *rand.Rand) {
 
 // mutatePolicy switches to a random explicit bank-assignment policy.
 func (m *mutator) mutatePolicy(g *Genome, rng *rand.Rand) {
-	g.Policy = move.Policy(rng.Intn(3))
+	g.Policy = Policy(rng.Intn(3))
 	g.structural = true
 }

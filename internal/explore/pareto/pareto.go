@@ -1,19 +1,19 @@
-// Package pareto is the multi-objective search layer of the design-space
-// framework: an NSGA-II portfolio search over the full move set — per-core
-// order permutations, task→core remapping, bank-policy flips — optimizing
-// a vector of pluggable objectives at once and reporting the global Pareto
-// front (makespan vs. peak per-bank interference vs. bank balance by
-// default, the SINTEO-style trade-off the ROADMAP's search item calls for).
+// Package pareto is the design-space search of the repository: an NSGA-II
+// portfolio search whose own variation operators (genome.go) walk per-core
+// order permutations, task→core remapping and bank-policy flips,
+// optimizing a vector of pluggable objectives at once and reporting the
+// global Pareto front (makespan vs. peak per-bank interference vs. bank
+// balance by default, the SINTEO-style trade-off). A single-objective
+// search, such as makespan alone, is a one-element objective vector.
 //
 // Determinism is load-bearing: fronts must be byte-identical across worker
 // counts and repeated runs of the same seed, because golden front
 // fingerprints gate CI and served jobs stream front updates that clients
-// may replay. The search achieves it the same way the scalarized layer
-// does — every random draw (initialization, tournament selection,
-// variation) happens sequentially in the search goroutine against one
-// seeded source; only candidate evaluation fans out, over pool.MapWith
-// with one long-lived evaluation worker per slot, and results return in
-// submission order. Non-dominated sorting, crowding, and environmental
+// may replay. Every random draw (initialization, tournament selection,
+// variation) therefore happens sequentially in the search goroutine
+// against one seeded source; only candidate evaluation fans out, over
+// pool.MapWith with one long-lived evaluation worker per slot, and results
+// return in submission order. Non-dominated sorting, crowding, and environmental
 // selection break all ties by population index; the archive orders its
 // front canonically by objective values, then fingerprint.
 //

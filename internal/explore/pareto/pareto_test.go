@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/engine"
+	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
 
@@ -180,6 +182,50 @@ func TestFrontExploresStructuralMoves(t *testing.T) {
 	}
 	if !structural {
 		t.Fatalf("no structural candidate ever reached the front")
+	}
+}
+
+// badOrderGraph builds a 2-core graph whose default order is deliberately
+// overridden to a poor one: a long task with a distant consumer scheduled
+// first would be better last.
+func badOrderGraph(t testing.TB) *model.Graph {
+	t.Helper()
+	b := model.NewBuilder(2, 1)
+	// Core 0 runs three independent tasks; core 1 runs a consumer of "a".
+	a := b.AddTask(model.TaskSpec{Name: "a", WCET: 10, Core: 0, Local: 2})
+	x := b.AddTask(model.TaskSpec{Name: "x", WCET: 50, Core: 0, Local: 2})
+	y := b.AddTask(model.TaskSpec{Name: "y", WCET: 50, Core: 0, Local: 2})
+	c := b.AddTask(model.TaskSpec{Name: "c", WCET: 30, Core: 1, Local: 2})
+	b.AddEdge(a, c, 1)
+	// Worst order: a last → c waits 110 before starting.
+	b.SetOrder(0, []model.TaskID{x, y, a})
+	return b.MustBuild()
+}
+
+// TestMakespanOnlySearchImproves runs a single-objective search on the bad
+// order and requires the front to reach the near-optimal makespan: with a
+// first (finish 10), c runs [10,40+I) while x and y fill core 0, so the
+// makespan drops to about 110.
+func TestMakespanOnlySearchImproves(t *testing.T) {
+	img, err := engine.Compile(badOrderGraph(t), sched.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	ctx := context.Background()
+	initial, err := engine.MustNew(engine.Incremental).Analyze(ctx, img)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	res, err := Search(ctx, img, Options{Objectives: []objective.Objective{objective.Makespan{}}, Seed: 1})
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	best := res.Front[0].Values[0]
+	if best >= float64(initial.Makespan) {
+		t.Fatalf("no improvement: %d → %g", initial.Makespan, best)
+	}
+	if best > 115 {
+		t.Errorf("best makespan %g, expected ≈110", best)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package pool provides the bounded, deterministic worker pool behind the
 // repository's parallel sweeps: the benchmark harness fans (family, size,
-// algorithm) points out over it, and the design-space explorer evaluates
-// whole swap neighborhoods concurrently.
+// algorithm) points out over it, and the Pareto search evaluates each
+// generation's candidates concurrently.
 //
 // The pool's contract is what makes parallelism safe to expose in tools
 // whose output is diffed byte-for-byte in tests:
@@ -23,9 +23,9 @@
 //
 // The analysis itself stays single-threaded per instance — the incremental
 // scheduler's time cursor is inherently sequential — so the pool only ever
-// parallelizes across independent instances (sweep points, neighbors,
-// annealing chains), which is exactly the granularity where determinism can
-// be preserved.
+// parallelizes across independent instances (sweep points, search
+// candidates, lint packages), which is exactly the granularity where
+// determinism can be preserved.
 package pool
 
 import (
@@ -83,10 +83,10 @@ func Map[T any](ctx context.Context, jobs, n int, f func(ctx context.Context, i 
 // warm scheduler instead of cloning per task. Which state executes which
 // index is scheduling-dependent; determinism therefore requires f's result
 // to not depend on the state it ran with (e.g. every state is a clone of the
-// same graph), which is exactly the contract the explorer's differential
-// tests pin down. len(states) plays the role of jobs: one state means
-// sequential execution in the calling goroutine. MapWith panics if states is
-// empty and n > 0.
+// same graph), which is exactly the contract the Pareto search's
+// cross-jobs byte-identity tests pin down. len(states) plays the role of
+// jobs: one state means sequential execution in the calling goroutine.
+// MapWith panics if states is empty and n > 0.
 func MapWith[S, T any](ctx context.Context, states []S, n int, f func(ctx context.Context, st S, i int) (T, error)) ([]T, error) {
 	if len(states) == 0 && n > 0 {
 		panic("pool: MapWith needs at least one worker state")

@@ -1,8 +1,10 @@
 package incremental
 
 import (
+	"context"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
@@ -20,37 +22,38 @@ func allocGraph(t testing.TB) *model.Graph {
 
 // TestScheduleSteadyStateAllocationFree pins the tentpole's allocation
 // contract: after warm-up runs have grown every pooled buffer (state, result,
-// checkpoint store) to its high-water mark, repeated cold Schedule calls on
+// checkpoint store) to its high-water mark, repeated cold Analyze calls on
 // the same Scheduler perform zero heap allocations.
 func TestScheduleSteadyStateAllocationFree(t *testing.T) {
-	g := allocGraph(t)
-	sc := NewScheduler(g, sched.Options{})
+	sc := compiledScheduler(t, allocGraph(t), sched.Options{})
+	ctx := context.Background()
 	// Two warm-ups: the first grows the buffers, the second runs with the
 	// steady-state stride derived from the first run's event count (a stride
 	// change reshapes which events land checkpoints, hence buffer sizes).
 	for i := 0; i < 2; i++ {
-		if _, err := sc.Schedule(); err != nil {
+		if _, err := sc.Analyze(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := sc.Schedule(); err != nil {
+		if _, err := sc.Analyze(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state Schedule allocates %.1f objects per run, want 0", avg)
+		t.Fatalf("steady-state Analyze allocates %.1f objects per run, want 0", avg)
 	}
 }
 
 // TestRescheduleSteadyStateAllocationFree pins the same contract for the
 // neighborhood-evaluation cycle: swap, warm Reschedule, swap back. The edits
 // slice is prebuilt and passed via ... so the call itself does not allocate —
-// exactly how the explorer drives it.
+// exactly how the serving layer drives it.
 func TestRescheduleSteadyStateAllocationFree(t *testing.T) {
 	g := allocGraph(t)
-	sc := NewScheduler(g, sched.Options{})
-	if _, err := sc.Schedule(); err != nil {
+	sc := compiledScheduler(t, g, sched.Options{})
+	ctx := context.Background()
+	if _, err := sc.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}
 	sites := legalSwapSites(g)
@@ -59,14 +62,15 @@ func TestRescheduleSteadyStateAllocationFree(t *testing.T) {
 	}
 	site := sites[len(sites)/2]
 	core, pos := model.CoreID(site[0]), site[1]
-	edits := []Edit{{Core: core, From: pos}}
+	edits := []engine.Edit{{Core: core, From: pos}}
+	ord := sc.Orders()
 	cycle := func() {
-		g.SwapOrder(core, pos)
-		if _, err := sc.Reschedule(edits...); err != nil {
+		ord.Swap(core, pos)
+		if _, err := sc.Reschedule(ctx, edits...); err != nil {
 			t.Fatal(err)
 		}
-		g.SwapOrder(core, pos)
-		if _, err := sc.Reschedule(edits...); err != nil {
+		ord.Swap(core, pos)
+		if _, err := sc.Reschedule(ctx, edits...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // backend adapts this package to the engine registry: cold Analyze builds
 // per-run state over the shared image (safe for concurrent use — the image
-// is read-only), NewWarm hands out single-goroutine warm schedulers.
+// is read-only), NewWarm hands out single-goroutine warm Schedulers.
 type backend struct{}
 
 func init() { engine.Register(engine.Incremental, backend{}) }
@@ -25,56 +25,5 @@ func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, e
 	return st.run()
 }
 
-// NewWarm returns a warm-start scheduler over the image, exposed through
-// the engine's Warm interface.
-func (backend) NewWarm(img *engine.Image) engine.Warm {
-	return &warmScheduler{sc: newWarmScheduler(img)}
-}
-
-// warmScheduler adapts Scheduler to engine.Warm: the context's Done channel
-// (when cancellable) replaces the compiled cancellation channel for the
-// duration of the call, matching the per-request deadline pattern of the
-// serving layer. It exists as a separate type because Scheduler's own
-// Reschedule takes edits only — the harness-facing API predates the engine
-// and stays source-compatible.
-type warmScheduler struct{ sc *Scheduler }
-
-func (w *warmScheduler) Orders() *engine.Orders { return w.sc.Orders() }
-
-func (w *warmScheduler) Warm() bool { return w.sc.Warm() }
-
-// setCancel installs the context's cancellation for one call, falling back
-// to the image's compiled Options.Cancel when the context is not cancellable
-// (context.Background reports a nil Done channel). The fallback is installed
-// unconditionally so an expired channel from an earlier cancelled request
-// can never poison later background-context runs.
-//
-//mia:hotpath
-func (w *warmScheduler) setCancel(ctx context.Context) {
-	if d := ctx.Done(); d != nil {
-		w.sc.SetCancel(d)
-	} else {
-		w.sc.SetCancel(w.sc.img.Opts.Cancel)
-	}
-}
-
-func (w *warmScheduler) Analyze(ctx context.Context) (*sched.Result, error) {
-	w.setCancel(ctx)
-	return w.sc.Schedule()
-}
-
-func (w *warmScheduler) AnalyzeCold(ctx context.Context) (*sched.Result, error) {
-	w.setCancel(ctx)
-	return w.sc.scheduleCold()
-}
-
-//mia:hotpath warm replay entry: 0 allocs/op pinned by the engine alloc guard
-func (w *warmScheduler) Reschedule(ctx context.Context, edits ...engine.Edit) (*sched.Result, error) {
-	w.setCancel(ctx)
-	return w.sc.Reschedule(edits...)
-}
-
-// Close releases the parked kernel workers of a parallel Scheduler
-// (engine.CloseWarm reaches it through the optional-Close assertion). The
-// analyzer stays usable afterwards.
-func (w *warmScheduler) Close() { w.sc.Close() }
+// NewWarm returns a warm-start Scheduler over the image.
+func (backend) NewWarm(img *engine.Image) engine.Warm { return newScheduler(img) }

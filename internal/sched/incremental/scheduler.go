@@ -1,20 +1,13 @@
 package incremental
 
 import (
+	"context"
+
 	"github.com/mia-rt/mia/internal/arbiter"
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
-
-// Edit declares one divergence site between the analyzed execution orders
-// and the orders the Scheduler last committed with Schedule: core Core's
-// order may differ at positions From and later, and is guaranteed by the
-// caller to be unchanged at positions before From. An adjacent swap of
-// order positions p and p+1 on core k is Edit{Core: k, From: p}. It is an
-// alias of the engine's edit type, so engine.Warm callers and direct
-// Scheduler callers speak the same vocabulary.
-type Edit = engine.Edit
 
 // maxCheckpoints bounds the Scheduler's checkpoint store. When a run records
 // more, every other checkpoint is dropped and the recording stride doubles,
@@ -22,103 +15,76 @@ type Edit = engine.Edit
 // from the nearest checkpoint stays O(events / maxCheckpoints).
 const maxCheckpoints = 64
 
-// Scheduler is the warm-start façade over the incremental algorithm: a
-// reusable analysis engine bound to one compiled image and one option set
-// that snapshots its cursor state at event boundaries during full runs, and
-// can then re-analyze a mutated variant of the execution orders by
-// restoring the latest snapshot unaffected by the mutation and replaying
-// only the suffix.
+// Scheduler is this backend's engine.Warm: a reusable analyzer bound to one
+// compiled image and its own order overlay that snapshots its cursor state
+// at event boundaries during full runs, and can then re-analyze a permuted
+// variant of the execution orders by restoring the latest snapshot
+// unaffected by the permutation and replaying only the suffix.
 //
-// The intended client is design-space exploration, where neighboring
-// candidates differ from the incumbent by a single adjacent swap in one
-// core's execution order: a cold analysis costs O(n²) while the replay of
-// the suffix behind the swapped position costs O(suffix²), which is the same
-// incremental-reuse idea that lets the paper's algorithm beat the global
-// fixed-point. Soundness is inherited from the monotonicity hypothesis
-// (Section II.C): the schedule prefix produced before the first event that
-// could observe the mutated order positions is *exact*, not approximate, so
-// a restored prefix plus a replayed suffix is bit-identical to a cold run
-// (enforced by the differential tests in warmstart_test.go).
+// The intended client is design-space exploration and what-if serving,
+// where neighboring candidates differ from the incumbent by a single
+// adjacent swap in one core's execution order: a cold analysis costs O(n²)
+// while the replay of the suffix behind the swapped position costs
+// O(suffix²), which is the same incremental-reuse idea that lets the
+// paper's algorithm beat the global fixed-point. Soundness is inherited
+// from the monotonicity hypothesis (Section II.C): the schedule prefix
+// produced before the first event that could observe the mutated order
+// positions is *exact*, not approximate, so a restored prefix plus a
+// replayed suffix is bit-identical to a cold run (enforced by the
+// differential tests in warmstart_test.go).
 //
 // All buffers — working state, result, and checkpoints — are owned by the
 // Scheduler and reused across calls, so the steady-state event loop runs
 // allocation-free (pinned by an AllocsPerRun guard test). Consequently the
-// returned *sched.Result is overwritten by the next Schedule or Reschedule
-// call; callers that need to keep one must copy it. A Scheduler is not safe
-// for concurrent use; give each goroutine its own — several Schedulers may
-// share one immutable engine.Image.
+// returned *sched.Result is overwritten by the next call; callers that need
+// to keep one must copy it. A Scheduler is not safe for concurrent use;
+// give each goroutine its own — several Schedulers may share one immutable
+// engine.Image.
 //
-// Between calls the caller may mutate ONLY the execution orders (the bound
-// graph's SetOrder/SwapOrder, or the Orders overlay for image-native
-// schedulers). Mutating tasks, edges, demands or the platform invalidates
-// the Scheduler; compile a new image and build a new one instead.
+// Between calls the caller may mutate ONLY the execution orders, through
+// the Orders overlay (Swap, SetOrder). Tasks, edges, demands and the
+// platform are compiled into the image; changing them means compiling a
+// new image and building a new Scheduler over it.
 type Scheduler struct {
-	g   *model.Graph // non-nil only for graph-bound schedulers (NewScheduler)
 	img *engine.Image
 	ord *engine.Orders
 	st  *state
-	err error // compile failure at construction, reported by every call
 
 	snaps  []snapshot // committed checkpoints, in cursor order
 	stride int        // record every stride-th event
 	tick   int        // event counter of the recording run
 
-	recording bool // checkpoint hook active (cold Schedule runs only)
-	base      bool // snaps describe the orders as of the last Schedule
+	recording bool // checkpoint hook active (Analyze runs only)
+	base      bool // snaps describe the orders as of the last Analyze
 
-	lastEvents int // event count of the last successful cold run
+	lastEvents int // event count of the last successful Analyze
 }
 
-// NewScheduler builds a warm-start scheduler for g under opts. The graph is
-// captured by reference: each Schedule or Reschedule call re-reads g's
-// current per-core execution orders into the scheduler's order overlay, so
-// SwapOrder/SetOrder mutations between calls are analyzed, exactly as
-// before the engine existed. The rest of the graph is compiled once; if
-// compilation (validation) fails, the error surfaces from the first
-// Schedule or Reschedule call.
-func NewScheduler(g *model.Graph, opts sched.Options) *Scheduler {
-	img, err := engine.Compile(g, opts)
-	if err != nil {
-		return &Scheduler{err: err}
-	}
-	sc := newWarmScheduler(img)
-	sc.g = g
-	return sc
-}
-
-// newWarmScheduler builds an image-native scheduler owning a private order
-// overlay — the engine backend's Warm implementation.
-func newWarmScheduler(img *engine.Image) *Scheduler {
+// newScheduler builds a warm scheduler over img owning a private order
+// overlay initialized to the image's baseline orders.
+func newScheduler(img *engine.Image) *Scheduler {
 	ord := img.NewOrders()
 	sc := &Scheduler{img: img, ord: ord, st: newState(img, ord), stride: 1}
 	sc.st.ckpt = sc.checkpoint
 	return sc
 }
 
-// Orders exposes the scheduler's mutable order overlay. Graph-bound
-// schedulers overwrite it from the graph at every call; image-native ones
-// (the engine path) treat it as the single source of order truth.
+// Orders exposes the scheduler's mutable order overlay, the single source
+// of order truth for every run.
 func (sc *Scheduler) Orders() *engine.Orders { return sc.ord }
 
-// syncOrders re-reads the bound graph's current orders into the overlay.
-// Image-native schedulers have no bound graph and skip it.
-//
-//mia:hotpath
-func (sc *Scheduler) syncOrders() {
-	if sc.g != nil {
-		sc.ord.CopyFrom(sc.g)
-	}
-}
-
-// Schedule analyzes the current orders cold from t=0, rebuilding the
+// Analyze analyzes the current orders cold from t=0, rebuilding the
 // checkpoint store as it goes, and commits them as the warm-start baseline
 // for subsequent Reschedule calls. The returned Result is owned by the
 // Scheduler and valid only until the next call.
-func (sc *Scheduler) Schedule() (*sched.Result, error) {
-	if sc.err != nil {
-		return nil, sc.err
-	}
-	sc.syncOrders()
+//
+// Every call resolves its cancellation channel from ctx (see
+// engine.Image.CancelWith). A canceled call returns sched.ErrCanceled and
+// never corrupts the warm state: a canceled Analyze leaves the Scheduler
+// without a baseline (the next Reschedule runs cold), and a canceled
+// Reschedule leaves the committed checkpoints untouched.
+func (sc *Scheduler) Analyze(ctx context.Context) (*sched.Result, error) {
+	sc.st.cancel = sc.img.CancelWith(ctx)
 	sc.st.reset()
 	sc.snaps = sc.snaps[:0]
 	sc.tick = 0
@@ -140,45 +106,39 @@ func (sc *Scheduler) Schedule() (*sched.Result, error) {
 	return res, err
 }
 
-// scheduleCold analyzes the current orders from t=0 without recording
+// AnalyzeCold analyzes the current orders from t=0 without recording
 // checkpoints and without committing a baseline — the oracle path for
-// differential comparisons against Reschedule (exploration's
-// DisableWarmStart mode). The committed warm baseline, if any, survives.
-func (sc *Scheduler) scheduleCold() (*sched.Result, error) {
-	if sc.err != nil {
-		return nil, sc.err
-	}
-	sc.syncOrders()
+// differential comparisons against Reschedule. The committed warm baseline,
+// if any, survives.
+func (sc *Scheduler) AnalyzeCold(ctx context.Context) (*sched.Result, error) {
+	sc.st.cancel = sc.img.CancelWith(ctx)
 	sc.st.reset()
 	return sc.st.run()
 }
 
 // Reschedule re-analyzes after the execution orders were mutated at the
 // given divergence sites, relative to the orders committed by the last
-// successful Schedule. It restores the latest checkpoint that provably
-// precedes every site's first possible influence on the schedule and replays
-// only the remaining events; when no checkpoint qualifies (a mutation at the
-// very front of an order), it falls back to a cold replay. Either way the
-// result is bit-identical to what Schedule would compute on the mutated
-// orders — only cheaper.
+// successful Analyze. It restores the latest checkpoint that provably
+// precedes every site's first possible influence on the schedule and
+// replays only the remaining events; when no checkpoint qualifies (a
+// mutation at the very front of an order), it falls back to a cold replay.
+// Either way the result is bit-identical to what Analyze would compute on
+// the mutated orders — only cheaper.
 //
 // The checkpoint store is never modified: after the caller undoes its
 // mutation (restoring the committed orders), further Reschedule calls
 // against the same baseline remain valid, which is exactly the
 // apply-evaluate-undo pattern of neighborhood search. An unschedulable
 // verdict for the mutated orders likewise leaves the baseline intact. If no
-// valid baseline exists (never scheduled, or the last cold run failed),
-// Reschedule behaves as Schedule, committing the current orders.
+// valid baseline exists (never analyzed, or the last Analyze failed),
+// Reschedule behaves as Analyze, committing the current orders.
 //
 //mia:hotpath warm replay: 0 allocs/op pinned by alloc_test.go
-func (sc *Scheduler) Reschedule(edits ...Edit) (*sched.Result, error) {
-	if sc.err != nil {
-		return nil, sc.err
-	}
+func (sc *Scheduler) Reschedule(ctx context.Context, edits ...engine.Edit) (*sched.Result, error) {
 	if !sc.base {
-		return sc.Schedule()
+		return sc.Analyze(ctx)
 	}
-	sc.syncOrders()
+	sc.st.cancel = sc.img.CancelWith(ctx)
 	for i := len(sc.snaps) - 1; i >= 0; i-- {
 		if snapSafe(&sc.snaps[i], edits) {
 			sc.st.restore(&sc.snaps[i])
@@ -189,44 +149,21 @@ func (sc *Scheduler) Reschedule(edits ...Edit) (*sched.Result, error) {
 	return sc.st.run()
 }
 
-// SetCancel replaces the cancellation channel consulted by subsequent
-// Schedule and Reschedule calls, enabling per-request deadlines on a
-// long-lived Scheduler (Options.Cancel is compiled into the image and would
-// otherwise be fixed for the Scheduler's whole life). A canceled call
-// returns sched.ErrCanceled and never corrupts the warm state: a canceled
-// cold Schedule simply leaves the Scheduler without a baseline (the next
-// call runs cold), and a canceled Reschedule leaves the committed
-// checkpoints untouched.
-func (sc *Scheduler) SetCancel(ch <-chan struct{}) {
-	if sc.err != nil {
-		return
-	}
-	sc.st.cancel = ch
-}
-
 // Close joins the parked worker goroutines of the parallel exchange kernel,
-// when the compiled options enabled one (Options.Parallelism > 1). The
+// when the compiled options enabled one (Options.Parallelism > 1);
+// engine.CloseWarm reaches it through the optional-Close assertion. The
 // Scheduler — checkpoints, warm baseline and all — remains fully usable:
 // the next parallel run simply respawns the workers. Call it when retiring
 // a Scheduler from a pool so parked goroutines do not outlive the analyzer
 // that owns them; sequential Schedulers make it a no-op.
-func (sc *Scheduler) Close() {
-	if sc.st != nil {
-		sc.st.close()
-	}
-}
+func (sc *Scheduler) Close() { sc.st.close() }
 
 // Warm reports whether the Scheduler holds a valid warm-start baseline: a
-// successful cold Schedule has committed checkpoints and the caller has not
+// successful Analyze has committed checkpoints and the caller has not
 // invalidated them. Serving layers use it to distinguish a cheap Reschedule
 // replay from the cold run it would silently fall back to, and to report
 // warm-pool occupancy in metrics.
 func (sc *Scheduler) Warm() bool { return sc.base }
-
-// Checkpoints returns the number of committed event-boundary checkpoints of
-// the last recording run — an observability hook for tests and metrics; the
-// replay machinery does not depend on callers reading it.
-func (sc *Scheduler) Checkpoints() int { return len(sc.snaps) }
 
 // checkpoint is the state's event-boundary hook: during recording runs it
 // captures every stride-th event into the store, compacting (drop every
@@ -282,7 +219,7 @@ func (sc *Scheduler) compact() {
 // the latest safe checkpoint is the best restart point.
 //
 //mia:hotpath
-func snapSafe(sn *snapshot, edits []Edit) bool {
+func snapSafe(sn *snapshot, edits []engine.Edit) bool {
 	for _, e := range edits {
 		h := sn.headIdx[e.Core]
 		if h > e.From || (h == e.From && sn.slots[e.Core].task == model.NoTask) {

@@ -1,20 +1,51 @@
 package incremental
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
 
+// compiledScheduler compiles g under opts into a fresh Scheduler.
+func compiledScheduler(t testing.TB, g *model.Graph, opts sched.Options) *Scheduler {
+	t.Helper()
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return newScheduler(img)
+}
+
+// lockstep pairs a Scheduler with the graph its image was compiled from and
+// applies every adjacent swap to both: the scheduler analyzes its order
+// overlay, and the graph stays the cold Schedule(g) reference for the same
+// orders.
+type lockstep struct {
+	*Scheduler
+	g *model.Graph
+}
+
+func newLockstep(t testing.TB, g *model.Graph, opts sched.Options) *lockstep {
+	t.Helper()
+	return &lockstep{Scheduler: compiledScheduler(t, g, opts), g: g}
+}
+
+func (l *lockstep) swap(k model.CoreID, pos int) {
+	l.Orders().Swap(k, pos)
+	l.g.SwapOrder(k, pos)
+}
+
 // legalSwapSites enumerates (core, pos) adjacent swaps that keep the graph
 // structurally valid: no direct dependency between the swapped pair and
 // Validate accepting the swapped order. Cross-core deadlocks may survive
-// this filter — exactly as in the explorer — so scheduling a swapped
+// this filter — exactly as in a search — so scheduling a swapped
 // candidate may still fail, and the differential tests assert that warm and
 // cold agree on the failure too.
 func legalSwapSites(g *model.Graph) [][2]int {
@@ -59,10 +90,10 @@ func sampleSites(sites [][2]int, max int) [][2]int {
 // Schedule of the same mutated graph: identical error verdicts, and
 // bit-identical schedules (including per-bank splits and event counts) when
 // schedulable.
-func assertWarmMatchesCold(t *testing.T, label string, sc *Scheduler, g *model.Graph, opts sched.Options, edits ...Edit) {
+func assertWarmMatchesCold(t *testing.T, label string, l *lockstep, opts sched.Options, edits ...engine.Edit) {
 	t.Helper()
-	warm, werr := sc.Reschedule(edits...)
-	cold, cerr := Schedule(g, opts)
+	warm, werr := l.Reschedule(context.Background(), edits...)
+	cold, cerr := Schedule(l.g, opts)
 	if (werr == nil) != (cerr == nil) {
 		t.Fatalf("%s: warm err %v, cold err %v", label, werr, cerr)
 	}
@@ -92,6 +123,7 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 	if len(corpus) < 200 {
 		t.Fatalf("differential corpus has %d instances, want ≥ 200", len(corpus))
 	}
+	ctx := context.Background()
 	instances := 0
 	for ci, p := range corpus {
 		g, err := gen.Layered(p)
@@ -109,8 +141,8 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 			ci, p.Layers, p.LayerSize, p.Cores, p.Banks, p.SharedBank,
 			opts.EffectiveArbiter().Name(), opts.SeparateCompetitors, opts.DisableFastPath)
 
-		sc := NewScheduler(g, opts)
-		baseWarm, err := sc.Schedule()
+		l := newLockstep(t, g, opts)
+		baseWarm, err := l.Analyze(ctx)
 		if err != nil {
 			t.Fatalf("%s: base schedule: %v", label, err)
 		}
@@ -123,13 +155,13 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 		for si, site := range sampleSites(legalSwapSites(g), 5) {
 			k, pos := site[0], site[1]
 			swapLabel := fmt.Sprintf("%s swap[%d]=(core %d, pos %d)", label, si, k, pos)
-			g.SwapOrder(model.CoreID(k), pos)
-			assertWarmMatchesCold(t, swapLabel, sc, g, opts, Edit{Core: model.CoreID(k), From: pos})
-			g.SwapOrder(model.CoreID(k), pos) // undo
+			l.swap(model.CoreID(k), pos)
+			assertWarmMatchesCold(t, swapLabel, l, opts, engine.Edit{Core: model.CoreID(k), From: pos})
+			l.swap(model.CoreID(k), pos) // undo
 			// The baseline checkpoints must have survived the excursion:
-			// rescheduling the undone graph reproduces the base run.
+			// rescheduling the undone orders reproduces the base run.
 			if si == 0 {
-				back, err := sc.Reschedule(Edit{Core: model.CoreID(k), From: pos})
+				back, err := l.Reschedule(ctx, engine.Edit{Core: model.CoreID(k), From: pos})
 				if err != nil {
 					t.Fatalf("%s: reschedule after undo: %v", swapLabel, err)
 				}
@@ -143,18 +175,18 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 	}
 }
 
-// TestWarmStartMultiEdit pins the multi-site contract: when the graph
-// diverges from the baseline at several cores at once (an accepted move plus
-// a candidate, the steady state of annealing), Reschedule must restore a
-// checkpoint preceding every site and still match the cold analysis.
+// TestWarmStartMultiEdit pins the multi-site contract: when the orders
+// diverge from the baseline at several cores at once (an accepted move plus
+// a candidate), Reschedule must restore a checkpoint preceding every site
+// and still match the cold analysis.
 func TestWarmStartMultiEdit(t *testing.T) {
 	p := gen.NewParams(8, 6)
 	p.Seed = 42
 	p.Cores, p.Banks = 4, 4
 	g := gen.MustLayered(p)
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	sc := NewScheduler(g, opts)
-	if _, err := sc.Schedule(); err != nil {
+	l := newLockstep(t, g, opts)
+	if _, err := l.Analyze(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sites := legalSwapSites(g)
@@ -162,7 +194,7 @@ func TestWarmStartMultiEdit(t *testing.T) {
 		t.Skip("graph has fewer than two legal swap sites")
 	}
 	applied := 0
-	var edits []Edit
+	var edits []engine.Edit
 	for _, site := range sites {
 		if applied == 2 {
 			break
@@ -170,18 +202,18 @@ func TestWarmStartMultiEdit(t *testing.T) {
 		if len(edits) > 0 && model.CoreID(site[0]) == edits[0].Core {
 			continue // want two distinct cores
 		}
-		g.SwapOrder(model.CoreID(site[0]), site[1])
+		l.swap(model.CoreID(site[0]), site[1])
 		if g.Validate() != nil {
-			g.SwapOrder(model.CoreID(site[0]), site[1])
+			l.swap(model.CoreID(site[0]), site[1])
 			continue
 		}
-		edits = append(edits, Edit{Core: model.CoreID(site[0]), From: site[1]})
+		edits = append(edits, engine.Edit{Core: model.CoreID(site[0]), From: site[1]})
 		applied++
 	}
 	if applied < 2 {
 		t.Skip("could not combine two swaps on distinct cores")
 	}
-	assertWarmMatchesCold(t, "multi-edit", sc, g, opts, edits...)
+	assertWarmMatchesCold(t, "multi-edit", l, opts, edits...)
 }
 
 // TestWarmStartFrontSwapFallsBackCold covers the no-safe-checkpoint path: a
@@ -193,8 +225,8 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 	p.Cores, p.Banks = 4, 2
 	g := gen.MustLayered(p)
 	opts := sched.Options{}
-	sc := NewScheduler(g, opts)
-	base, err := sc.Schedule()
+	l := newLockstep(t, g, opts)
+	base, err := l.Analyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +239,10 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 		if site[1] != 0 {
 			continue
 		}
-		g.SwapOrder(model.CoreID(site[0]), site[1])
-		assertWarmMatchesCold(t, "front swap", sc, g, opts, Edit{Core: model.CoreID(site[0]), From: 0})
-		g.SwapOrder(model.CoreID(site[0]), site[1])
-		back, err := sc.Reschedule(Edit{Core: model.CoreID(site[0]), From: 0})
+		l.swap(model.CoreID(site[0]), site[1])
+		assertWarmMatchesCold(t, "front swap", l, opts, engine.Edit{Core: model.CoreID(site[0]), From: 0})
+		l.swap(model.CoreID(site[0]), site[1])
+		back, err := l.Reschedule(context.Background(), engine.Edit{Core: model.CoreID(site[0]), From: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,14 +253,14 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 }
 
 // TestRescheduleWithoutBaseBehavesAsSchedule pins the degenerate entry
-// point: a Reschedule before any Schedule commits a cold run.
+// point: a Reschedule before any Analyze commits a cold run.
 func TestRescheduleWithoutBaseBehavesAsSchedule(t *testing.T) {
 	p := gen.NewParams(5, 5)
 	p.Cores, p.Banks = 4, 2
 	g := gen.MustLayered(p)
 	opts := sched.Options{}
-	sc := NewScheduler(g, opts)
-	warm, err := sc.Reschedule()
+	l := newLockstep(t, g, opts)
+	warm, err := l.Reschedule(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

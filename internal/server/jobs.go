@@ -45,6 +45,16 @@ const jobRetention = 128
 // request, independent of the unary pool's size.
 const maxJobSearchWorkers = 8
 
+// maxJobPopSize and maxJobGenerations bound a job's search size; larger
+// requests are rejected with 400 before admission. The population is
+// allocated up front and every genome clones the assignment and orders, so
+// an unbounded pop_size lets one request exhaust the shard's memory, and
+// the job keeps one stream line per generation that changed the front.
+const (
+	maxJobPopSize     = 1024
+	maxJobGenerations = 10000
+)
+
 // jobStatus is a job's lifecycle state. Transitions: running → done |
 // cancelled | failed; terminal states are final.
 type jobStatus string
@@ -306,6 +316,14 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("parsing job request: " + err.Error())})
+		return
+	}
+	if req.PopSize > maxJobPopSize {
+		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(fmt.Sprintf("pop_size %d exceeds the limit of %d", req.PopSize, maxJobPopSize))})
+		return
+	}
+	if req.Generations > maxJobGenerations {
+		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(fmt.Sprintf("generations %d exceeds the limit of %d", req.Generations, maxJobGenerations))})
 		return
 	}
 

@@ -169,9 +169,11 @@ func assertJobMetrics(t *testing.T, s *Server, active, completed int64) {
 	}
 }
 
-// longJobBody is a search big enough to outlive any test action against it.
+// longJobBody is a search big enough to outlive any test action against it
+// (640,000 evaluations, tens of seconds) while staying inside the job size
+// limits.
 func longJobBody(t *testing.T) []byte {
-	return jobBody(t, smokeGraphJSON(t), `,"pop_size":8,"generations":100000000,"seed":1`)
+	return jobBody(t, smokeGraphJSON(t), `,"pop_size":64,"generations":10000,"seed":1`)
 }
 
 // TestJobCancellationStreamsTruncatedTrailer cancels a running job while a
@@ -305,6 +307,11 @@ func TestJobValidation(t *testing.T) {
 		{"unknown hash", `{"hash":"deadbeef"}`, http.StatusNotFound},
 		{"unknown objective", fmt.Sprintf(`{"graph":%s,"objectives":["nope"]}`, graph), http.StatusBadRequest},
 		{"unknown field", fmt.Sprintf(`{"graph":%s,"bogus":1}`, graph), http.StatusBadRequest},
+		// The population is allocated before the first evaluation: this
+		// pop_size used to answer 202 and then kill the process with a
+		// fatal out-of-memory error no recover can catch.
+		{"huge pop_size", fmt.Sprintf(`{"graph":%s,"pop_size":4398046511104,"generations":1}`, graph), http.StatusBadRequest},
+		{"huge generations", fmt.Sprintf(`{"graph":%s,"pop_size":8,"generations":4398046511104}`, graph), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

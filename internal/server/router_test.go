@@ -393,19 +393,30 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 
 // TestRouterRejectsHugeShapesAndKeepsServing: the router fingerprints
 // every analyze body before placing it, and the shard compiles it, so a
-// graph whose declared shape is past the limits used to kill both. Through
-// the router each such body now answers 400, and a valid analyze right
-// after it still answers 200.
+// graph whose declared shape is past the limits used to kill both; and a
+// job's population is allocated up front, so a huge pop_size relayed to a
+// shard killed it too. Through the router each such body now answers 400,
+// and a valid analyze right after it still answers 200.
 func TestRouterRejectsHugeShapesAndKeepsServing(t *testing.T) {
 	_, urls := newFleet(t, 2, Config{Workers: 1})
 	r := newFleetRouter(t, urls, shard.Config{})
 	valid := graphJSON(t, gen.Figure2())
-	for _, bad := range []string{hugeCoresGraph, hugeBanksGraph} {
-		if rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", []byte(bad)); rr.Code != http.StatusBadRequest {
-			t.Fatalf("routed %.40s…: got %d, want 400 (body %s)", bad, rr.Code, rr.Body.String())
+	rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", valid)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("valid analyze: got %d (body %s)", rr.Code, rr.Body.String())
+	}
+	hash := responseHash(t, rr)
+	for _, bad := range []struct{ path, body string }{
+		{"/v1/analyze", hugeCoresGraph},
+		{"/v1/analyze", hugeBanksGraph},
+		{"/v1/jobs", fmt.Sprintf(`{"hash":%q,"pop_size":4398046511104,"generations":1}`, hash)},
+		{"/v1/jobs", fmt.Sprintf(`{"hash":%q,"pop_size":8,"generations":4398046511104}`, hash)},
+	} {
+		if rr := routedDo(r, http.MethodPost, bad.path, "application/json", []byte(bad.body)); rr.Code != http.StatusBadRequest {
+			t.Fatalf("routed %s %.40s…: got %d, want 400 (body %s)", bad.path, bad.body, rr.Code, rr.Body.String())
 		}
 		if rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", valid); rr.Code != http.StatusOK {
-			t.Fatalf("valid analyze after %.40s…: got %d, want 200 (body %s)", bad, rr.Code, rr.Body.String())
+			t.Fatalf("valid analyze after %.40s…: got %d, want 200 (body %s)", bad.body, rr.Code, rr.Body.String())
 		}
 	}
 }
