@@ -15,7 +15,7 @@
 // twice — so the evaluated orders equal the baseline and every scenario is
 // schedulable by construction, while the server still pays the full
 // apply-replay-undo cost. -wire switches the graph upload from JSON to the
-// binary wire format (Content-Type application/x-mia-wire).
+// binary wire format (Content-Type wire.ContentType).
 //
 // Output is a human-readable summary or, with -json, a machine-readable
 // report (p50/p95/p99/mean/max latency in milliseconds, throughput,
@@ -163,7 +163,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// that already holds the image.
 	contentType := "application/json"
 	if *useWire {
-		contentType = "application/x-mia-wire"
+		contentType = wire.ContentType
 	}
 	lgs := make([]*loadGraph, *graphs)
 	var numTasks int

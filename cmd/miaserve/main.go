@@ -2,8 +2,8 @@
 // HTTP service with warm-scheduler pooling: repeat analyses and
 // order-edit reschedules of a known graph are served from checkpointed
 // incremental schedulers instead of re-analyzing from t=0. Graphs arrive
-// as JSON or as the flat binary wire format (Content-Type:
-// application/x-mia-wire, see internal/wire), which compiles without an
+// as JSON or as the flat binary wire format (Content-Type
+// wire.ContentType, see internal/wire), which compiles without an
 // intermediate graph build.
 //
 //	POST /v1/analyze     graph (JSON or wire) → schedule (release dates, response times)

@@ -21,6 +21,9 @@ var coreScopes = []string{
 	// point placement to stay a pure function of the member list, or two
 	// routers disagree about ownership mid-failover.
 	"internal/shard",
+	// The stream protocol writes result-line prefixes and trailers into
+	// replies that must be byte-identical between a shard and the router.
+	"internal/ndjson",
 	// The search (objectives and the NSGA-II front in package pareto)
 	// promises byte-identical Pareto output at any -jobs level and across
 	// repeated seeded runs (DESIGN §3.11); a stray wall-clock read, global

@@ -151,7 +151,7 @@ func TestBatchWireIngest(t *testing.T) {
 
 	body := append(wire.EncodeGraph(roundTrip(t, g)),
 		[]byte(`{"items":[{"swaps":[]},{"swaps":[{"core":2,"pos":0}]}]}`)...)
-	rr := doBatch(s, wireContentType, body)
+	rr := doBatch(s, wire.ContentType, body)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("wire batch: %d (%s)", rr.Code, rr.Body.String())
 	}
@@ -183,7 +183,7 @@ func TestAnalyzeWireIngest(t *testing.T) {
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/analyze",
 		bytes.NewReader(wire.EncodeGraph(roundTrip(t, g))))
-	req.Header.Set("Content-Type", wireContentType)
+	req.Header.Set("Content-Type", wire.ContentType)
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, req)
 	if rr.Code != http.StatusOK {
@@ -218,10 +218,10 @@ func TestBatchBadInputs(t *testing.T) {
 		{"hash and graph", "", fmt.Sprintf(`{"hash":%q,"graph":{},"items":[{"swaps":[]}]}`, hash), http.StatusBadRequest},
 		{"unknown field", "", fmt.Sprintf(`{"hash":%q,"items":[{"swaps":[]}],"bogus":1}`, hash), http.StatusBadRequest},
 		{"malformed", "", "{", http.StatusBadRequest},
-		{"wire junk", wireContentType, "not a wire blob", http.StatusBadRequest},
-		{"wire items garbage", wireContentType,
+		{"wire junk", wire.ContentType, "not a wire blob", http.StatusBadRequest},
+		{"wire items garbage", wire.ContentType,
 			string(wire.EncodeGraph(gen.Figure2())) + `{"bogus":[]}`, http.StatusBadRequest},
-		{"wire missing items", wireContentType,
+		{"wire missing items", wire.ContentType,
 			string(wire.EncodeGraph(gen.Figure2())), http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -177,8 +177,7 @@ func (wk *worker) whatIf(ctx context.Context, s *Server, hash string, swaps []sw
 	if !ok {
 		img, found := s.images.get(hash)
 		if !found {
-			return reply{status: http.StatusNotFound,
-				body: errBody("unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")}
+			return reply{status: http.StatusNotFound, body: errBody(errUnknownHash)}
 		}
 		e = newWarmEntry(hash, img)
 		wk.cache.put(e)

@@ -12,6 +12,7 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/explore/objective"
 	"github.com/mia-rt/mia/internal/explore/pareto"
+	"github.com/mia-rt/mia/internal/ndjson"
 )
 
 // The jobs subsystem serves long-running multi-objective searches:
@@ -21,8 +22,8 @@ import (
 //	                            background, bounded by Config.MaxJobs
 //	GET    /v1/jobs/{id}        job status + the current Pareto front
 //	GET    /v1/jobs/{id}/stream NDJSON: every front update as it lands, then
-//	                            one terminal trailer (mirrors /v1/batch's
-//	                            exactly-one-trailer, truncation-marked shape)
+//	                            one terminal trailer (package ndjson, like
+//	                            /v1/batch's exactly-one-trailer stream)
 //	DELETE /v1/jobs/{id}        cancel a running job
 //
 // A job id is "<graph-fingerprint>-<seq>", so the shard router can place
@@ -56,8 +57,9 @@ const (
 )
 
 // jobStatus is a job's lifecycle state. Transitions: running → done |
-// cancelled | failed; terminal states are final.
-type jobStatus string
+// cancelled | failed; terminal states are final. It is a plain string so a
+// stream's ndjson.JobTrailer carries it as is.
+type jobStatus = string
 
 const (
 	jobRunning   jobStatus = "running"
@@ -327,31 +329,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var img *engine.Image
-	switch {
-	case req.Hash != "" && len(req.Graph) > 0:
-		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("set hash or graph, not both")})
-		return
-	case req.Hash != "":
-		var ok bool
-		if img, ok = s.images.get(req.Hash); !ok {
-			s.writeReply(w, reply{status: http.StatusNotFound,
-				body: errBody("unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)")})
-			return
-		}
-	case len(req.Graph) > 0:
-		var err error
-		img, err = engine.CompileJSON(req.Graph, s.cfg.Sched)
-		if err != nil {
-			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
-			return
-		}
-		s.met.ingestJSON.Add(1)
-		img = s.images.put(img.Fingerprint(), img)
-	default:
-		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("missing graph: set hash or graph")})
+	img, rep := s.resolveGraph(req.Hash, req.Graph)
+	if rep != nil {
+		s.writeReply(w, *rep)
 		return
 	}
+	img = s.images.put(img.Fingerprint(), img)
 
 	objs := make([]objective.Objective, 0, len(req.Objectives))
 	for _, name := range req.Objectives {
@@ -439,17 +422,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeReply(w, reply{status: http.StatusOK, body: j.statusBody(false)})
 }
 
-// jobTrailer is the stream's single terminal line, mirroring the batch
-// trailer's shape: done marks it, truncated says whether the search ran to
-// completion, and reason explains a truncation.
-type jobTrailer struct {
-	Done      bool      `json:"done"`
-	Status    jobStatus `json:"status"`
-	Updates   int       `json:"updates"`
-	Truncated bool      `json:"truncated"`
-	Reason    string    `json:"reason,omitempty"`
-}
-
 // handleJobStream serves GET /v1/jobs/{id}/stream: every front update the
 // job has produced so far, then live updates as they land, then exactly one
 // trailer once the job reaches a terminal state. A subscriber joining after
@@ -463,39 +435,25 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.writeReply(w, reply{status: http.StatusNotFound, body: errBody("unknown job id")})
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	sw := ndjson.Start(w, &s.met.streamedBytes)
 	s.met.countResponse(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	sent := 0
 	for {
 		j.mu.Lock()
-		lines := j.lines[sent:]
+		lines := j.lines[sw.Lines():]
 		status := j.status
 		reason := j.reason
-		total := len(j.lines)
 		notify := j.notify
 		j.mu.Unlock()
 		for _, line := range lines {
-			w.Write(line)
-			s.met.streamedBytes.Add(int64(len(line)))
-		}
-		sent = total
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
+			sw.Line(line)
 		}
 		if status != jobRunning {
-			t := jobTrailer{Done: true, Status: status, Updates: sent,
-				Truncated: status != jobDone, Reason: reason}
-			if b, err := json.Marshal(&t); err == nil {
-				b = append(b, '\n')
-				w.Write(b)
-				s.met.streamedBytes.Add(int64(len(b)))
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			sw.End(ndjson.JobTrailer{Status: status, Updates: sw.Lines(),
+				Truncated: status != jobDone, Reason: reason}.Line())
 			return
+		}
+		if len(lines) > 0 {
+			sw.Flush()
 		}
 		select {
 		case <-notify:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/ndjson"
 )
 
 // jobBody builds a POST /v1/jobs body around a graph JSON payload.
@@ -29,7 +30,7 @@ func decodeJob(t *testing.T, b []byte) jobStatusResponse {
 }
 
 // smokeGraphJSON is the small layered instance the job tests search over.
-func smokeGraphJSON(t *testing.T) []byte {
+func smokeGraphJSON(t testing.TB) []byte {
 	t.Helper()
 	p := gen.NewParams(4, 3)
 	p.Seed = 9
@@ -103,10 +104,10 @@ func TestJobLifecycleAndMetrics(t *testing.T) {
 
 // parseJobStream splits an NDJSON job stream into its update lines and the
 // single trailer, failing on any malformed or post-trailer line.
-func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, jobTrailer) {
+func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, ndjson.JobTrailer) {
 	t.Helper()
 	var updates []jobUpdateLine
-	var trailer jobTrailer
+	var trailer ndjson.JobTrailer
 	seenTrailer := false
 	sc := bufio.NewScanner(bytes.NewReader(stream))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -205,7 +206,7 @@ func TestJobCancellationStreamsTruncatedTrailer(t *testing.T) {
 		t.Fatalf("job cancel: got %d (body %s)", drr.Code, drr.Body.String())
 	}
 
-	var trailer jobTrailer
+	var trailer ndjson.JobTrailer
 	for {
 		line, err := reader.ReadBytes('\n')
 		if err != nil {

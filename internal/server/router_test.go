@@ -14,6 +14,7 @@ import (
 
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/shard"
+	"github.com/mia-rt/mia/internal/wire"
 )
 
 // fleetShard is one real in-process miaserve shard behind a real listener —
@@ -24,7 +25,7 @@ type fleetShard struct {
 	ts  *httptest.Server
 }
 
-func newFleet(t *testing.T, n int, cfg Config) ([]*fleetShard, []string) {
+func newFleet(t testing.TB, n int, cfg Config) ([]*fleetShard, []string) {
 	t.Helper()
 	shards := make([]*fleetShard, n)
 	urls := make([]string, n)
@@ -41,7 +42,7 @@ func newFleet(t *testing.T, n int, cfg Config) ([]*fleetShard, []string) {
 	return shards, urls
 }
 
-func newFleetRouter(t *testing.T, urls []string, cfg shard.Config) *shard.Router {
+func newFleetRouter(t testing.TB, urls []string, cfg shard.Config) *shard.Router {
 	t.Helper()
 	cfg.Targets = urls
 	r, err := shard.NewRouter(context.Background(), cfg)
@@ -418,5 +419,26 @@ func TestRouterRejectsHugeShapesAndKeepsServing(t *testing.T) {
 		if rr := routedDo(r, http.MethodPost, "/v1/analyze", "application/json", valid); rr.Code != http.StatusOK {
 			t.Fatalf("valid analyze after %.40s…: got %d, want 200 (body %s)", bad.body, rr.Code, rr.Body.String())
 		}
+	}
+}
+
+// TestRouterWireBatchSpacedContentType: the router and the shard decide
+// what a wire body is by one rule, so a wire batch whose media type has
+// spaces and a parameter ("application/x-mia-wire ; v=1") is answered the
+// same both ways: 200, with the same bytes.
+func TestRouterWireBatchSpacedContentType(t *testing.T) {
+	direct := newTestServer(t, Config{Workers: 1})
+	_, urls := newFleet(t, 1, Config{Workers: 1})
+	router := newFleetRouter(t, urls, shard.Config{})
+
+	body := append(wire.EncodeGraph(gen.Figure2()), `{"items":[{"swaps":[]},{"swaps":[{"core":2,"pos":0}]}]}`...)
+	contentType := wire.ContentType + " ; v=1"
+	dB := doBatch(direct, contentType, body)
+	rB := routedDo(router, http.MethodPost, "/v1/batch", contentType, body)
+	if dB.Code != http.StatusOK || rB.Code != http.StatusOK {
+		t.Fatalf("wire batch with %q: direct=%d routed=%d (routed body %s)", contentType, dB.Code, rB.Code, rB.Body.String())
+	}
+	if !bytes.Equal(dB.Body.Bytes(), rB.Body.Bytes()) {
+		t.Fatalf("routed wire batch diverges from direct\n direct: %s\n routed: %s", dB.Body.Bytes(), rB.Body.Bytes())
 	}
 }

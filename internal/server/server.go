@@ -42,13 +42,13 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/pool"
 	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
+	"github.com/mia-rt/mia/internal/wire"
 )
 
 // eng is the analysis backend every request runs on: the paper's incremental
@@ -292,30 +292,16 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, job func(ctx c
 	start := time.Now()
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-
-	if s.draining() {
-		s.writeReply(w, reply{status: http.StatusServiceUnavailable, body: errBody("draining")})
-		return
-	}
-
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
 	out := make(chan reply, 1) // buffered: the worker never blocks on a gone handler
-	admitted := s.runner.TrySubmit(func(wk *worker) {
+	if !s.admit(w, func(wk *worker) {
 		if s.gate != nil {
 			s.gate()
 		}
 		out <- safeJob(ctx, wk, job)
-	})
-	if !admitted {
-		s.met.shed.Add(1)
-		if s.draining() {
-			s.writeReply(w, reply{status: http.StatusServiceUnavailable, body: errBody("draining")})
-			return
-		}
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		s.writeReply(w, reply{status: http.StatusTooManyRequests, body: errBody("queue full")})
+	}) {
 		return
 	}
 
@@ -331,6 +317,28 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, job func(ctx c
 		s.met.observeLatency(time.Since(start))
 		s.writeReply(w, timeoutReply(ctx))
 	}
+}
+
+// admit is the one admission step of the worker pool, shared by unary
+// requests and batches: it submits job, or writes the refusal — 503 while
+// draining, 429 with a Retry-After hint when the queue is full — and
+// reports false.
+func (s *Server) admit(w http.ResponseWriter, job func(wk *worker)) bool {
+	if s.draining() {
+		s.writeReply(w, reply{status: http.StatusServiceUnavailable, body: errBody("draining")})
+		return false
+	}
+	if s.runner.TrySubmit(job) {
+		return true
+	}
+	s.met.shed.Add(1)
+	if s.draining() {
+		s.writeReply(w, reply{status: http.StatusServiceUnavailable, body: errBody("draining")})
+		return false
+	}
+	w.Header().Set("Retry-After", s.retryAfterHint())
+	s.writeReply(w, reply{status: http.StatusTooManyRequests, body: errBody("queue full")})
+	return false
 }
 
 // safeJob runs job with panic containment: a panicking analysis answers 500
@@ -367,20 +375,6 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 	s.met.countResponse(rep.status)
 }
 
-// wireContentType is the media type of binary wire-format graph bodies
-// (internal/wire). Graph-carrying endpoints accept it interchangeably with
-// graph JSON; the binary path compiles without materializing a graph.
-const wireContentType = "application/x-mia-wire"
-
-// isWire reports whether the request body is declared as binary wire format.
-func isWire(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.Index(ct, ";"); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == wireContentType
-}
-
 // compileBody compiles a request body into a problem image, dispatching on
 // Content-Type: wire blobs take CompileFromWire, everything else
 // CompileJSON. Neither builds a graph on the way. Both paths apply the body
@@ -391,7 +385,7 @@ func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	if isWire(r) {
+	if wire.IsContentType(r.Header.Get("Content-Type")) {
 		img, err := engine.CompileFromWire(body, s.cfg.Sched)
 		if err != nil {
 			return nil, err
@@ -405,4 +399,33 @@ func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
 	}
 	s.met.ingestJSON.Add(1)
 	return img, nil
+}
+
+// errUnknownHash answers a request naming a graph the registry does not
+// hold.
+const errUnknownHash = "unknown graph hash (analyze it first; the registry is an LRU and may have evicted it)"
+
+// resolveGraph finds the image a batch or job request names — by the
+// fingerprint of an earlier analyze (hash) or by value (graph JSON,
+// compiled here) — or returns the reply to send instead: 400 for both,
+// neither, or a bad graph, 404 for a hash the registry does not hold. The
+// caller registers the image.
+func (s *Server) resolveGraph(hash string, graph json.RawMessage) (*engine.Image, *reply) {
+	switch {
+	case hash != "" && len(graph) > 0:
+		return nil, &reply{status: http.StatusBadRequest, body: errBody("set either hash or graph, not both")}
+	case hash != "":
+		if img, ok := s.images.get(hash); ok {
+			return img, nil
+		}
+		return nil, &reply{status: http.StatusNotFound, body: errBody(errUnknownHash)}
+	case len(graph) > 0:
+		img, err := engine.CompileJSON(graph, s.cfg.Sched)
+		if err != nil {
+			return nil, &reply{status: http.StatusBadRequest, body: errBody(err.Error())}
+		}
+		s.met.ingestJSON.Add(1)
+		return img, nil
+	}
+	return nil, &reply{status: http.StatusBadRequest, body: errBody("missing graph: set hash or graph")}
 }

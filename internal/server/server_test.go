@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func graphJSON(t *testing.T, g *model.Graph) []byte {
+func graphJSON(t testing.TB, g *model.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
@@ -61,7 +61,7 @@ func do(s *Server, method, target string, body io.Reader) *httptest.ResponseReco
 	return rr
 }
 
-func analyzeGraph(t *testing.T, s *Server, body []byte) *httptest.ResponseRecorder {
+func analyzeGraph(t testing.TB, s *Server, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	rr := do(s, http.MethodPost, "/v1/analyze", bytes.NewReader(body))
 	if rr.Code != http.StatusOK {
@@ -70,7 +70,7 @@ func analyzeGraph(t *testing.T, s *Server, body []byte) *httptest.ResponseRecord
 	return rr
 }
 
-func responseHash(t *testing.T, rr *httptest.ResponseRecorder) string {
+func responseHash(t testing.TB, rr *httptest.ResponseRecorder) string {
 	t.Helper()
 	var resp struct {
 		Hash string `json:"hash"`

@@ -9,12 +9,13 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
 )
 
@@ -25,11 +26,14 @@ import (
 // engine image, analyzer checkpoints, and batch memo stay resident on the
 // shard (and successor) that its traffic keeps landing on.
 //
-// Failure handling, in escalating order:
+// Every request takes the same ring walk (walk): the fingerprint's
+// candidate shards in bounded-load order, one attempt each. Failure
+// handling, in escalating order:
 //
-//   - Transient unary failures (connection errors, 503 from a draining
-//     shard) retry on the next ring replica after a jittered backoff, and
-//     passively mark the failed shard down until a health probe clears it.
+//   - Transient failures (connection errors, 502/503 from a dying or
+//     draining shard) retry on the next candidate after a jittered backoff,
+//     and passively mark the failed shard down until a health probe clears
+//     it.
 //   - Analyze bodies are replicated: after the serving shard answers 200,
 //     the same body is re-posted best-effort to the next ring replica, so
 //     every registered image is pinned on its primary plus one successor
@@ -42,6 +46,12 @@ import (
 //     is lost (un-streamed items are re-evaluated; shard results are
 //     bit-identical, so a re-evaluated line equals the one that died in
 //     the socket).
+//   - A shard dying mid-job-stream ends the stream with a failed,
+//     truncated trailer: a job lives on one shard, so there is nothing to
+//     fail over to, but the stream still ends with exactly one trailer.
+//
+// Streams are relayed line by line (package ndjson): a line the shard cut
+// in half never reaches the client.
 //
 // Non-transient shard verdicts (400, 422, 429) pass through verbatim: they
 // are statements about the request or about admission control, and retrying
@@ -269,15 +279,17 @@ func (r *Router) candidates(fp string) []string {
 	return ord
 }
 
-// backoff sleeps the jittered inter-attempt delay, bailing early when ctx
-// dies.
-func (r *Router) backoff(ctx context.Context) {
+// backoff sleeps the jittered inter-attempt delay and reports whether ctx
+// outlived it, bailing early when ctx dies.
+func (r *Router) backoff(ctx context.Context) bool {
 	r.rngMu.Lock()
 	d := r.cfg.Backoff/2 + time.Duration(r.rng.Int63n(int64(r.cfg.Backoff/2)+1))
 	r.rngMu.Unlock()
 	select {
 	case <-time.After(d):
+		return true
 	case <-ctx.Done():
+		return false
 	}
 }
 
@@ -307,46 +319,41 @@ func errJSON(w http.ResponseWriter, status int, msg string) {
 	w.Write(b)
 }
 
-// routeFingerprint derives the placement key for a request body. Precedence:
-// the client's RouteHeader hint, then the body itself (hash field, wire
-// blob, or graph JSON). A body no fingerprint can be derived from routes by
-// its raw bytes — deterministic, and the shard will reject it with the
-// proper error.
-func (r *Router) routeFingerprint(req *http.Request, path string, body []byte) string {
-	if fp := req.Header.Get(wire.RouteHeader); fp != "" {
-		return fp
-	}
-	if isWireBody(req) {
-		// Unary wire bodies are a whole blob; batch wire bodies are a blob
-		// followed by the items object. Size tells us where the blob ends.
-		n, err := wire.Size(body)
-		if err == nil && n <= len(body) {
-			if fp, err := wire.BlobFingerprint(body[:n]); err == nil {
-				return fp
-			}
-		}
-		return string(body)
-	}
-	switch path {
-	case "/v1/reschedule", "/v1/batch", "/v1/jobs":
-		var req struct {
+// routeFingerprint derives the placement key for a unary request body.
+// Precedence: the client's RouteHeader hint, then the body itself (wire
+// blob, graph JSON, or the hash field). A body no fingerprint can be
+// derived from routes by its raw bytes — deterministic, and the shard will
+// reject it with the proper error.
+func (r *Router) routeFingerprint(req *http.Request, body []byte) string {
+	fp := req.Header.Get(wire.RouteHeader)
+	switch {
+	case fp != "":
+	case wire.IsContentType(req.Header.Get("Content-Type")):
+		fp = blobFingerprint(body)
+	case req.URL.Path == "/v1/analyze":
+		fp = graphFingerprint(body)
+	default:
+		var ref struct {
 			Hash  string          `json:"hash"`
 			Graph json.RawMessage `json:"graph"`
 		}
-		if json.Unmarshal(body, &req) == nil {
-			if req.Hash != "" {
-				return req.Hash
-			}
-			if fp := graphFingerprint(req.Graph); fp != "" {
-				return fp
-			}
-		}
-	default: // /v1/analyze
-		if fp := graphFingerprint(body); fp != "" {
-			return fp
+		if json.Unmarshal(body, &ref) == nil {
+			fp = refFingerprint(ref.Hash, ref.Graph)
 		}
 	}
-	return string(body)
+	if fp == "" {
+		fp = string(body)
+	}
+	return fp
+}
+
+// refFingerprint is the placement key of a body that names its graph by
+// hash or carries it as JSON, "" when neither yields one.
+func refFingerprint(hash string, graph []byte) string {
+	if hash != "" {
+		return hash
+	}
+	return graphFingerprint(graph)
 }
 
 // graphFingerprint returns the canonical fingerprint of a graph JSON
@@ -362,111 +369,149 @@ func graphFingerprint(data []byte) string {
 	return raw.Fingerprint()
 }
 
-// isWireBody reports whether the request declares the binary wire media
-// type (mirrors the shard-side check).
-func isWireBody(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := bytes.IndexByte([]byte(ct), ';'); i >= 0 {
-		ct = ct[:i]
+// blobFingerprint returns the canonical fingerprint of the wire blob that
+// starts body, or "" when there is none. Unary wire bodies are a whole
+// blob; batch wire bodies are a blob followed by the items object, and the
+// blob's header says where it ends.
+func blobFingerprint(body []byte) string {
+	n, err := wire.Size(body)
+	if err != nil || n > len(body) {
+		return ""
 	}
-	return ct == "application/x-mia-wire"
+	fp, err := wire.BlobFingerprint(body[:n])
+	if err != nil {
+		return ""
+	}
+	return fp
 }
 
-// forward issues one attempt of a request to one shard and returns the
-// response. The in-flight counter brackets only the attempt itself, not the
-// body read — it is the admission-pressure signal for bounded-load
-// placement, and a long batch stream is backpressure the shard already
-// accounts for in its own queue.
-func (r *Router) forward(ctx context.Context, client *http.Client, url, path, query, contentType string, body []byte) (*http.Response, error) {
+// forward issues one attempt of the client's request to one shard: same
+// method, path and query, with body as the payload. The in-flight counter
+// brackets only the attempt itself, not the body read — it is the
+// admission-pressure signal for bounded-load placement, and a long stream
+// is backpressure the shard already accounts for in its own queue.
+func (r *Router) forward(client *http.Client, url string, in *http.Request, contentType string, body []byte) (*http.Response, error) {
 	t := r.targets[url]
 	t.inflight.Add(1)
 	defer t.inflight.Add(-1)
-	full := url + path
-	if query != "" {
-		full += "?" + query
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, full, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(in.Context(), in.Method, url+in.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	r.met.forwarded.Add(1)
 	return client.Do(req)
 }
 
-// handleUnary serves analyze and reschedule: pick the replica order for the
-// body's fingerprint, try each with jittered backoff between attempts, copy
-// the first non-transient response through, and replicate successful
-// analyze bodies to the next replica.
+// unanswered is a ring walk no shard finished: the last failure, and the
+// last 404 (its body, up to 64 KiB, and Content-Type) to replay when a
+// shard gave one.
+type unanswered struct {
+	err         error
+	notFound    bool
+	body        []byte
+	contentType string
+}
+
+// walk is the router's one ring walk. It sends a request to cands in order
+// until a shard finishes it. Between attempts it counts a retry and sleeps
+// the jittered backoff, and it stops once the client is gone. A connection
+// error marks the shard down; a 502 or 503 moves on to the next shard, and
+// so does a 404, which is kept: bounded-load reordering can try a shard
+// outside the fingerprint's replica set first, and that shard never got
+// the image. Every other response goes to answer, which reports whether
+// the request is finished. walk returns nil once it is.
+func (r *Router) walk(ctx context.Context, cands []string, send func(url string) (*http.Response, error), answer func(url string, resp *http.Response) bool) *unanswered {
+	u := &unanswered{}
+	for i, url := range cands {
+		if i > 0 {
+			if ctx.Err() != nil {
+				break
+			}
+			r.met.retries.Add(1)
+			if !r.backoff(ctx) {
+				break
+			}
+		}
+		resp, err := send(url)
+		if err != nil {
+			if ctx.Err() == nil {
+				r.markDown(url) // shard failure, not our client going away
+			}
+			u.err = err
+			continue
+		}
+		switch {
+		case transientStatus(resp.StatusCode):
+			io.Copy(io.Discard, resp.Body)
+			u.err = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
+		case resp.StatusCode == http.StatusNotFound:
+			u.notFound, u.contentType = true, resp.Header.Get("Content-Type")
+			u.body, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+			u.err = fmt.Errorf("shard %s answered 404", url)
+		default:
+			done := answer(url, resp)
+			resp.Body.Close()
+			if done {
+				return nil
+			}
+			continue
+		}
+		resp.Body.Close()
+	}
+	return u
+}
+
+// fail ends a request no shard answered: the saved 404, verbatim, when a
+// shard gave one (every candidate agrees the graph or job is unknown), 502
+// otherwise.
+func (r *Router) fail(w http.ResponseWriter, u *unanswered) {
+	if u.notFound {
+		if u.contentType != "" {
+			w.Header().Set("Content-Type", u.contentType)
+		}
+		w.WriteHeader(http.StatusNotFound)
+		w.Write(u.body)
+		return
+	}
+	r.met.noShard.Add(1)
+	msg := "no shard available"
+	if u.err != nil {
+		msg += ": " + u.err.Error()
+	}
+	errJSON(w, http.StatusBadGateway, msg)
+}
+
+// handleUnary serves analyze, reschedule and job creation: walk the ring
+// for the body's fingerprint, copy the first final answer through, and
+// replicate successful analyze bodies to the next replica.
 func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	path := req.URL.Path
 	contentType := req.Header.Get("Content-Type")
 	if contentType == "" {
 		contentType = "application/json"
 	}
-	fp := r.routeFingerprint(req, path, body)
-	cands := r.candidates(fp)
-
-	var lastErr error
-	var notFound *savedVerdict
-	for i, url := range cands {
-		if i > 0 {
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
+	cands := r.candidates(r.routeFingerprint(req, body))
+	u := r.walk(req.Context(), cands,
+		func(url string) (*http.Response, error) {
+			return r.forward(r.client, url, req, contentType, body)
+		},
+		func(url string, resp *http.Response) bool {
+			r.copyResponse(w, resp)
+			if req.URL.Path == "/v1/analyze" && resp.StatusCode == http.StatusOK {
+				r.replicate(req, cands, url, contentType, body)
 			}
-		}
-		resp, err := r.forward(req.Context(), r.client, url, path, req.URL.RawQuery, contentType, body)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url) // shard failure, not our client going away
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			// A 404 is a per-shard verdict, not a fleet one: bounded-load
-			// reordering can put a shard outside the fingerprint's replica
-			// set first, and that shard legitimately never got the image.
-			// Keep walking the ring; replay the verdict only when no
-			// candidate knows the graph.
-			notFound = saveVerdict(resp)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered 404", url)
-			continue
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			r.met.shed.Add(1)
-		}
-		copyResponse(w, resp)
-		resp.Body.Close()
-		if path == "/v1/analyze" && resp.StatusCode == http.StatusOK {
-			r.replicate(req.Context(), cands, url, contentType, body)
-		}
-		return
+			return true
+		})
+	if u != nil {
+		r.fail(w, u)
 	}
-	if notFound != nil {
-		notFound.replay(w)
-		return
-	}
-	r.met.noShard.Add(1)
-	msg := "no shard available"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	errJSON(w, http.StatusBadGateway, msg)
 }
 
 // jobFingerprint extracts the placement key from a job id. Job ids are
@@ -483,140 +528,81 @@ func jobFingerprint(id string) string {
 // handleJobByID routes job status, stream, and cancel requests by the job
 // id's fingerprint prefix. Jobs are shard-resident state (unlike stateless
 // batch items there is nothing to fail over — a successor never ran the
-// search), so a 404 continues the ring walk exactly like handleUnary's: a
-// bounded-load detour can put the owning shard later in the order. Streams
-// relay verbatim with per-chunk flushes; if the owning shard dies
-// mid-stream the stream simply ends — the client re-GETs the job and sees
-// the 404 or the final state.
+// search), so the walk only looks for the owner: a bounded-load detour can
+// put it later in the order, and the others answer 404. Streams go through
+// relayJob.
 func (r *Router) handleJobByID(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	path := "/v1/jobs/" + id
-	stream := false
-	if bytes.HasSuffix([]byte(req.URL.Path), []byte("/stream")) {
-		path += "/stream"
-		stream = true
+	stream := strings.HasSuffix(req.URL.Path, "/stream")
+	client := r.client
+	if stream {
+		client = r.batchClient // streams run as long as the job does
 	}
-	cands := r.candidates(jobFingerprint(id))
-
-	var lastErr error
-	var notFound *savedVerdict
-	for i, url := range cands {
-		if i > 0 {
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
+	u := r.walk(req.Context(), r.candidates(jobFingerprint(req.PathValue("id"))),
+		func(url string) (*http.Response, error) {
+			return r.forward(client, url, req, "", nil)
+		},
+		func(url string, resp *http.Response) bool {
+			if stream && resp.StatusCode == http.StatusOK {
+				relayJob(w, resp.Body)
+			} else {
+				r.copyResponse(w, resp)
 			}
-		}
-		client := r.client
-		if stream {
-			client = r.batchClient // streams run as long as the job does
-		}
-		t := r.targets[url]
-		t.inflight.Add(1)
-		hreq, err := http.NewRequestWithContext(req.Context(), req.Method, url+path, nil)
-		if err != nil {
-			t.inflight.Add(-1)
-			lastErr = err
-			continue
-		}
-		r.met.forwarded.Add(1)
-		resp, err := client.Do(hreq)
-		t.inflight.Add(-1)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url)
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			notFound = saveVerdict(resp)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered 404", url)
-			continue
-		}
-		if stream && resp.StatusCode == http.StatusOK {
-			relayStream(w, resp.Body)
-			resp.Body.Close()
-			return
-		}
-		copyResponse(w, resp)
-		resp.Body.Close()
-		return
+			return true
+		})
+	if u != nil {
+		r.fail(w, u)
 	}
-	if notFound != nil {
-		notFound.replay(w)
-		return
-	}
-	r.met.noShard.Add(1)
-	msg := "no shard available"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	errJSON(w, http.StatusBadGateway, msg)
 }
 
-// relayStream copies an NDJSON stream through with a flush per read, so
-// front updates reach the client as the shard emits them instead of
-// pooling in a proxy buffer.
-func relayStream(w http.ResponseWriter, body io.Reader) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+// relayLines reads a shard's stream one complete line at a time and hands
+// each to line, which writes it to sw, until line refuses one or a trailer
+// arrives. It returns the trailer, or nil when the stream ended, died, or
+// was refused without one. A last line the shard cut in half is never
+// handed on. Flushes are coalesced as on the shard: sw is flushed only
+// when no further line has already arrived.
+func relayLines(sw *ndjson.Writer, body io.Reader, line func([]byte) bool) []byte {
+	rd := ndjson.NewReader(body)
 	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			w.Write(buf[:n])
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
+		l, err := rd.Next()
 		if err != nil {
-			return
+			return nil
+		}
+		if ndjson.Classify(l) == ndjson.Trailer {
+			return l
+		}
+		if !line(l) {
+			return nil
+		}
+		if rd.Buffered() == 0 {
+			sw.Flush()
 		}
 	}
 }
 
-// savedVerdict is a buffered non-200 shard response held while the ring
-// walk continues, replayed verbatim if every candidate agrees.
-type savedVerdict struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
-func saveVerdict(resp *http.Response) *savedVerdict {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	return &savedVerdict{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		body:        body,
+// relayJob relays a job stream line by line: the updates, then the shard's
+// trailer. If the owning shard dies first, the stream still ends with
+// exactly one trailer — a failed, truncated one — so the client learns the
+// stream is over rather than complete. It then re-GETs the job and sees
+// the 404 or the final state.
+func relayJob(w http.ResponseWriter, body io.Reader) {
+	sw := ndjson.Start(w, nil)
+	trailer := relayLines(sw, body, func(line []byte) bool {
+		sw.Line(line)
+		return true
+	})
+	if trailer == nil {
+		trailer = ndjson.JobTrailer{Status: "failed", Updates: sw.Lines(), Truncated: true, Reason: "shard failed"}.Line()
 	}
-}
-
-func (v *savedVerdict) replay(w http.ResponseWriter) {
-	if v.contentType != "" {
-		w.Header().Set("Content-Type", v.contentType)
-	}
-	w.WriteHeader(v.status)
-	w.Write(v.body)
+	sw.End(trailer)
 }
 
 // replicate pins an analyzed graph on the rest of its replica set: the
-// analyze body is re-posted, best-effort and synchronously, to every
+// analyze request is re-sent, best-effort and synchronously, to every
 // replica that did not already serve it. Failures are ignored beyond the
 // passive down-mark — replication narrows the failover window, it is not a
 // durability contract (a successor that missed a blob answers 404 on
 // failover and the client re-analyzes).
-func (r *Router) replicate(ctx context.Context, cands []string, served, contentType string, body []byte) {
+func (r *Router) replicate(req *http.Request, cands []string, served, contentType string, body []byte) {
 	n := 0
 	for _, url := range cands {
 		if n >= r.cfg.Replicas {
@@ -626,7 +612,7 @@ func (r *Router) replicate(ctx context.Context, cands []string, served, contentT
 		if url == served {
 			continue
 		}
-		resp, err := r.forward(ctx, r.client, url, "/v1/analyze", "", contentType, body)
+		resp, err := r.forward(r.client, url, req, contentType, body)
 		if err != nil {
 			r.markDown(url)
 			continue
@@ -639,10 +625,13 @@ func (r *Router) replicate(ctx context.Context, cands []string, served, contentT
 	}
 }
 
-// copyResponse copies a shard response through: status, the protocol's
-// payload headers, and the body verbatim (byte parity with a direct shard
-// response is a tested contract).
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
+// copyResponse copies a shard's final answer through: status, the
+// protocol's payload headers, and the body verbatim (byte parity with a
+// direct shard response is a tested contract). A 429 counts as shed.
+func (r *Router) copyResponse(w http.ResponseWriter, resp *http.Response) {
+	if resp.StatusCode == http.StatusTooManyRequests {
+		r.met.shed.Add(1)
+	}
 	for _, h := range []string{"Content-Type", "X-Mia-Cache", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -731,9 +720,9 @@ type parsedBatch struct {
 // parseBatchBody splits a batch request for routing. It mirrors the shard's
 // own parse, but keeps items raw: the router re-serializes subsets, never
 // interprets swaps.
-func (r *Router) parseBatchBody(req *http.Request, body []byte) (*parsedBatch, error) {
-	pb := &parsedBatch{}
-	if isWireBody(req) {
+func parseBatchBody(req *http.Request, body []byte) (*parsedBatch, error) {
+	pb := &parsedBatch{fp: req.Header.Get(wire.RouteHeader)}
+	if wire.IsContentType(req.Header.Get("Content-Type")) {
 		n, err := wire.Size(body)
 		if err != nil || n > len(body) {
 			return nil, errors.New("batch body must start with a wire graph blob")
@@ -746,34 +735,24 @@ func (r *Router) parseBatchBody(req *http.Request, body []byte) (*parsedBatch, e
 			return nil, fmt.Errorf("parsing batch items after wire blob: %w", err)
 		}
 		pb.items = rest.Items
-		if fp := req.Header.Get(wire.RouteHeader); fp != "" {
-			pb.fp = fp
-		} else if fp, err := wire.BlobFingerprint(pb.wireBlob); err == nil {
-			pb.fp = fp
-		} else {
-			pb.fp = string(body)
+		if pb.fp == "" {
+			pb.fp = blobFingerprint(pb.wireBlob)
 		}
-		return pb, nil
-	}
-	var jreq struct {
-		Hash  string            `json:"hash"`
-		Graph json.RawMessage   `json:"graph"`
-		Items []json.RawMessage `json:"items"`
-	}
-	if err := json.Unmarshal(body, &jreq); err != nil {
-		return nil, fmt.Errorf("parsing batch request: %w", err)
-	}
-	pb.hash, pb.graphJSON, pb.items = jreq.Hash, jreq.Graph, jreq.Items
-	switch {
-	case pb.fp == "" && req.Header.Get(wire.RouteHeader) != "":
-		pb.fp = req.Header.Get(wire.RouteHeader)
-	case pb.hash != "":
-		pb.fp = pb.hash
-	case len(pb.graphJSON) > 0:
-		if pb.fp = graphFingerprint(pb.graphJSON); pb.fp == "" {
-			pb.fp = string(body)
+	} else {
+		var jreq struct {
+			Hash  string            `json:"hash"`
+			Graph json.RawMessage   `json:"graph"`
+			Items []json.RawMessage `json:"items"`
 		}
-	default:
+		if err := json.Unmarshal(body, &jreq); err != nil {
+			return nil, fmt.Errorf("parsing batch request: %w", err)
+		}
+		pb.hash, pb.graphJSON, pb.items = jreq.Hash, jreq.Graph, jreq.Items
+		if pb.fp == "" {
+			pb.fp = refFingerprint(pb.hash, pb.graphJSON)
+		}
+	}
+	if pb.fp == "" {
 		pb.fp = string(body)
 	}
 	return pb, nil
@@ -800,7 +779,7 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 		body = append(body, `{"items":`...)
 		body = append(body, items.Bytes()...)
 		body = append(body, '}')
-		return "application/x-mia-wire", body
+		return wire.ContentType, body
 	}
 	var body bytes.Buffer
 	body.WriteByte('{')
@@ -817,134 +796,75 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 	return "application/json", body.Bytes()
 }
 
-// handleBatch streams a batch through the replica chain. The happy path is
-// a verbatim relay: result lines and the trailer are forwarded as the shard
+// handleBatch streams a batch through the ring walk. The happy path is a
+// verbatim relay: result lines and the trailer are forwarded as the shard
 // wrote them (byte parity with a direct batch). When the stream dies
-// mid-batch the router fails over: the un-streamed items are re-admitted to
-// the next replica as a sub-batch, returned line indices are rewritten to
-// the original item indices, and the router synthesizes the single final
-// trailer itself.
+// mid-batch the walk fails over: the un-streamed items are re-admitted to
+// the next shard as a sub-batch, returned line indices are rewritten to the
+// original item indices, and the router writes the single final trailer
+// itself.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	pb, err := r.parseBatchBody(req, body)
+	pb, err := parseBatchBody(req, body)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cands := r.candidates(pb.fp)
-
-	st := &batchStream{w: w, r: r, total: len(pb.items), streamed: make([]bool, len(pb.items))}
-	remaining := make([]int, len(pb.items))
-	for i := range remaining {
-		remaining[i] = i
-	}
-
-	var lastErr error
-	var notFound *savedVerdict
-	for attempt, url := range cands {
-		if len(remaining) == 0 && st.headerSent {
-			break
-		}
-		if attempt > 0 {
-			if st.headerSent {
+	st := &batchStream{r: r, w: w, total: len(pb.items), streamed: make([]bool, len(pb.items))}
+	u := r.walk(req.Context(), r.candidates(pb.fp),
+		func(url string) (*http.Response, error) {
+			if st.sw != nil {
 				r.met.batchFailovers.Add(1)
 			}
-			r.met.retries.Add(1)
-			r.backoff(req.Context())
-			if req.Context().Err() != nil {
-				break
-			}
-		}
-		contentType, subBody := pb.subBody(remaining)
-		resp, err := r.forward(req.Context(), r.batchClient, url, "/v1/batch", req.URL.RawQuery, contentType, subBody)
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url)
-			}
-			lastErr = err
-			continue
-		}
-		if transientStatus(resp.StatusCode) {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			// Pre-stream verdict (bad request, unknown hash, 429 shed). On
-			// the first attempt it passes through verbatim — except a 404,
-			// which is placement-dependent (a bounded-load-reordered shard
-			// outside the replica set never got the image) and continues
-			// the walk like handleUnary. Mid-failover the client already
-			// holds streamed lines, so the only legal ending is a truncated
-			// trailer.
-			if !st.headerSent {
-				if resp.StatusCode == http.StatusNotFound {
-					notFound = saveVerdict(resp)
-					resp.Body.Close()
-					lastErr = fmt.Errorf("shard %s answered 404", url)
-					continue
+			st.sent = st.notStreamed()
+			contentType, sub := pb.subBody(st.sent)
+			return r.forward(r.batchClient, url, req, contentType, sub)
+		},
+		func(url string, resp *http.Response) bool {
+			switch {
+			case resp.StatusCode == http.StatusOK:
+				if st.relay(resp.Body) {
+					return true
 				}
-				if resp.StatusCode == http.StatusTooManyRequests {
-					r.met.shed.Add(1)
+				if req.Context().Err() == nil {
+					r.markDown(url) // the shard died or drained under the stream
 				}
-				copyResponse(w, resp)
-				resp.Body.Close()
-				return
+				return false
+			case st.sw != nil:
+				// A failover shard's verdict: the client already holds
+				// lines, so the only legal ending is a trailer. Try on.
+				return false
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("failover shard %s answered %d", url, resp.StatusCode)
-			continue
-		}
-		done, err := st.relay(resp.Body, remaining)
-		resp.Body.Close()
-		if done {
-			return // trailer delivered (relayed verbatim or synthesized complete)
-		}
-		if err != nil {
-			if req.Context().Err() == nil {
-				r.markDown(url) // the shard died or drained under the stream
-			}
-			lastErr = err
-		}
-		remaining = st.notStreamed()
-		if req.Context().Err() != nil {
-			break // client gone or deadline: stop failing over, end the stream
-		}
+			// Pre-stream verdict (bad request, 429 shed): pass it through.
+			r.copyResponse(w, resp)
+			return true
+		})
+	switch {
+	case u == nil: // a shard finished the request
+	case st.sw == nil:
+		r.fail(w, u)
+	default:
+		// Every candidate failed after the stream started: end it with the
+		// lines it has, truncated.
+		r.met.noShard.Add(1)
+		st.sw.End(ndjson.BatchTrailer{Items: st.total, Completed: st.sw.Lines(), Truncated: true, Reason: "shard failed"}.Line())
 	}
-
-	if !st.headerSent && notFound != nil {
-		notFound.replay(w)
-		return
-	}
-	r.met.noShard.Add(1)
-	if !st.headerSent {
-		msg := "no shard available"
-		if lastErr != nil {
-			msg += ": " + lastErr.Error()
-		}
-		errJSON(w, http.StatusBadGateway, msg)
-		return
-	}
-	st.writeTrailer(true, "shard failed")
 }
 
 // batchStream tracks one client-facing batch response across shard
-// attempts: which original items have had their line streamed, whether the
-// 200 header is out, and the single-trailer guarantee.
+// attempts: which original items have had their line streamed, and which
+// items the current attempt carries.
 type batchStream struct {
-	w           http.ResponseWriter
-	r           *Router
-	total       int
-	streamed    []bool
-	completed   int
-	headerSent  bool
-	trailerSent bool
+	r        *Router
+	w        http.ResponseWriter
+	sw       *ndjson.Writer // nil until a shard's stream starts the response
+	total    int
+	streamed []bool
+	sent     []int // the current attempt's items: sub-batch index → original index
 }
 
 // notStreamed returns the original indices still owed to the client.
@@ -958,142 +878,42 @@ func (st *batchStream) notStreamed() []int {
 	return out
 }
 
-// relay copies one shard's NDJSON stream to the client, rewriting line
-// indices through the sub-batch mapping. It returns done=true once the
-// client-facing response is complete (trailer written). A shard trailer
-// only finishes the batch when this attempt covered every remaining item
-// and nothing was truncated; a truncated shard trailer (that shard began
-// draining mid-batch) is swallowed and the un-streamed items fail over.
-func (st *batchStream) relay(stream io.Reader, mapping []int) (bool, error) {
-	flusher, _ := st.w.(http.Flusher)
-	if !st.headerSent {
-		st.headerSent = true
-		st.w.Header().Set("Content-Type", "application/x-ndjson")
-		st.w.WriteHeader(http.StatusOK)
+// relay copies one shard's batch stream to the client, mapping its line
+// indices back through st.sent, and reports whether the client's response
+// is complete. Once every item's line is out the batch ends: with the
+// shard's own trailer, byte for byte, when this shard served the whole
+// batch, and with a synthesized one otherwise. A stream that ends short —
+// the shard died, drained, or timed out — leaves the rest to fail over.
+func (st *batchStream) relay(body io.Reader) bool {
+	if st.sw == nil {
+		st.sw = ndjson.Start(st.w, nil)
 	}
-	verbatim := len(mapping) == st.total // first attempt: indices line up, relay untouched
-	dec := json.NewDecoder(stream)
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return false, errors.New("shard stream ended without a trailer")
-			}
-			return false, err
+	verbatim := len(st.sent) == st.total // indices line up: relay untouched
+	trailer := relayLines(st.sw, body, func(line []byte) bool {
+		sub, ok := ndjson.Index(line)
+		if !ok || sub >= len(st.sent) {
+			return false // not a result line of this sub-batch
 		}
-		var probe struct {
-			Done      *bool `json:"done"`
-			Index     *int  `json:"index"`
-			Truncated bool  `json:"truncated"`
-			Completed int   `json:"completed"`
+		orig := st.sent[sub]
+		if st.streamed[orig] {
+			// Never forward a duplicate: the no-dup guarantee outranks a
+			// misbehaving shard.
+			return true
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return false, err
+		st.streamed[orig] = true
+		st.r.met.linesStreamed.Add(1)
+		if !verbatim {
+			line = ndjson.RewriteIndex(line, orig)
 		}
-		switch {
-		case probe.Done != nil && *probe.Done:
-			if !probe.Truncated && st.completed == st.total && verbatim {
-				// Whole batch served by one shard: its trailer is the
-				// client's trailer, byte for byte.
-				st.writeRaw(append(raw, '\n'), flusher)
-				st.trailerSent = true
-				return true, nil
-			}
-			if !probe.Truncated && st.completed == st.total {
-				st.writeTrailer(false, "")
-				return true, nil
-			}
-			// Truncated sub-batch (the shard drained or timed out under
-			// us): not an error on the wire, but the batch is unfinished —
-			// fail the remainder over.
-			return false, fmt.Errorf("shard truncated sub-batch after %d lines", probe.Completed)
-		case probe.Index != nil:
-			sub := *probe.Index
-			if sub < 0 || sub >= len(mapping) {
-				return false, fmt.Errorf("shard returned out-of-range line index %d", sub)
-			}
-			orig := mapping[sub]
-			if st.streamed[orig] {
-				// Never forward a duplicate: the no-dup guarantee outranks
-				// a misbehaving shard.
-				continue
-			}
-			st.streamed[orig] = true
-			st.completed++
-			st.r.met.linesStreamed.Add(1)
-			if verbatim {
-				st.writeRaw(append(raw, '\n'), flusher)
-			} else {
-				st.writeRaw(append(rewriteIndex(raw, orig), '\n'), flusher)
-			}
-		default:
-			return false, errors.New("shard line is neither a result nor a trailer")
-		}
+		st.sw.Line(line)
+		return true
+	})
+	if st.sw.Lines() < st.total {
+		return false
 	}
-}
-
-// writeRaw writes one NDJSON line and flushes it (failover batches are
-// long-lived streams; latency beats syscall coalescing here).
-func (st *batchStream) writeRaw(line []byte, flusher http.Flusher) {
-	st.w.Write(line)
-	if flusher != nil {
-		flusher.Flush()
+	if trailer == nil || !verbatim {
+		trailer = ndjson.BatchTrailer{Items: st.total, Completed: st.total}.Line()
 	}
-}
-
-// writeTrailer synthesizes the single client-facing trailer. Exactly one
-// trailer per batch response is a protocol guarantee, so the sent flag is
-// checked even on the failure paths.
-func (st *batchStream) writeTrailer(truncated bool, reason string) {
-	if st.trailerSent {
-		return
-	}
-	st.trailerSent = true
-	t := struct {
-		Done      bool   `json:"done"`
-		Items     int    `json:"items"`
-		Completed int    `json:"completed"`
-		Truncated bool   `json:"truncated"`
-		Reason    string `json:"reason,omitempty"`
-	}{Done: true, Items: st.total, Completed: st.completed, Truncated: truncated || st.completed < st.total}
-	if t.Truncated {
-		t.Reason = reason
-		if t.Reason == "" {
-			t.Reason = "interrupted"
-		}
-	}
-	b, _ := json.Marshal(&t)
-	flusher, _ := st.w.(http.Flusher)
-	st.writeRaw(append(b, '\n'), flusher)
-}
-
-// rewriteIndex maps a result line's "index" field from sub-batch to
-// original numbering by splicing the digits: every shard result line
-// starts with the fixed prefix {"index":N, (the shard marshals the struct
-// field order), so the rewrite is a prefix swap, not a re-marshal — the
-// rest of the line, result bytes included, passes through untouched.
-func rewriteIndex(line json.RawMessage, orig int) []byte {
-	const prefix = `{"index":`
-	if len(line) > len(prefix) && string(line[:len(prefix)]) == prefix {
-		i := len(prefix)
-		for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			i++
-		}
-		if i > len(prefix) {
-			out := make([]byte, 0, len(line)+4)
-			out = append(out, prefix...)
-			out = strconv.AppendInt(out, int64(orig), 10)
-			out = append(out, line[i:]...)
-			return out
-		}
-	}
-	// Unexpected shape: fall back to a decode/re-encode of just the index.
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(line, &m); err == nil {
-		m["index"] = json.RawMessage(strconv.Itoa(orig))
-		if b, err := json.Marshal(m); err == nil {
-			return b
-		}
-	}
-	return line
+	st.sw.End(trailer)
+	return true
 }

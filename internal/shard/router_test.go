@@ -15,12 +15,14 @@ import (
 
 // fakeShard is a scripted shard: it answers /v1/batch by emitting result
 // lines for the items it receives (echoing each item's "tag" so tests can
-// prove which evaluation produced a line), optionally dying after a set
-// number of lines. It keeps the real protocol's framing — NDJSON lines,
-// one trailer — so the router under test cannot tell it from miaserve.
+// prove which evaluation produced a line) and job streams with three front
+// updates, optionally dying after a set number of lines. It keeps the real
+// protocol's framing — NDJSON lines, one trailer — so the router under
+// test cannot tell it from miaserve.
 type fakeShard struct {
 	name     string
 	dieAfter int32 // kill the connection after this many lines (<0: never)
+	cutLine  bool  // when dying, first send half of the next line
 	batches  atomic.Int32
 	analyzes atomic.Int32
 	healthy  atomic.Bool
@@ -65,23 +67,37 @@ func newFakeShard(t *testing.T, name string, dieAfter int32) *fakeShard {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher := w.(http.Flusher)
-		die := f.dieAfter
 		for i, it := range req.Items {
-			if die >= 0 && int32(i) >= die {
-				// Simulate a crash mid-batch: abort the connection without
-				// a trailer. Panicking with ErrAbortHandler kills just this
-				// response.
-				panic(http.ErrAbortHandler)
-			}
-			fmt.Fprintf(w, `{"index":%d,"status":200,"result":{"tag":%q,"by":%q}}`+"\n", i, it.Tag, f.name)
-			flusher.Flush()
+			f.send(w, i, fmt.Sprintf(`{"index":%d,"status":200,"result":{"tag":%q,"by":%q}}`+"\n", i, it.Tag, f.name))
 		}
 		fmt.Fprintf(w, `{"done":true,"items":%d,"completed":%d,"truncated":false}`+"\n", len(req.Items), len(req.Items))
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		for i := 0; i < 3; i++ {
+			f.send(w, i, fmt.Sprintf(`{"generation":%d,"evaluations":%d,"front_size":1,"points":[]}`+"\n", i+1, 8*(i+1)))
+		}
+		fmt.Fprint(w, `{"done":true,"status":"done","updates":3,"truncated":false}`+"\n")
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
+}
+
+// send writes line i of a stream and flushes it — unless the shard is set
+// to die at line i. Then it simulates a crash: it sends the first half of
+// the line when cutLine is set, and aborts the connection without a
+// trailer. Panicking with ErrAbortHandler kills just this response.
+func (f *fakeShard) send(w http.ResponseWriter, i int, line string) {
+	if f.dieAfter >= 0 && int32(i) >= f.dieAfter {
+		if f.cutLine {
+			io.WriteString(w, line[:len(line)/2])
+			w.(http.Flusher).Flush()
+		}
+		panic(http.ErrAbortHandler)
+	}
+	io.WriteString(w, line)
+	w.(http.Flusher).Flush()
 }
 
 func newTestRouter(t *testing.T, cfg Config) *Router {
@@ -408,16 +424,116 @@ func TestRouterHealthEndpoints(t *testing.T) {
 	}
 }
 
-// TestRewriteIndex pins the splice: only the index digits change, every
-// other byte passes through.
-func TestRewriteIndex(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{`{"index":0,"status":200,"result":{"x":1}}`, `{"index":42,"status":200,"result":{"x":1}}`},
-		{`{"index":17,"status":400,"error":"bad"}`, `{"index":42,"status":400,"error":"bad"}`},
+// TestRouterBatchMidLineCutFailsOver: the primary dies in the middle of a
+// result line. The half line must never reach the client — the successor
+// re-sends that item whole — and the client still gets every index exactly
+// once, each line byte-identical to a direct batch, and one untruncated
+// trailer.
+func TestRouterBatchMidLineCutFailsOver(t *testing.T) {
+	// All shards share one name, so every shard writes the same bytes for
+	// an item and lines compare byte for byte whoever served them.
+	ref := newFakeShard(t, "twin", -1)
+	shards := []*fakeShard{newFakeShard(t, "twin", -1), newFakeShard(t, "twin", -1), newFakeShard(t, "twin", -1)}
+	r := newTestRouter(t, Config{Targets: []string{shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL}, Replicas: 2, Retries: 3})
+
+	const hash, n = "c0ffee", 6
+	resp, err := http.Post(ref.ts.URL+"/v1/batch", "application/json", strings.NewReader(batchBody(hash, n)))
+	if err != nil {
+		t.Fatalf("reference batch: %v", err)
 	}
-	for _, tc := range cases {
-		if got := string(rewriteIndex([]byte(tc.in), 42)); got != tc.want {
-			t.Errorf("rewriteIndex(%s) = %s, want %s", tc.in, got, tc.want)
+	refBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := map[int]string{}
+	for _, l := range strings.Split(strings.TrimRight(string(refBody), "\n"), "\n") {
+		var v struct {
+			Done  bool `json:"done"`
+			Index int  `json:"index"`
 		}
+		if json.Unmarshal([]byte(l), &v) == nil && !v.Done {
+			want[v.Index] = l
+		}
+	}
+
+	order := r.ring.Order(hash)
+	primary, successor := shardFor(shards, order[0]), shardFor(shards, order[1])
+	primary.dieAfter, primary.cutLine = 3, true
+
+	rr := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(batchBody(hash, n))))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("batch through a primary cut mid-line: %d (%s)", rr.Code, rr.Body.String())
+	}
+	body := rr.Body.String()
+	if !strings.HasSuffix(body, "\n") || strings.Count(body, "\n") != n+1 {
+		t.Fatalf("body is not %d whole lines plus a trailer:\n%s", n, body)
+	}
+	seen := map[int]bool{}
+	trailers := 0
+	for _, l := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		var v struct {
+			Done      bool `json:"done"`
+			Truncated bool `json:"truncated"`
+			Completed int  `json:"completed"`
+			Index     int  `json:"index"`
+		}
+		if err := json.Unmarshal([]byte(l), &v); err != nil {
+			t.Fatalf("partial or malformed line reached the client: %q: %v", l, err)
+		}
+		if v.Done {
+			trailers++
+			if v.Truncated || v.Completed != n {
+				t.Errorf("trailer %s, want untruncated %d/%d", l, n, n)
+			}
+			continue
+		}
+		if seen[v.Index] {
+			t.Errorf("index %d delivered twice", v.Index)
+		}
+		seen[v.Index] = true
+		if l != want[v.Index] {
+			t.Errorf("index %d diverges from a direct batch\n direct: %s\n routed: %s", v.Index, want[v.Index], l)
+		}
+	}
+	if trailers != 1 || len(seen) != n {
+		t.Fatalf("%d trailers and %d distinct lines, want 1 and %d", trailers, len(seen), n)
+	}
+	if primary.batches.Load() != 1 || successor.batches.Load() != 1 {
+		t.Errorf("batches primary=%d successor=%d, want 1 each (failover did not engage)",
+			primary.batches.Load(), successor.batches.Load())
+	}
+}
+
+// TestRouterJobStreamShardDeathEndsWithTrailer: a job lives on one shard,
+// so when that shard dies mid-stream there is nothing to fail over to. The
+// routed stream must still end with exactly one trailer, a failed and
+// truncated one counting the updates relayed, rather than a clean EOF the
+// client would read as complete; a line cut in half never reaches it.
+func TestRouterJobStreamShardDeathEndsWithTrailer(t *testing.T) {
+	const (
+		update  = `{"generation":1,"evaluations":8,"front_size":1,"points":[]}` + "\n"
+		trailer = `{"done":true,"status":"failed","updates":1,"truncated":true,"reason":"shard failed"}` + "\n"
+	)
+	for _, cut := range []bool{false, true} {
+		owner := newFakeShard(t, "owner", 1)
+		owner.cutLine = cut
+		r := newTestRouter(t, Config{Targets: []string{owner.ts.URL}})
+		rr := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/jobs/fp-1/stream", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("cut=%v: routed job stream %d (%s)", cut, rr.Code, rr.Body.String())
+		}
+		if got := rr.Body.String(); got != update+trailer {
+			t.Errorf("cut=%v: routed stream\n%s\nwant\n%s", cut, got, update+trailer)
+		}
+	}
+
+	// A shard that finishes the stream has its own trailer relayed verbatim.
+	owner := newFakeShard(t, "owner", -1)
+	r := newTestRouter(t, Config{Targets: []string{owner.ts.URL}})
+	rr := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/jobs/fp-1/stream", nil))
+	if got := rr.Body.String(); strings.Count(got, "\n") != 4 ||
+		!strings.HasSuffix(got, `{"done":true,"status":"done","updates":3,"truncated":false}`+"\n") {
+		t.Errorf("complete job stream relayed as\n%s", got)
 	}
 }

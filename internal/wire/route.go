@@ -1,5 +1,23 @@
 package wire
 
+import "strings"
+
+// ContentType is the media type of wire-format request bodies. The
+// graph-carrying endpoints accept it in place of graph JSON.
+const ContentType = "application/x-mia-wire"
+
+// IsContentType reports whether a Content-Type header value declares the
+// wire format. Parameters after ';' and the spaces around the media type
+// are ignored, so "application/x-mia-wire ; v=1" qualifies. The shard and
+// the router both decide with this one rule: they must agree on what a
+// body is before either parses it.
+func IsContentType(v string) bool {
+	if i := strings.IndexByte(v, ';'); i >= 0 {
+		v = v[:i]
+	}
+	return strings.TrimSpace(v) == ContentType
+}
+
 // RouteHeader is the HTTP header a shard-aware client may set to the
 // canonical graph fingerprint of the request body. It is a routing hint for
 // the multi-node tier: a router that finds it skips decoding the body to
