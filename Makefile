@@ -85,15 +85,16 @@ pareto-smoke:
 	$(GO) test -race ./internal/explore/pareto -run \
 	  'TestSmokeGoldenFingerprint|TestByteIdenticalAcrossJobs|TestRepeatedSeededRunsIdentical' -v
 
-# The tentpole's safety net, runnable on its own: the engine path (compile
-# once, analyze through the façade — cold, warm, replay, both algorithms)
-# must be bit-identical to the package-level Schedule entry points over the
-# full differential corpus, and the rta screen must dominate the exact
-# analysis. `make race` covers these too; this target is the fast loop while
-# working on the image or a backend.
+# The engine's safety net, runnable on its own, over the full differential
+# corpus: the digest golden pins every analysis result (cold, warm, replay,
+# edit and undo, both algorithms) to its recorded SHA-256; the adjacency
+# oracle checks every ingest path's CSR lists against the graph's own;
+# warm runs and replays must be bit-identical to cold runs; and the rta
+# screen must dominate the exact analysis. `make race` covers these too;
+# this target is the fast loop while working on the image or a backend.
 engine-diff:
 	$(GO) test ./internal/engine -run \
-	  'TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestParallelBitIdentical|TestMetamorphic' -v
+	  'TestCorpusDigestGolden|TestAdjacencyMatchesGraph|TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestParallelBitIdentical|TestMetamorphic' -v
 
 # Parallel-kernel determinism under the race detector: corpus-wide
 # bit-identity at Parallelism ∈ {1,2,4,8}, the metamorphic battery, and the

@@ -16,12 +16,11 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/noc"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/fixpoint"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 	"github.com/mia-rt/mia/internal/sim"
 )
 
@@ -45,12 +44,20 @@ func panelGraph(b *testing.B, family string, fixed, tasks int) *model.Graph {
 	return g
 }
 
-func benchSchedule(b *testing.B, g *model.Graph, run func(*model.Graph, sched.Options) (*sched.Result, error), opts sched.Options) {
+// benchSchedule times one full analysis per iteration with the named engine
+// backend: compile g under opts, then a cold Analyze of the fresh image.
+func benchSchedule(b *testing.B, g *model.Graph, backend string, opts sched.Options) {
 	b.Helper()
+	eng := engine.MustNew(backend)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(g, opts); err != nil {
+		img, err := engine.Compile(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Analyze(ctx, img); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +73,7 @@ func benchPanel(b *testing.B, family string, fixed int, newSizes, oldSizes []int
 		for _, n := range newSizes {
 			g := panelGraph(b, family, fixed, n)
 			b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-				benchSchedule(b, g, incremental.Schedule, rr)
+				benchSchedule(b, g, engine.Incremental, rr)
 			})
 		}
 	})
@@ -74,7 +81,7 @@ func benchPanel(b *testing.B, family string, fixed int, newSizes, oldSizes []int
 		for _, n := range oldSizes {
 			g := panelGraph(b, family, fixed, n)
 			b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-				benchSchedule(b, g, fixpoint.Schedule, rr)
+				benchSchedule(b, g, engine.Fixpoint, rr)
 			})
 		}
 	})
@@ -114,22 +121,22 @@ func BenchmarkNL64(b *testing.B) {
 func BenchmarkHeadlineLS64_256(b *testing.B) {
 	g := panelGraph(b, "LS", 64, 256)
 	rr := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	b.Run("New", func(b *testing.B) { benchSchedule(b, g, incremental.Schedule, rr) })
-	b.Run("Old", func(b *testing.B) { benchSchedule(b, g, fixpoint.Schedule, rr) })
+	b.Run("New", func(b *testing.B) { benchSchedule(b, g, engine.Incremental, rr) })
+	b.Run("Old", func(b *testing.B) { benchSchedule(b, g, engine.Fixpoint, rr) })
 }
 
 func BenchmarkHeadlineNL64_384(b *testing.B) {
 	g := panelGraph(b, "NL", 64, 384)
 	rr := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	b.Run("New", func(b *testing.B) { benchSchedule(b, g, incremental.Schedule, rr) })
-	b.Run("Old", func(b *testing.B) { benchSchedule(b, g, fixpoint.Schedule, rr) })
+	b.Run("New", func(b *testing.B) { benchSchedule(b, g, engine.Incremental, rr) })
+	b.Run("Old", func(b *testing.B) { benchSchedule(b, g, engine.Fixpoint, rr) })
 }
 
 // E6: the conclusion's scalability claim — more than 8000 tasks in
 // reasonable time (incremental only; the baseline needs hours there).
 func BenchmarkScale8192(b *testing.B) {
 	g := panelGraph(b, "LS", 64, 8192)
-	benchSchedule(b, g, incremental.Schedule, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	benchSchedule(b, g, engine.Incremental, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 }
 
 // E7: ablation of the Section II.C merging hypothesis — treating same-core
@@ -139,10 +146,10 @@ func BenchmarkAblationMerge(b *testing.B) {
 	p.Cores, p.Banks, p.SharedBank = 4, 1, true // many tasks per core, one bank
 	g := gen.MustLayered(p)
 	b.Run("Merged", func(b *testing.B) {
-		benchSchedule(b, g, incremental.Schedule, sched.Options{})
+		benchSchedule(b, g, engine.Incremental, sched.Options{})
 	})
 	b.Run("Separate", func(b *testing.B) {
-		benchSchedule(b, g, incremental.Schedule, sched.Options{SeparateCompetitors: true})
+		benchSchedule(b, g, engine.Incremental, sched.Options{SeparateCompetitors: true})
 	})
 }
 
@@ -153,10 +160,10 @@ func BenchmarkAblationMerge(b *testing.B) {
 func BenchmarkAblationAdditive(b *testing.B) {
 	g := panelGraph(b, "LS", 16, 2048)
 	b.Run("FastPath", func(b *testing.B) {
-		benchSchedule(b, g, incremental.Schedule, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		benchSchedule(b, g, engine.Incremental, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	})
 	b.Run("General", func(b *testing.B) {
-		benchSchedule(b, g, incremental.Schedule,
+		benchSchedule(b, g, engine.Incremental,
 			sched.Options{Arbiter: arbiter.NonAdditive{Inner: arbiter.NewRoundRobin(1)}})
 	})
 }
@@ -165,14 +172,14 @@ func BenchmarkAblationAdditive(b *testing.B) {
 // whole pipeline.
 func BenchmarkFigure1(b *testing.B) {
 	g := gen.Figure1()
-	benchSchedule(b, g, incremental.Schedule, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	benchSchedule(b, g, engine.Incremental, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 }
 
 // E9's engine: the cycle-level simulator on a mid-size workload.
 func BenchmarkSimulator(b *testing.B) {
 	p := gen.NewParams(8, 8)
 	g := gen.MustLayered(p)
-	res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		b.Fatal(err)
 	}

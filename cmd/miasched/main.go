@@ -35,9 +35,9 @@ import (
 )
 
 func main() {
-	// SIGINT/SIGTERM cancel the analysis through the scheduler's
-	// cancellation hook, so even a pathological instance exits promptly and
-	// nonzero instead of ignoring the signal.
+	// SIGINT/SIGTERM cancel ctx, which every analysis run polls, so even a
+	// pathological instance exits promptly and nonzero instead of ignoring
+	// the signal.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -124,7 +124,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		SeparateCompetitors: *separate,
 		DisableFastPath:     *oracle,
 		Parallelism:         *parallel,
-		Cancel:              ctx.Done(),
 	}
 	var rec trace.Recorder
 	if *events || *partition >= 0 {

@@ -11,14 +11,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 	"github.com/mia-rt/mia/internal/sim"
 )
 
@@ -33,9 +35,14 @@ func main() {
 		arbiter.NewTDM(g.Cores, 1),
 	}
 	fmt.Printf("%-22s %10s %14s\n", "arbiter", "makespan", "interference")
+	eng := engine.MustNew(engine.Incremental)
 	var rr *sched.Result
 	for _, arb := range policies {
-		res, err := incremental.Schedule(g, sched.Options{Arbiter: arb})
+		img, err := engine.Compile(g, sched.Options{Arbiter: arb})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Analyze(context.Background(), img)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,13 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 	"github.com/mia-rt/mia/internal/trace"
 )
 
@@ -22,7 +24,11 @@ func main() {
 	g := gen.Figure2()
 
 	var rec trace.Recorder
-	res, err := incremental.Schedule(g, sched.Options{Trace: rec.Hook()})
+	img, err := engine.Compile(g, sched.Options{Trace: rec.Hook()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
 	if err != nil {
 		log.Fatal(err)
 	}

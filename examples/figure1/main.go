@@ -7,13 +7,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 func main() {
@@ -22,18 +25,12 @@ func main() {
 	fmt.Println("Figure 1 task set: 5 tasks, 4 cores, 1 shared bank")
 	fmt.Println()
 
-	naive, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewNone()})
-	if err != nil {
-		log.Fatal(err)
-	}
+	naive := analyze(g, arbiter.NewNone())
 	fmt.Println("-- interference ignored (paper: top diagram, t = 6) --")
 	fmt.Print(sched.Gantt(g, naive, 60))
 	fmt.Println()
 
-	rr, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rr := analyze(g, arbiter.NewRoundRobin(1))
 	fmt.Println("-- round-robin interference accounted (paper: bottom diagram, t = 7) --")
 	fmt.Print(sched.Gantt(g, rr, 60))
 	fmt.Println()
@@ -43,4 +40,18 @@ func main() {
 		log.Fatalf("expected 6 and 7 as published")
 	}
 	fmt.Println("matches the published schedules exactly.")
+}
+
+// analyze compiles g under the given arbiter and runs the incremental
+// analysis on it.
+func analyze(g *model.Graph, arb arbiter.Arbiter) *sched.Result {
+	img, err := engine.Compile(g, sched.Options{Arbiter: arb})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

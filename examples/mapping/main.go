@@ -8,14 +8,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/mapper"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 func main() {
@@ -47,6 +49,7 @@ func main() {
 
 	fmt.Printf("unmapped pipeline: %d tasks, %d edges → 4 cores\n\n", len(p.Specs), len(p.Edges))
 	fmt.Printf("%-22s %12s %14s\n", "mapping strategy", "makespan", "interference")
+	eng := engine.MustNew(engine.Incremental)
 	for _, s := range []mapper.Strategy{
 		mapper.RoundRobinLayers{},
 		mapper.LoadBalance{},
@@ -56,7 +59,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		img, err := engine.Compile(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Analyze(context.Background(), img)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,13 +6,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 func main() {
@@ -37,9 +39,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := incremental.Schedule(g, sched.Options{
+	// Compile the graph once into an immutable problem image, then run
+	// the paper's incremental analysis on it.
+	img, err := engine.Compile(g, sched.Options{
 		Arbiter: arbiter.NewRoundRobin(1), // the Kalray MPPA-256 policy
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
 	if err != nil {
 		log.Fatal(err) // wraps sched.ErrUnschedulable on failure
 	}

@@ -8,18 +8,21 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 func main() {
 	fmt.Printf("%8s %12s %14s %12s\n", "tasks", "analysis(s)", "makespan", "events")
+	eng := engine.MustNew(engine.Incremental)
 	for _, tasks := range []int{1024, 2048, 4096, 8192, 16384} {
 		p := gen.NewParams(tasks/64, 64) // LS64: layer size 64
 		g, err := gen.Layered(p)
@@ -27,7 +30,11 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		img, err := engine.Compile(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.Analyze(context.Background(), img)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,18 +5,30 @@ package mia_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/fixpoint"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/fixpoint"    // registers the "fixpoint" engine backend
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 	"github.com/mia-rt/mia/internal/sim"
 )
+
+// analyze compiles g under opts and runs one cold analysis with the named
+// engine backend.
+func analyze(backend string, g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(backend).Analyze(context.Background(), img)
+}
 
 // TestPipelineJSONRoundTrip: generate → serialize → parse → schedule must
 // give the same schedule as the original graph.
@@ -35,11 +47,11 @@ func TestPipelineJSONRoundTrip(t *testing.T) {
 	}
 
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	r1, err := incremental.Schedule(g, opts)
+	r1, err := analyze(engine.Incremental, g, opts)
 	if err != nil {
 		t.Fatalf("Schedule original: %v", err)
 	}
-	r2, err := incremental.Schedule(g2, opts)
+	r2, err := analyze(engine.Incremental, g2, opts)
 	if err != nil {
 		t.Fatalf("Schedule round-tripped: %v", err)
 	}
@@ -53,12 +65,12 @@ func TestDeterminism(t *testing.T) {
 	p := gen.NewParams(6, 6)
 	g := gen.MustLayered(p)
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	r1, err := incremental.Schedule(g, opts)
+	r1, err := analyze(engine.Incremental, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		r2, err := incremental.Schedule(g, opts)
+		r2, err := analyze(engine.Incremental, g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +126,7 @@ func TestRandomGraphsInvariants(t *testing.T) {
 			Arbiter:             arbs[int(arbIdx)%len(arbs)],
 			SeparateCompetitors: separate,
 		}
-		res, err := incremental.Schedule(g, opts)
+		res, err := analyze(engine.Incremental, g, opts)
 		if err != nil {
 			return false
 		}
@@ -133,7 +145,7 @@ func TestRandomGraphsSimulationSoundness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		res, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 		if err != nil {
 			return false
 		}
@@ -165,11 +177,11 @@ func TestHierarchicalNeverWorseThanFlat(t *testing.T) {
 		p.Seed = seed
 		p.Cores, p.Banks, p.SharedBank = 8, 1, true
 		g := gen.MustLayered(p)
-		flat, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		flat, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hier, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewHierarchicalRR(1, 4)})
+		hier, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewHierarchicalRR(1, 4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +199,11 @@ func TestNonAdditiveWrapperEquivalence(t *testing.T) {
 		p := gen.NewParams(5, 6)
 		p.Seed = seed
 		g := gen.MustLayered(p)
-		fast, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		fast, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := incremental.Schedule(g, sched.Options{
+		slow, err := analyze(engine.Incremental, g, sched.Options{
 			Arbiter: arbiter.NonAdditive{Inner: arbiter.NewRoundRobin(1)},
 		})
 		if err != nil {
@@ -208,11 +220,11 @@ func TestNonAdditiveWrapperEquivalence(t *testing.T) {
 func TestFigure1BothAlgorithms(t *testing.T) {
 	g := gen.Figure1()
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	a, err := incremental.Schedule(g, opts)
+	a, err := analyze(engine.Incremental, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fixpoint.Schedule(g, opts)
+	b, err := analyze(engine.Fixpoint, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +252,11 @@ func TestMergingEmpiricallyLessPessimistic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := incremental.Schedule(g, sched.Options{})
+		merged, err := analyze(engine.Incremental, g, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		separate, err := incremental.Schedule(g, sched.Options{SeparateCompetitors: true})
+		separate, err := analyze(engine.Incremental, g, sched.Options{SeparateCompetitors: true})
 		if err != nil {
 			t.Fatal(err)
 		}

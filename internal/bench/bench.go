@@ -176,8 +176,8 @@ type Panel struct {
 // context-free variant: a sweep can run for minutes, and a library that
 // invents its own root context detaches the whole panel from the caller's
 // SIGINT handling (tests pass context.Background explicitly). Canceling
-// ctx aborts in-flight scheduler runs (through their Options.Cancel hook)
-// and stops launching further points. On cancellation the context error is
+// ctx aborts in-flight scheduler runs (each polls the ctx it is given) and
+// stops launching further points. On cancellation the context error is
 // returned together with a non-nil partial panel (Truncated set, unmeasured
 // points Skipped), so callers can flush what was measured before exiting
 // nonzero. Any other error returns a nil panel.

@@ -2,12 +2,14 @@ package dataflow
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/mapper"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 // producerConsumer: A produces 2 tokens per firing, B consumes 3 → q = (3, 2).
@@ -177,9 +179,13 @@ func TestCompileEndToEnd(t *testing.T) {
 	if mg.NumTasks() != 6 {
 		t.Fatalf("%d tasks, want 6", mg.NumTasks())
 	}
-	res, err := incremental.Schedule(mg, sched.Options{})
+	img, err := engine.Compile(mg, sched.Options{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Compile: %v", err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
 	}
 	if err := sched.Check(mg, sched.Options{}, res); err != nil {
 		t.Fatalf("Check: %v", err)

@@ -9,7 +9,6 @@ import (
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 )
 
 // benchSizes are the compile-amortization measurement points: the paper's
@@ -25,18 +24,23 @@ func benchGraph(b *testing.B, n int) *model.Graph {
 	return gen.MustLayered(p)
 }
 
-// BenchmarkCompilePerRun measures the pre-engine consumer shape: every
-// evaluation pays validation, graph cloning and SoA flattening before the
-// analysis proper — what incremental.Schedule does per call.
+// BenchmarkCompilePerRun measures the compile-per-evaluation consumer
+// shape: every run pays validation, flattening and the adjacency build
+// (engine.Compile) before a cold Analyze of the fresh image.
 func BenchmarkCompilePerRun(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := benchGraph(b, n)
-			opts := sched.Options{}
+			eng := engine.MustNew(engine.Incremental)
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := incremental.Schedule(g, opts); err != nil {
+				img, err := engine.Compile(g, sched.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Analyze(ctx, img); err != nil {
 					b.Fatal(err)
 				}
 			}

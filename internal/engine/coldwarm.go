@@ -6,10 +6,10 @@ import (
 	"github.com/mia-rt/mia/internal/sched"
 )
 
-// ColdFunc is one cold analysis of an image under a given order overlay and
-// cancellation channel — the shape backends without warm-start state expose
+// ColdFunc is one cold analysis of an image under a given order overlay,
+// canceled through ctx — the shape backends without warm-start state expose
 // to NewColdWarm.
-type ColdFunc func(img *Image, ord *Orders, cancel <-chan struct{}) (*sched.Result, error)
+type ColdFunc func(ctx context.Context, img *Image, ord *Orders) (*sched.Result, error)
 
 // NewColdWarm wraps a cold analysis function into the Warm interface for
 // backends without incremental state (fixpoint, rta): every run — Analyze,
@@ -31,7 +31,7 @@ func (w *coldWarm) Orders() *Orders { return w.ord }
 func (w *coldWarm) Warm() bool { return false }
 
 func (w *coldWarm) Analyze(ctx context.Context) (*sched.Result, error) {
-	return w.run(w.img, w.ord, w.img.CancelWith(ctx))
+	return w.run(ctx, w.img, w.ord)
 }
 
 func (w *coldWarm) AnalyzeCold(ctx context.Context) (*sched.Result, error) {

@@ -10,15 +10,26 @@ import (
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/fixpoint"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/fixpoint"    // registers the "fixpoint" engine backend
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// coldRun compiles g under opts into a fresh image and runs one cold
+// analysis with the named backend: the reference the warm and replay paths
+// of these tests are compared against.
+func coldRun(backend string, g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(backend).Analyze(context.Background(), img)
+}
 
 // diffCorpus mirrors the incremental scheduler's differential corpus: both
 // benchmark families across platform geometries, bank layouts, and seeds,
-// ≥ 200 instances. The engine façade must be unobservable — every backend,
-// warm or cold, must produce bit-identical results to the package-level
-// Schedule entry points on every instance.
+// ≥ 200 instances. Warm runs, replays and cold runs of every backend must
+// agree bit for bit on every instance, and TestCorpusDigestGolden pins the
+// results themselves.
 func diffCorpus() []gen.Params {
 	shapes := []struct {
 		family       string
@@ -87,11 +98,11 @@ func identical(t *testing.T, label string, got, want *sched.Result) {
 	}
 }
 
-// TestEngineBitIdenticalToDirectPath is the tentpole's safety net: over the
-// full differential corpus, for both algorithms, the engine path (one
-// Compile, then Analyze / warm Analyze / zero-edit Reschedule / AnalyzeCold
-// over the shared image) is bit-identical to the package-level Schedule
-// wrappers.
+// TestEngineBitIdenticalToDirectPath holds the engine's run paths to one
+// answer over the full differential corpus: for the incremental backend,
+// the warm first run, the zero-edit replay and AnalyzeCold over one shared
+// image are bit-identical to a cold Analyze; for the fixpoint backend, its
+// always-cold Warm is bit-identical to its cold Analyze.
 func TestEngineBitIdenticalToDirectPath(t *testing.T) {
 	ctx := context.Background()
 	inc := engine.MustNew(engine.Incremental)
@@ -111,44 +122,38 @@ func TestEngineBitIdenticalToDirectPath(t *testing.T) {
 			t.Fatalf("%s: compile: %v", label, err)
 		}
 
-		// Incremental: direct wrapper vs engine cold vs warm vs replay.
-		direct, err := incremental.Schedule(g, opts)
-		if err != nil {
-			t.Fatalf("%s: direct incremental: %v", label, err)
-		}
+		// Incremental: cold vs warm vs replay vs AnalyzeCold.
 		cold, err := inc.Analyze(ctx, img)
 		if err != nil {
 			t.Fatalf("%s: engine incremental: %v", label, err)
 		}
-		identical(t, label+" engine-cold", cold, direct)
-
 		w := inc.NewWarm(img)
 		warm, err := w.Analyze(ctx)
 		if err != nil {
 			t.Fatalf("%s: warm analyze: %v", label, err)
 		}
-		identical(t, label+" warm-first", warm, direct)
+		identical(t, label+" warm-first", warm, cold)
 		replay, err := w.Reschedule(ctx) // zero edits: replay from the last checkpoint
 		if err != nil {
 			t.Fatalf("%s: zero-edit replay: %v", label, err)
 		}
-		identical(t, label+" warm-replay", replay, direct)
+		identical(t, label+" warm-replay", replay, cold)
 		coldAgain, err := w.AnalyzeCold(ctx)
 		if err != nil {
 			t.Fatalf("%s: analyze cold: %v", label, err)
 		}
-		identical(t, label+" warm-cold-oracle", coldAgain, direct)
+		identical(t, label+" warm-cold-oracle", coldAgain, cold)
 
-		// Fixpoint baseline: direct wrapper vs engine path.
-		fdirect, err := fixpoint.Schedule(g, opts)
-		if err != nil {
-			t.Fatalf("%s: direct fixpoint: %v", label, err)
-		}
+		// Fixpoint baseline: cold Analyze vs its always-cold Warm.
 		fcold, err := fix.Analyze(ctx, img)
 		if err != nil {
 			t.Fatalf("%s: engine fixpoint: %v", label, err)
 		}
-		identical(t, label+" fixpoint", fcold, fdirect)
+		fwarm, err := fix.NewWarm(img).Analyze(ctx)
+		if err != nil {
+			t.Fatalf("%s: fixpoint warm: %v", label, err)
+		}
+		identical(t, label+" fixpoint", fwarm, fcold)
 	}
 }
 
@@ -172,9 +177,9 @@ func legalSwap(g *model.Graph) (core model.CoreID, pos int, ok bool) {
 
 // TestEditedRescheduleMatchesDirectPath drives the warm edit path: apply an
 // adjacent swap to the analyzer's order overlay, Reschedule with the edit
-// hint, and require bit-identity with a cold direct Schedule of the edited
-// graph — plus fingerprint equality between the overlay hash and the edited
-// graph's canonical hash (the serving layer's response key).
+// hint, and require bit-identity with a cold analysis of the recompiled
+// edited graph — plus fingerprint equality between the overlay hash and the
+// edited graph's canonical hash (the serving layer's response key).
 func TestEditedRescheduleMatchesDirectPath(t *testing.T) {
 	ctx := context.Background()
 	inc := engine.MustNew(engine.Incremental)
@@ -201,9 +206,9 @@ func TestEditedRescheduleMatchesDirectPath(t *testing.T) {
 
 		edited := g.Clone()
 		edited.SwapOrder(core, pos)
-		want, err := incremental.Schedule(edited, opts)
+		want, err := coldRun(engine.Incremental, edited, opts)
 		if err != nil {
-			t.Fatalf("%s: direct edited: %v", label, err)
+			t.Fatalf("%s: cold edited: %v", label, err)
 		}
 
 		ord := w.Orders()
@@ -226,9 +231,9 @@ func TestEditedRescheduleMatchesDirectPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: undo reschedule: %v", label, err)
 		}
-		base, err := incremental.Schedule(g, opts)
+		base, err := coldRun(engine.Incremental, g, opts)
 		if err != nil {
-			t.Fatalf("%s: direct baseline: %v", label, err)
+			t.Fatalf("%s: cold baseline: %v", label, err)
 		}
 		identical(t, label+" undo", back, base)
 	}

@@ -24,9 +24,8 @@ type Edit struct {
 // state lives either on the stack of Analyze or inside the Warm instances
 // it creates.
 type Backend interface {
-	// Analyze runs one cold analysis of the image's baseline orders.
-	// Cancellation comes from ctx when it is cancellable, else from the
-	// image's compiled Options.Cancel (see Image.CancelWith).
+	// Analyze runs one cold analysis of the image's baseline orders,
+	// returning sched.ErrCanceled once ctx is done.
 	Analyze(ctx context.Context, img *Image) (*sched.Result, error)
 	// NewWarm creates a reusable analyzer bound to the image, owning a
 	// private Orders overlay and whatever incremental state the backend

@@ -15,7 +15,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 
 	"github.com/mia-rt/mia/internal/model"
@@ -36,9 +35,9 @@ import (
 //   - Demand rows are zero-extended to exactly Banks entries, so
 //     DemandRow(id)[b] is the task's demand on bank b with no bounds
 //     checks against ragged per-task rows;
-//   - CSR neighbor lists are sorted by task ID (inherited from the graph's
-//     adjacency), so iteration order — and therefore every accumulated
-//     result — is deterministic;
+//   - CSR neighbor lists are sorted by task ID (buildAdjacency), so
+//     iteration order — and therefore every accumulated result — is
+//     deterministic;
 //   - Opts.Arbiter is non-nil and Opts.Deadline is positive (Infinity
 //     when the caller set none).
 type Image struct {
@@ -88,15 +87,12 @@ type Image struct {
 	// resolved to their effective values.
 	Opts sched.Options
 
-	// Exactly one of g / raw is set at Compile time. Graph-path images
-	// (Compile) carry a frozen private graph clone; decoded images
-	// (CompileFromWire, CompileJSON) carry the flat form and only
-	// materialize a graph lazily, if NewGraph is ever called —
-	// fingerprints and edges are served from the flat form directly,
-	// keeping graph assembly off the hot ingest path. Methods branch on
-	// raw (never on g, which gOnce may be concurrently populating).
-	g     *model.Graph
+	// raw is the flat form the image was compiled from; its arrays back
+	// the slab fields above. Edges and fingerprints are served from it,
+	// and g is materialized from it only if NewGraph is ever called,
+	// keeping graph assembly off every compile path.
 	raw   *model.RawGraph
+	g     *model.Graph
 	gOnce sync.Once
 
 	fpOnce sync.Once
@@ -109,68 +105,114 @@ type Image struct {
 	oh     *model.OrderHasher
 }
 
-// Compile validates g and flattens it into an immutable problem image
-// under the given options. The graph is cloned, so later mutations of g
-// (order swaps, demand edits) do not reach the image; recompile to pick
-// them up. Validation errors are returned as-is from model.Validate.
+// Compile validates g and compiles its flat form (model.Graph.Raw) into an
+// immutable problem image under the given options, through the same
+// compileRaw the decoders use. The flat form is a copy, so later mutations
+// of g (order swaps, demand edits) do not reach the image; recompile to
+// pick them up. Validation errors are returned as-is from model.Validate.
 func Compile(g *model.Graph, opts sched.Options) (*Image, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return compileRaw(g.Raw(), opts), nil
+}
+
+// compileRaw builds an image around a flat graph that passed validation —
+// Compile validates the graph it flattens, both decoders validate what they
+// return. The image adopts raw's backing arrays, so raw must not be mutated
+// afterwards.
+func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
 	opts.Arbiter = opts.EffectiveArbiter()
 	opts.Deadline = opts.EffectiveDeadline()
 
-	n := g.NumTasks()
-	words := (g.Banks + 63) / 64
+	n := raw.NumTasks()
+	words := (raw.Banks + 63) / 64
 	img := &Image{
 		NumTasks:  n,
-		Cores:     g.Cores,
-		Banks:     g.Banks,
+		Cores:     raw.Cores,
+		Banks:     raw.Banks,
 		MaskWords: words,
 		Opts:      opts,
-		g:         g.Clone(),
+		raw:       raw,
 
-		WCET:       make([]model.Cycles, n),
-		MinRelease: make([]model.Cycles, n),
-		CoreOf:     make([]model.CoreID, n),
-		Local:      make([]model.Accesses, n),
-		Demand:     make([]model.Accesses, n*g.Banks),
+		// Adopted wholesale: the flat layout is the slab layout.
+		WCET:       raw.WCET,
+		MinRelease: raw.MinRelease,
+		CoreOf:     raw.Core,
+		Local:      raw.Local,
+		Demand:     raw.Demand,
+		OrderStart: raw.OrderStart,
+		OrderIDs:   raw.OrderIDs,
+		BankTable:  raw.BankTable,
+
 		DemandMask: make([]uint64, n*words),
 		SuccStart:  make([]int32, n+1),
 		PredStart:  make([]int32, n+1),
-		OrderStart: make([]int32, g.Cores+1),
-		BankTable:  make([]model.BankID, g.Cores),
-		// Edge and order totals are known up front, so the CSR payloads
-		// are sized exactly — the appends below never reallocate.
-		Succ:     make([]model.TaskID, 0, len(g.Edges())),
-		Pred:     make([]model.TaskID, 0, len(g.Edges())),
-		OrderIDs: make([]model.TaskID, 0, n),
+		Succ:       make([]model.TaskID, len(raw.Edges)),
+		Pred:       make([]model.TaskID, len(raw.Edges)),
 	}
-	for i, t := range g.Tasks() {
-		img.WCET[i] = t.WCET
-		img.MinRelease[i] = t.MinRelease
-		img.CoreOf[i] = t.Core
-		img.Local[i] = t.Local
-		copy(img.Demand[i*g.Banks:(i+1)*g.Banks], t.Demand)
-		mask := img.DemandMask[i*words : (i+1)*words]
-		for b, d := range t.Demand {
+	fillDemandMask(img.DemandMask, raw.Demand, raw.Banks, words)
+	buildAdjacency(img, raw.Edges)
+	return img
+}
+
+// fillDemandMask sets bit b of each task's mask row iff the task's demand
+// on bank b is positive.
+//
+//mia:hotpath
+func fillDemandMask(mask []uint64, demand []model.Accesses, banks, words int) {
+	n := len(demand) / banks
+	for i := 0; i < n; i++ {
+		row := mask[i*words : (i+1)*words]
+		dem := demand[i*banks : (i+1)*banks]
+		for b, d := range dem {
 			if d > 0 {
-				mask[b>>6] |= 1 << (uint(b) & 63)
+				row[b>>6] |= 1 << (uint(b) & 63)
 			}
 		}
 	}
+}
+
+// buildAdjacency fills the image's CSR successor and predecessor lists from
+// the edge list, each neighbor list sorted by task ID — the determinism
+// invariant every backend iterates under. Three counting passes, linear
+// time, no comparison sort: group targets by source in edge order; walk the
+// sources in ascending order appending each to its targets' Pred lists
+// (sorted by construction); walk the targets in ascending order rewriting
+// Succ from Pred (sorted by construction).
+func buildAdjacency(img *Image, edges []model.Edge) {
+	if len(edges) == 0 {
+		return
+	}
+	n := img.NumTasks
+	for _, e := range edges {
+		img.SuccStart[e.From+1]++
+		img.PredStart[e.To+1]++
+	}
 	for i := 0; i < n; i++ {
-		img.Succ = append(img.Succ, g.Successors(model.TaskID(i))...)
-		img.SuccStart[i+1] = int32(len(img.Succ))
-		img.Pred = append(img.Pred, g.Predecessors(model.TaskID(i))...)
-		img.PredStart[i+1] = int32(len(img.Pred))
+		img.SuccStart[i+1] += img.SuccStart[i]
+		img.PredStart[i+1] += img.PredStart[i]
 	}
-	for k := 0; k < g.Cores; k++ {
-		img.OrderIDs = append(img.OrderIDs, g.Order(model.CoreID(k))...)
-		img.OrderStart[k+1] = int32(len(img.OrderIDs))
-		img.BankTable[k] = g.BankOf(model.CoreID(k))
+	fill := make([]int32, n)
+	copy(fill, img.SuccStart)
+	for _, e := range edges {
+		img.Succ[fill[e.From]] = e.To
+		fill[e.From]++
 	}
-	return img, nil
+	copy(fill, img.PredStart)
+	for from := 0; from < n; from++ {
+		for _, to := range img.Succs(model.TaskID(from)) {
+			img.Pred[fill[to]] = model.TaskID(from)
+			fill[to]++
+		}
+	}
+	copy(fill, img.SuccStart)
+	for to := 0; to < n; to++ {
+		for _, from := range img.Preds(model.TaskID(to)) {
+			img.Succ[fill[from]] = model.TaskID(to)
+			fill[from]++
+		}
+	}
 }
 
 // DemandRow returns task id's per-bank demand: exactly Banks entries,
@@ -218,27 +260,16 @@ func (img *Image) Order(k model.CoreID) []model.TaskID {
 	return img.OrderIDs[img.OrderStart[k]:img.OrderStart[k+1]]
 }
 
-// Edges returns the dependency edges of the compiled graph. Read-only.
-func (img *Image) Edges() []model.Edge {
-	if img.raw != nil {
-		return img.raw.Edges
-	}
-	return img.g.Edges()
-}
+// Edges returns the dependency edges of the compiled graph in source
+// order. Read-only.
+func (img *Image) Edges() []model.Edge { return img.raw.Edges }
 
 // Fingerprint returns the canonical content hash of the compiled graph
 // with its baseline orders (see model.Graph.Fingerprint). Computed once,
-// lazily; safe for concurrent use. Decoded and graph-path images of the
-// same graph hash identically — model.RawGraph.Fingerprint replicates
-// model.Graph.Fingerprint byte for byte.
+// lazily; safe for concurrent use. Every ingest path hashes the same flat
+// form, so the JSON, wire and graph paths key one graph identically.
 func (img *Image) Fingerprint() string {
-	img.fpOnce.Do(func() {
-		if img.raw != nil {
-			img.fp = img.raw.Fingerprint()
-		} else {
-			img.fp = img.g.Fingerprint()
-		}
-	})
+	img.fpOnce.Do(func() { img.fp = img.raw.Fingerprint() })
 	return img.fp
 }
 
@@ -258,46 +289,26 @@ func (img *Image) FingerprintOrders(o *Orders) string {
 // its closure does not escape, so steady-state calls stay allocation-free.
 func (img *Image) orderHasher() *model.OrderHasher {
 	//mialint:ignore hotpathalloc -- once-guard: the fast path is one atomic load and the non-escaping closure runs at most once per image
-	img.ohOnce.Do(func() {
-		if img.raw != nil {
-			img.oh = img.raw.OrderHasher()
-		} else {
-			img.oh = img.g.OrderHasher()
-		}
-	})
+	img.ohOnce.Do(func() { img.oh = img.raw.OrderHasher() })
 	return img.oh
 }
 
-// graph returns the image's private graph, materializing it from the flat
-// form on first use for decoded images. The raw form passed full
-// validation at decode time, so materialization cannot fail; an error here
-// is a broken invariant, not an input condition.
+// graph returns the image's private graph, materialized from the flat form
+// on first use. The flat form passed full validation before compileRaw, so
+// materialization cannot fail; an error here is a broken invariant, not an
+// input condition.
 func (img *Image) graph() *model.Graph {
 	img.gOnce.Do(func() {
-		if img.g != nil {
-			return
-		}
 		g, err := img.raw.Graph()
 		if err != nil {
-			panic("engine: validated decoded image failed graph materialization: " + err.Error())
+			panic("engine: validated image failed graph materialization: " + err.Error())
 		}
 		img.g = g
 	})
 	return img.g
 }
 
-// NewGraph materializes a fresh mutable graph equal to the compiled one —
-// the image-side replacement for defensive g.Clone() at consumer level.
+// NewGraph materializes a fresh mutable graph equal to the compiled one.
+// Task names are not part of the flat form, so task i comes back named
+// "n<i>"; everything the analyses and the fingerprint read is preserved.
 func (img *Image) NewGraph() *model.Graph { return img.graph().Clone() }
-
-// CancelWith resolves the cancellation channel for one analysis run: the
-// context's Done channel when the context is cancellable, otherwise the
-// channel compiled into the image's options (context.Background reports a
-// nil Done channel, which would otherwise mask a caller-provided
-// Options.Cancel).
-func (img *Image) CancelWith(ctx context.Context) <-chan struct{} {
-	if d := ctx.Done(); d != nil {
-		return d
-	}
-	return img.Opts.Cancel
-}

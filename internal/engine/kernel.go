@@ -51,9 +51,6 @@ func NewKernel(parts int) *Kernel {
 	return k
 }
 
-// Parts returns the partition count.
-func (k *Kernel) Parts() int { return k.parts }
-
 // SetTask installs the per-partition task executed by Run. Install once at
 // analyzer construction (the method-value closure is the kernel's single
 // steady-state allocation); the task reads its inputs through the state it

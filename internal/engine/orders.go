@@ -36,9 +36,6 @@ func (o *Orders) Cores() int { return len(o.view) }
 //mia:hotpath
 func (o *Orders) Order(k model.CoreID) []model.TaskID { return o.view[k] }
 
-// View returns all per-core orders. Read-only, aliases the overlay.
-func (o *Orders) View() [][]model.TaskID { return o.view }
-
 // Swap exchanges the tasks at positions pos and pos+1 of core k's order —
 // the adjacent-swap move the warm-start reschedulers replay. Swap is its
 // own inverse.

@@ -10,7 +10,6 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 )
 
 // TestSharedImageConcurrentParallelAnalyzers extends the immutability race
@@ -26,7 +25,7 @@ func TestSharedImageConcurrentParallelAnalyzers(t *testing.T) {
 	p.Cores, p.Banks = 4, 4
 	g := gen.MustLayered(p)
 
-	base, err := incremental.Schedule(g, sched.Options{})
+	base, err := coldRun(engine.Incremental, g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestParallelKernelShutdownNoLeak(t *testing.T) {
 	p.Seed = 7
 	p.Cores, p.Banks = 8, 8
 	g := gen.MustLayered(p)
-	base, err := incremental.Schedule(g, sched.Options{})
+	base, err := coldRun(engine.Incremental, g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestParallelCancellationMidAnalysis(t *testing.T) {
 
 	// The analyzer recovers: a background-context run completes and matches
 	// the sequential reference.
-	want, err := incremental.Schedule(g, sched.Options{})
+	want, err := coldRun(engine.Incremental, g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 )
 
 // TestSharedImageConcurrentAnalyzers is the immutability contract's teeth:
@@ -31,7 +30,7 @@ func TestSharedImageConcurrentAnalyzers(t *testing.T) {
 	inc := engine.MustNew(engine.Incremental)
 	ctx := context.Background()
 
-	base, err := incremental.Schedule(g, opts)
+	base, err := coldRun(engine.Incremental, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func TestSharedImageConcurrentAnalyzers(t *testing.T) {
 	}
 	edited := g.Clone()
 	edited.SwapOrder(core, pos)
-	want, err := incremental.Schedule(edited, opts)
+	want, err := coldRun(engine.Incremental, edited, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

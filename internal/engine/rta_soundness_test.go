@@ -8,7 +8,6 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/rta"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 )
 
 // TestRTABoundDominatesIncremental pins the precision spectrum: the
@@ -29,7 +28,7 @@ func TestRTABoundDominatesIncremental(t *testing.T) {
 		opts := corpusOpts(ci)
 		label := fmt.Sprintf("corpus[%d]", ci)
 
-		exact, err := incremental.Schedule(g, opts)
+		exact, err := coldRun(engine.Incremental, g, opts)
 		if err != nil {
 			t.Fatalf("%s: incremental: %v", label, err)
 		}

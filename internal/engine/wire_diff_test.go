@@ -128,34 +128,6 @@ func legalSwapImage(img *engine.Image) (model.CoreID, int, bool) {
 	return 0, 0, false
 }
 
-// TestWireBytesRoundTrip: a compiled image re-encodes to a blob that
-// decodes into an equivalent image, regardless of which path built it —
-// the image↔wire invariant of DESIGN §3.8.
-func TestWireBytesRoundTrip(t *testing.T) {
-	g := gen.MustLayered(diffCorpus()[0])
-	opts := corpusOpts(0)
-
-	jsonImg, err := engine.Compile(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireImg, err := engine.CompileFromWire(jsonImg.WireBytes(), opts)
-	if err != nil {
-		t.Fatalf("CompileFromWire of WireBytes: %v", err)
-	}
-	if got, want := wireImg.Fingerprint(), jsonImg.Fingerprint(); got != want {
-		t.Fatalf("WireBytes round trip fingerprint %s, want %s", got, want)
-	}
-	// Second generation: wire-built image re-encodes to the same bytes.
-	if !bytes.Equal(wireImg.WireBytes(), jsonImg.WireBytes()) {
-		t.Fatal("wire-built image re-encodes to different bytes than its source")
-	}
-	// The lazily materialized graph is equal to the original.
-	if got, want := wireImg.NewGraph().Fingerprint(), g.Fingerprint(); got != want {
-		t.Fatalf("lazy NewGraph fingerprint %s, want %s", got, want)
-	}
-}
-
 // TestCompileFromWireRejects: the ingest path refuses what the JSON path
 // refuses, at the same layer (decode, before any image exists).
 func TestCompileFromWireRejects(t *testing.T) {

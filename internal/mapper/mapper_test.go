@@ -1,13 +1,25 @@
 package mapper
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the
+// "incremental" engine backend.
+func schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+}
 
 // diamondProblem: s → {a, b, c} → t with distinct WCETs.
 func diamondProblem() *Problem {
@@ -42,7 +54,7 @@ func TestAllStrategiesProduceSchedulableGraphs(t *testing.T) {
 			t.Errorf("%s: validate: %v", s.Name(), err)
 			continue
 		}
-		res, err := incremental.Schedule(g, sched.Options{})
+		res, err := schedule(g, sched.Options{})
 		if err != nil {
 			t.Errorf("%s: schedule: %v", s.Name(), err)
 			continue
@@ -112,7 +124,7 @@ func TestListSchedulingPrefersCriticalPath(t *testing.T) {
 	if g.Task(3).Core == chainCore {
 		t.Errorf("independent task mapped onto the critical-path core")
 	}
-	res, err := incremental.Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +196,7 @@ func TestListSchedulingBeatsNaiveOnImbalance(t *testing.T) {
 
 func scheduleMakespan(t *testing.T, g *model.Graph) (model.Cycles, *sched.Result) {
 	t.Helper()
-	res, err := incremental.Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,38 +51,3 @@ func (g *Graph) CompileDemands(bankOf func(CoreID) BankID) {
 		src.Demand[dstBank] += e.Words
 	}
 }
-
-// SharedBanks returns the banks on which both a and b have non-zero demand.
-// Two tasks can only interfere on such banks, and never when mapped to the
-// same core (a core's accesses are serialized by its own pipeline).
-func SharedBanks(a, b *Task) []BankID {
-	var banks []BankID
-	n := len(a.Demand)
-	if len(b.Demand) < n {
-		n = len(b.Demand)
-	}
-	for bank := 0; bank < n; bank++ {
-		if a.Demand[bank] > 0 && b.Demand[bank] > 0 {
-			banks = append(banks, BankID(bank))
-		}
-	}
-	return banks
-}
-
-// Interferes reports whether tasks a and b can interfere at all: they are
-// mapped to different cores and access at least one common bank.
-func Interferes(a, b *Task) bool {
-	if a.Core == b.Core {
-		return false
-	}
-	n := len(a.Demand)
-	if len(b.Demand) < n {
-		n = len(b.Demand)
-	}
-	for bank := 0; bank < n; bank++ {
-		if a.Demand[bank] > 0 && b.Demand[bank] > 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -74,45 +74,6 @@ func TestStripedBanks(t *testing.T) {
 	}
 }
 
-func TestSharedBanksAndInterferes(t *testing.T) {
-	g := twoCoreGraph(t, 2, BankPerCore)
-	p, c := g.Task(0), g.Task(1)
-	banks := SharedBanks(p, c)
-	if len(banks) != 1 || banks[0] != 1 {
-		t.Errorf("SharedBanks = %v, want [1]", banks)
-	}
-	if !Interferes(p, c) {
-		t.Error("producer and consumer on different cores sharing bank 1 must interfere")
-	}
-	// Same-core tasks never interfere.
-	p2 := &Task{ID: 2, Core: p.Core, Demand: p.Demand}
-	if Interferes(p, p2) {
-		t.Error("same-core tasks reported as interfering")
-	}
-}
-
-func TestInterferesDisjointBanks(t *testing.T) {
-	a := &Task{ID: 0, Core: 0, Demand: []Accesses{4, 0}}
-	b := &Task{ID: 1, Core: 1, Demand: []Accesses{0, 4}}
-	if Interferes(a, b) {
-		t.Error("tasks with disjoint banks reported as interfering")
-	}
-	if got := SharedBanks(a, b); len(got) != 0 {
-		t.Errorf("SharedBanks = %v, want empty", got)
-	}
-}
-
-func TestInterferesMismatchedDemandLengths(t *testing.T) {
-	a := &Task{ID: 0, Core: 0, Demand: []Accesses{1}}
-	b := &Task{ID: 1, Core: 1, Demand: []Accesses{1, 5}}
-	if !Interferes(a, b) {
-		t.Error("tasks sharing bank 0 must interfere despite demand-vector length mismatch")
-	}
-	if !b.AccessesBank(1) || a.AccessesBank(1) {
-		t.Error("AccessesBank out-of-range handling wrong")
-	}
-}
-
 func TestTotalDemand(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
 	if got := g.Task(0).TotalDemand(); got != 12 {
@@ -121,6 +82,10 @@ func TestTotalDemand(t *testing.T) {
 	var empty Task
 	if empty.TotalDemand() != 0 {
 		t.Error("TotalDemand of demandless task must be 0")
+	}
+	short := &Task{ID: 1, Core: 1, Demand: []Accesses{1, 5}}
+	if !short.AccessesBank(1) || empty.AccessesBank(1) || short.AccessesBank(2) {
+		t.Error("AccessesBank out-of-range handling wrong")
 	}
 }
 

@@ -66,9 +66,6 @@ func (g *Graph) Predecessors(id TaskID) []TaskID { return g.preds[id] }
 // returned slice must not be mutated.
 func (g *Graph) Order(k CoreID) []TaskID { return g.order[k] }
 
-// OnCore returns the IDs of all tasks mapped to core k, in execution order.
-func (g *Graph) OnCore(k CoreID) []TaskID { return g.order[k] }
-
 // BankOf returns the bank that holds core k's reserved data under the policy
 // used at demand-compilation time. Before CompileDemands it defaults to the
 // shared-bank policy (every core on bank 0).
@@ -196,17 +193,6 @@ func (g *Graph) TotalWCET() Cycles {
 		sum += t.WCET
 	}
 	return sum
-}
-
-// MaxMinRelease returns the largest minimal release date in the graph.
-func (g *Graph) MaxMinRelease() Cycles {
-	var m Cycles
-	for _, t := range g.tasks {
-		if t.MinRelease > m {
-			m = t.MinRelease
-		}
-	}
-	return m
 }
 
 // Stats summarizes a graph for logging and benchmark tables.

@@ -39,16 +39,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestMaxMinRelease(t *testing.T) {
-	b := NewBuilder(1, 1)
-	b.AddTask(TaskSpec{WCET: 1, MinRelease: 3})
-	b.AddTask(TaskSpec{WCET: 1, MinRelease: 9})
-	g := b.MustBuild()
-	if got := g.MaxMinRelease(); got != 9 {
-		t.Errorf("MaxMinRelease = %d, want 9", got)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
 	if s := g.String(); !strings.Contains(s, "tasks=2") {

@@ -25,32 +25,7 @@ const fingerprintVersion = 1
 // Task names are deliberately excluded (they are diagnostics, not inputs),
 // as is everything derivable from the hashed fields (adjacency, stats).
 func (g *Graph) Fingerprint() string {
-	return g.FingerprintWithOrders(g.order)
-}
-
-// FingerprintWithOrders returns the fingerprint the graph would have if
-// its per-core execution orders were replaced by orders — byte-identical
-// to cloning the graph, installing the orders, and calling Fingerprint.
-// It exists so a compiled engine image can hash an edited order overlay
-// without materializing a graph; every other hashed field comes from g.
-//
-// Callers hashing many order overlays of one graph should build an
-// OrderHasher once instead: it freezes the digest midstate after the
-// static sections, so each overlay pays only for its own bytes.
-func (g *Graph) FingerprintWithOrders(orders [][]TaskID) string {
 	w := &digestWriter{h: sha256.New()}
-	g.hashStatic(w)
-	hashOrders(w, orders)
-	for k := 0; k < g.Cores; k++ {
-		w.int(int64(g.BankOf(CoreID(k))))
-	}
-	return w.sum()
-}
-
-// hashStatic feeds the order-independent prefix of the canonical
-// serialization — version, platform shape, tasks, edges — into w. The
-// orders section and the bank table follow it, in that order.
-func (g *Graph) hashStatic(w *digestWriter) {
 	w.int(fingerprintVersion)
 	w.int(int64(g.Cores))
 	w.int(int64(g.Banks))
@@ -73,6 +48,12 @@ func (g *Graph) hashStatic(w *digestWriter) {
 		w.int(int64(e.To))
 		w.int(int64(e.Words))
 	}
+
+	hashOrders(w, g.order)
+	for k := 0; k < g.Cores; k++ {
+		w.int(int64(g.BankOf(CoreID(k))))
+	}
+	return w.sum()
 }
 
 // hashOrders feeds the orders section of the canonical serialization.
@@ -86,31 +67,19 @@ func hashOrders(w *digestWriter, orders [][]TaskID) {
 	}
 }
 
-// OrderHasher fingerprints order overlays of one fixed graph. It snapshots
-// the SHA-256 midstate after the static sections (platform shape, tasks,
-// edges) once, so each Sum hashes only the orders section and the bank
-// table — the per-scenario cost of fingerprinting an edit drops from
-// O(graph) to O(tasks). Sum(orders) is byte-identical to the corresponding
-// FingerprintWithOrders call; the differential suites pin this.
+// OrderHasher fingerprints order overlays of one fixed graph (see
+// RawGraph.OrderHasher). It snapshots the SHA-256 midstate after the static
+// sections (platform shape, tasks, edges) once, so each Sum hashes only the
+// orders section and the bank table — the per-scenario cost of
+// fingerprinting an edit drops from O(graph) to O(tasks). Sum(orders) is
+// byte-identical to Fingerprint of the graph with its orders replaced by
+// orders; the differential suites pin this.
 //
 // An OrderHasher is immutable after construction and safe for concurrent
 // Sum calls.
 type OrderHasher struct {
 	state []byte  // marshaled digest midstate after the static sections
 	bank  []int64 // bank-table suffix hashed after the orders section
-}
-
-// OrderHasher returns a reusable overlay fingerprinter for this graph.
-func (g *Graph) OrderHasher() *OrderHasher {
-	//mialint:ignore hotpathalloc -- constructor: the serializer is built once per graph, like the frozen midstate below
-	w := &digestWriter{h: sha256.New()}
-	g.hashStatic(w)
-	//mialint:ignore hotpathalloc -- constructor: freezing the midstate allocates by design; hot paths reach it only through the per-image once-guard
-	bank := make([]int64, g.Cores)
-	for k := range bank {
-		bank[k] = int64(g.BankOf(CoreID(k)))
-	}
-	return newOrderHasher(w, bank)
 }
 
 // newOrderHasher freezes the digest midstate after flushing w. The stdlib

@@ -72,43 +72,24 @@ func (r *RawGraph) Order(k CoreID) []TaskID {
 // JSON-ingested one.
 func (r *RawGraph) Fingerprint() string {
 	w := &digestWriter{h: sha256.New()}
-	r.hashInto(w, nil)
-	return w.sum()
-}
-
-// FingerprintWith returns the fingerprint the graph would have if its
-// per-core execution orders were replaced by orders — the RawGraph analogue
-// of Graph.FingerprintWithOrders, used by engine images built from wire
-// blobs to hash edited order overlays.
-func (r *RawGraph) FingerprintWith(orders [][]TaskID) string {
-	w := &digestWriter{h: sha256.New()}
-	r.hashInto(w, orders)
-	return w.sum()
-}
-
-// hashInto feeds the canonical serialization into w. orders == nil means
-// "use the CSR orders carried by the RawGraph itself".
-func (r *RawGraph) hashInto(w *digestWriter, orders [][]TaskID) {
 	r.hashStatic(w)
-	if orders != nil {
-		hashOrders(w, orders)
-	} else {
-		w.int(int64(r.Cores))
-		for k := 0; k < r.Cores; k++ {
-			order := r.Order(CoreID(k))
-			w.int(int64(len(order)))
-			for _, id := range order {
-				w.int(int64(id))
-			}
+	w.int(int64(r.Cores))
+	for k := 0; k < r.Cores; k++ {
+		order := r.Order(CoreID(k))
+		w.int(int64(len(order)))
+		for _, id := range order {
+			w.int(int64(id))
 		}
 	}
 	for k := 0; k < r.Cores; k++ {
 		w.int(int64(r.BankTable[k]))
 	}
+	return w.sum()
 }
 
 // hashStatic feeds the order-independent prefix — version, platform shape,
-// tasks, edges — matching Graph.hashStatic byte for byte.
+// tasks, edges — matching the same sections of Graph.Fingerprint byte for
+// byte. The orders section and the bank table follow it, in that order.
 func (r *RawGraph) hashStatic(w *digestWriter) {
 	w.int(fingerprintVersion)
 	w.int(int64(r.Cores))
@@ -135,9 +116,8 @@ func (r *RawGraph) hashStatic(w *digestWriter) {
 	}
 }
 
-// OrderHasher returns a reusable overlay fingerprinter for this graph: the
-// RawGraph analogue of Graph.OrderHasher, sharing the same frozen-midstate
-// mechanics and the same output bytes.
+// OrderHasher returns a reusable overlay fingerprinter for this graph:
+// engine images hash edited order overlays through it.
 func (r *RawGraph) OrderHasher() *OrderHasher {
 	//mialint:ignore hotpathalloc -- constructor: the serializer is built once per graph, like the frozen midstate below
 	w := &digestWriter{h: sha256.New()}

@@ -71,24 +71,28 @@ func TestRawGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawFingerprintWithMatchesGraphOrders pins the flat overlay hash to
+// the graph-side reference: RawGraph.OrderHasher().Sum(orders) equals the
+// Fingerprint of a clone of the graph carrying those orders, for the
+// baseline orders and for a swapped overlay.
 func TestRawFingerprintWithMatchesGraphOrders(t *testing.T) {
 	for name, g := range rawTestGraphs(t) {
-		r := g.Raw()
-		// Build an explicit order overlay identical to the graph's own
-		// orders; FingerprintWith on it must match both fingerprints.
+		oh := g.Raw().OrderHasher()
 		orders := make([][]model.TaskID, g.Cores)
 		for k := range orders {
 			orders[k] = append([]model.TaskID(nil), g.Order(model.CoreID(k))...)
 		}
-		if got, want := r.FingerprintWith(orders), g.FingerprintWithOrders(orders); got != want {
-			t.Errorf("%s: FingerprintWith %s, graph FingerprintWithOrders %s", name, got, want)
+		if got, want := oh.Sum(orders), g.Fingerprint(); got != want {
+			t.Errorf("%s: baseline overlay hash %s, graph fingerprint %s", name, got, want)
 		}
-		// A swapped overlay must change the hash and still agree between
-		// the two implementations.
+		// A swapped overlay must change the hash and still agree with the
+		// graph carrying the same orders.
+		edited := g.Clone()
 		swapped := false
 		for k := range orders {
 			if len(orders[k]) >= 2 {
 				orders[k][0], orders[k][1] = orders[k][1], orders[k][0]
+				edited.SetOrder(model.CoreID(k), orders[k])
 				swapped = true
 				break
 			}
@@ -96,9 +100,9 @@ func TestRawFingerprintWithMatchesGraphOrders(t *testing.T) {
 		if !swapped {
 			continue
 		}
-		got, want := r.FingerprintWith(orders), g.FingerprintWithOrders(orders)
+		got, want := oh.Sum(orders), edited.Fingerprint()
 		if got != want {
-			t.Errorf("%s: swapped FingerprintWith %s, graph %s", name, got, want)
+			t.Errorf("%s: swapped overlay hash %s, edited graph %s", name, got, want)
 		}
 		if got == g.Fingerprint() {
 			t.Errorf("%s: swapped overlay fingerprint did not change", name)
@@ -107,21 +111,17 @@ func TestRawFingerprintWithMatchesGraphOrders(t *testing.T) {
 }
 
 // TestOrderHasherMatchesFingerprint pins the frozen-midstate fast path:
-// OrderHasher.Sum must be byte-identical to FingerprintWithOrders /
-// FingerprintWith for baseline and edited overlays, on both graph forms,
-// and a hasher must stay reusable across many Sum calls.
+// one OrderHasher stays reusable across many Sum calls, each
+// byte-identical to the Fingerprint of the graph carrying the same orders.
 func TestOrderHasherMatchesFingerprint(t *testing.T) {
 	for name, g := range rawTestGraphs(t) {
-		r := g.Raw()
-		gh, rh := g.OrderHasher(), r.OrderHasher()
-		orders := make([][]model.TaskID, g.Cores)
-		for k := range orders {
-			orders[k] = append([]model.TaskID(nil), g.Order(model.CoreID(k))...)
-		}
+		rh := g.Raw().OrderHasher()
+		edited := g.Clone()
 		for round := 0; round < 3; round++ {
-			want := g.FingerprintWithOrders(orders)
-			if got := gh.Sum(orders); got != want {
-				t.Errorf("%s round %d: graph OrderHasher %s, want %s", name, round, got, want)
+			want := edited.Fingerprint()
+			orders := make([][]model.TaskID, g.Cores)
+			for k := range orders {
+				orders[k] = edited.Order(model.CoreID(k))
 			}
 			if got := rh.Sum(orders); got != want {
 				t.Errorf("%s round %d: raw OrderHasher %s, want %s", name, round, got, want)
@@ -129,11 +129,11 @@ func TestOrderHasherMatchesFingerprint(t *testing.T) {
 			if round == 0 && want != g.Fingerprint() {
 				t.Errorf("%s: baseline overlay hash %s differs from Fingerprint %s", name, want, g.Fingerprint())
 			}
-			// Mutate the overlay for the next round: swap the first core
+			// Mutate the orders for the next round: swap the first core
 			// with at least two tasks.
-			for k := range orders {
-				if len(orders[k]) >= 2 {
-					orders[k][0], orders[k][1] = orders[k][1], orders[k][0]
+			for k := 0; k < g.Cores; k++ {
+				if len(edited.Order(model.CoreID(k))) >= 2 {
+					edited.SwapOrder(model.CoreID(k), 0)
 					break
 				}
 			}

@@ -40,12 +40,6 @@ func (g *Graph) TopoSort() ([]TaskID, error) {
 	return order, nil
 }
 
-// IsAcyclic reports whether the dependency graph is a DAG.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
 // Depths returns, for every task, its depth in the DAG: 0 for sources, and
 // 1 + max depth of predecessors otherwise. This is the layer index used by
 // the layer-by-layer generator's inverse and by the Gantt renderer.

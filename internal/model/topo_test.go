@@ -159,17 +159,3 @@ func TestTaskIDHeapOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestIsAcyclic(t *testing.T) {
-	if !chainGraph(t, 5).IsAcyclic() {
-		t.Fatal("chain reported cyclic")
-	}
-	// Construct a cyclic graph bypassing the builder.
-	g := &Graph{Cores: 1, Banks: 1}
-	g.tasks = []*Task{{ID: 0, WCET: 1}, {ID: 1, WCET: 1}}
-	g.edges = []Edge{{From: 0, To: 1}, {From: 1, To: 0}}
-	g.rebuildAdjacency()
-	if g.IsAcyclic() {
-		t.Fatal("cycle not detected")
-	}
-}

@@ -1,15 +1,27 @@
 package periodic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the
+// "incremental" engine backend.
+func schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+}
 
 func TestUnrollShape(t *testing.T) {
 	g := gen.Figure1()
@@ -49,11 +61,11 @@ func TestUnrollSingleIterationIsIdentity(t *testing.T) {
 		t.Errorf("name = %q, want unsuffixed", u.Task(0).Name)
 	}
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	a, err := incremental.Schedule(g, opts)
+	a, err := schedule(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := incremental.Schedule(u, opts)
+	b, err := schedule(u, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func TestPeriodicFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := incremental.Schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestPeriodicOverloadDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := incremental.Schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +137,7 @@ func TestPipelinedIterationsInterfere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := incremental.Schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(u, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

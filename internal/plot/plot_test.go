@@ -2,14 +2,16 @@ package plot
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 func sampleLogLog() *LogLog {
@@ -100,7 +102,11 @@ func TestEscape(t *testing.T) {
 
 func TestGanttSVG(t *testing.T) {
 	g := gen.Figure1()
-	res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	img, err := engine.Compile(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}

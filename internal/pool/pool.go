@@ -15,7 +15,7 @@
 //     path.
 //   - Context cancellation: once ctx is canceled, unstarted tasks are never
 //     launched and Map returns ctx.Err(). Tasks already running are expected
-//     to honor ctx themselves (the schedulers poll Options.Cancel).
+//     to honor ctx themselves (every analysis run polls its ctx).
 //   - Error and panic transparency: the first task error (in submission
 //     order, not completion order) is returned after all started tasks have
 //     drained; a panicking task re-panics in the caller's goroutine with the

@@ -1,3 +1,21 @@
+// Package rta implements the "rta" engine backend: a window-free,
+// compositional upper bound on the interference of a task DAG, in the style
+// of the analysis lineage the paper descends from — reference [1]
+// (Altmeyer, Davis, Indrusiak, Maiza, Nelis, Reineke, "A generic and
+// compositional framework for multicore response time analysis", RTNS
+// 2015), which inspired Rihani's RTNS 2016 algorithm that the DATE 2020
+// paper made scalable.
+//
+// Where the incremental scheduler charges a task only the demand of the
+// tasks it is co-alive with, and the fixpoint baseline only the demand of
+// window-overlapping tasks, this backend charges every task the full demand
+// of all tasks on other cores that share a bank with it. That needs no
+// fixed point over execution windows: one pass computes the per-task
+// bounds, and the release equations are then solved under those frozen
+// response times. The result is the pessimistic end of the precision
+// spectrum — a cheap schedulability screen that, for monotone arbiters,
+// dominates the incremental schedule task by task (engine tests pin the
+// ordering).
 package rta
 
 import (
@@ -9,37 +27,25 @@ import (
 	"github.com/mia-rt/mia/internal/sched"
 )
 
-// Algorithm is the name recorded in results produced by the DAG backend.
+// Algorithm is the name recorded in results produced by this backend.
 const Algorithm = "rta"
 
-// backend adapts the RTNS 2015 compositional style to the engine's DAG
-// images: a *window-free* upper bound. Where the incremental scheduler
-// charges a task only the demand of tasks it is actually co-alive with, and
-// the fixpoint baseline only the demand of window-overlapping tasks, this
-// backend charges every task the full demand of *all* tasks on other cores
-// that share a bank with it — the coarsest, composition-friendly
-// over-approximation, computable in one pass with no fixed point over
-// windows. Release dates are then the least solution of the release
-// equations under those frozen (inflated) response times, exactly like the
-// baseline's release pass.
-//
-// For monotone arbiters (a competitor set that dominates another, entry for
-// entry, never yields a smaller bound — true of the round-robin family this
-// repository ships), every per-bank competitor set used here dominates the
-// set any window-based analysis can see, so per-task interference, response
-// times, release dates and makespan are all ≥ the incremental scheduler's:
-// a sound but pessimistic bound, useful as a cheap schedulability screen
-// and as the third point of the precision spectrum (engine_test pins the
-// ordering). It intentionally does NOT satisfy the window-consistency
-// invariant of sched.Check — tasks are charged for interferers they never
-// overlap — which is the price of compositionality.
+// backend registers the bound with the engine. For monotone arbiters (a
+// competitor set that dominates another, entry for entry, never yields a
+// smaller bound — true of the round-robin family this repository ships),
+// every per-bank competitor set used here dominates the set any
+// window-based analysis can see, so per-task interference, response times,
+// release dates and makespan are all ≥ the incremental scheduler's. It
+// intentionally does NOT satisfy the window-consistency invariant of
+// sched.Check — tasks are charged for interferers they never overlap —
+// which is the price of compositionality.
 type backend struct{}
 
 func init() { engine.Register(engine.RTA, backend{}) }
 
 // Analyze runs the compositional bound over the image's baseline orders.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
-	return analyzeImage(img, img.NewOrders(), img.CancelWith(ctx))
+	return analyzeImage(ctx, img, img.NewOrders())
 }
 
 // NewWarm returns an always-cold analyzer: the bound has no incremental
@@ -50,8 +56,9 @@ func (backend) NewWarm(img *engine.Image) engine.Warm {
 
 // analyzeImage computes the window-free bound: per-task interference from
 // all other-core bank-sharers, then the release fixed point under frozen
-// responses, then the deadline verdicts.
-func analyzeImage(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sched.Result, error) {
+// responses, then the deadline verdicts. Every per-task bound first checks
+// ctx and returns sched.ErrCanceled once it is done.
+func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*sched.Result, error) {
 	n := img.NumTasks
 	arb := img.Opts.Arbiter
 	deadline := img.Opts.Deadline
@@ -90,7 +97,7 @@ func analyzeImage(img *engine.Image, ord *engine.Orders, cancel <-chan struct{})
 		kern.SetTask(func(part int) {
 			lo, hi := engine.PartitionRange(n, parts, part)
 			for i := lo; i < hi; i++ {
-				if canceled(cancel) {
+				if ctx.Err() != nil {
 					stopped[part] = true
 					return
 				}
@@ -107,7 +114,7 @@ func analyzeImage(img *engine.Image, ord *engine.Orders, cancel <-chan struct{})
 	} else {
 		comps := make([]arbiter.Request, 0, n)
 		for i := 0; i < n; i++ {
-			if canceled(cancel) {
+			if ctx.Err() != nil {
 				return nil, sched.ErrCanceled
 			}
 			comps = taskBound(img, arb, separate, perCore, comps, i, res)
@@ -222,19 +229,6 @@ func taskBound(img *engine.Image, arb arbiter.Arbiter, separate bool, perCore []
 	res.Interference[i] = inter
 	res.Response[i] = img.WCET[i] + inter
 	return comps
-}
-
-// canceled polls a cancellation channel without blocking.
-func canceled(cancel <-chan struct{}) bool {
-	if cancel == nil {
-		return false
-	}
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // horizon is the latest finish date implied by the given releases and

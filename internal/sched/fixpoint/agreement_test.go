@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current results")
@@ -48,11 +48,11 @@ func TestAgreementGolden(t *testing.T) {
 			p.Seed = seed
 			p.Cores, p.Banks, p.SharedBank = cfg.cores, cfg.banks, cfg.shared
 			g := gen.MustLayered(p)
-			fast, err := incremental.Schedule(g, opts)
+			fast, err := schedule(engine.Incremental, g, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d: incremental: %v", cfg.name, seed, err)
 			}
-			slow, err := Schedule(g, opts)
+			slow, err := schedule(engine.Fixpoint, g, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d: fixpoint: %v", cfg.name, seed, err)
 			}

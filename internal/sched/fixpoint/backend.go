@@ -16,7 +16,7 @@ func init() { engine.Register(engine.Fixpoint, backend{}) }
 
 // Analyze runs one cold analysis of the image's baseline orders.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
-	return analyze(img, img.NewOrders(), img.CancelWith(ctx))
+	return analyze(ctx, img, img.NewOrders())
 }
 
 // NewWarm returns an always-cold analyzer over the image.

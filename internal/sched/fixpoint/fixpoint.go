@@ -43,11 +43,13 @@
 // engine.Image; the per-window interference recomputation is the image-side
 // twin of sched.WindowInterference, kept bit-identical to it (the checker
 // keeps using the graph-based original, so a port bug cannot hide in both).
-// Package-level Schedule stays the compatibility compile-per-call wrapper;
-// the engine backend ("fixpoint") analyzes pre-compiled images.
+// The package registers the engine backend "fixpoint": callers
+// engine.Compile a graph once and run it through Engine.Analyze.
 package fixpoint
 
 import (
+	"context"
+
 	"github.com/mia-rt/mia/internal/arbiter"
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
@@ -57,27 +59,10 @@ import (
 // Algorithm is the name recorded in results produced by this package.
 const Algorithm = "fixpoint"
 
-// Schedule computes the same schedule as the incremental package using the
-// original RTNS 2016 double fixed-point iteration. It returns an error
-// wrapping sched.ErrUnschedulable when the deadline is crossed, when the
-// per-core orders deadlock against the DAG, or when the iteration
-// oscillates without converging (treated as unschedulable, as crossing the
-// deadline eventually would be).
-//
-// Schedule is the compatibility wrapper around the engine: it compiles a
-// fresh image on every call. Callers that analyze the same graph many times
-// should engine.Compile once and go through the engine façade.
-func Schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
-	img, err := engine.Compile(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	return analyze(img, img.NewOrders(), img.Opts.Cancel)
-}
-
 // analyze runs the double fixed-point iteration over a compiled image,
-// reading the per-core orders from ord.
-func analyze(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sched.Result, error) {
+// reading the per-core orders from ord. Each interference round first
+// checks ctx and returns sched.ErrCanceled once it is done.
+func analyze(ctx context.Context, img *engine.Image, ord *engine.Orders) (*sched.Result, error) {
 	n := img.NumTasks
 	deadline := img.Opts.Deadline
 	res := sched.NewResult(Algorithm, n, img.Banks)
@@ -157,7 +142,7 @@ func analyze(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sc
 		// windows, which can create new overlaps, so the pass repeats until
 		// the response times stop moving — up to O(n) rounds.
 		for {
-			if canceled(cancel) {
+			if ctx.Err() != nil {
 				return nil, sched.ErrCanceled
 			}
 			for i := 0; i < n; i++ {
@@ -214,19 +199,6 @@ func analyze(img *engine.Image, ord *engine.Orders, cancel <-chan struct{}) (*sc
 		return nil, sched.DeadlineExceeded(res.Makespan)
 	}
 	return res, nil
-}
-
-// canceled polls a cancellation channel without blocking.
-func canceled(cancel <-chan struct{}) bool {
-	if cancel == nil {
-		return false
-	}
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // windower recomputes one task's window-overlap interference from the

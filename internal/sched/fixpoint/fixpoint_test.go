@@ -1,20 +1,32 @@
 package fixpoint
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the named
+// engine backend.
+func schedule(backend string, g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(backend).Analyze(context.Background(), img)
+}
 
 func TestFigure1(t *testing.T) {
 	g := gen.Figure1()
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	res, err := Schedule(g, opts)
+	res, err := schedule(engine.Fixpoint, g, opts)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -34,14 +46,14 @@ func TestFigure1(t *testing.T) {
 
 func TestEmptyAndSingle(t *testing.T) {
 	g := model.NewBuilder(2, 2).MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(engine.Fixpoint, g, sched.Options{})
 	if err != nil || res.Makespan != 0 {
 		t.Fatalf("empty: res=%v err=%v", res, err)
 	}
 	b := model.NewBuilder(1, 1)
 	b.AddTask(model.TaskSpec{WCET: 9, MinRelease: 4})
 	g = b.MustBuild()
-	res, err = Schedule(g, sched.Options{})
+	res, err = schedule(engine.Fixpoint, g, sched.Options{})
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}
@@ -52,7 +64,7 @@ func TestEmptyAndSingle(t *testing.T) {
 
 func TestDeadline(t *testing.T) {
 	g := gen.Figure1()
-	if _, err := Schedule(g, sched.Options{Deadline: 6}); !errors.Is(err, sched.ErrUnschedulable) {
+	if _, err := schedule(engine.Fixpoint, g, sched.Options{Deadline: 6}); !errors.Is(err, sched.ErrUnschedulable) {
 		t.Fatalf("deadline 6: err = %v, want unschedulable", err)
 	}
 	// The baseline checks the deadline on every intermediate iterate
@@ -61,10 +73,10 @@ func TestDeadline(t *testing.T) {
 	// horizon to 9 before the release adjustment deflates it back to the
 	// final makespan 7, so deadlines 7 and 8 are *conservatively* rejected
 	// — one more way the incremental algorithm is strictly better.
-	if _, err := Schedule(g, sched.Options{Deadline: 7}); !errors.Is(err, sched.ErrUnschedulable) {
+	if _, err := schedule(engine.Fixpoint, g, sched.Options{Deadline: 7}); !errors.Is(err, sched.ErrUnschedulable) {
 		t.Fatalf("deadline 7: err = %v, want conservative unschedulable", err)
 	}
-	if _, err := Schedule(g, sched.Options{Deadline: 9}); err != nil {
+	if _, err := schedule(engine.Fixpoint, g, sched.Options{Deadline: 9}); err != nil {
 		t.Fatalf("deadline 9: %v", err)
 	}
 }
@@ -80,7 +92,7 @@ func TestCrossCoreDeadlock(t *testing.T) {
 	b.SetOrder(0, []model.TaskID{a, bb})
 	b.SetOrder(1, []model.TaskID{c, d})
 	g := b.MustBuild()
-	if _, err := Schedule(g, sched.Options{}); !errors.Is(err, sched.ErrUnschedulable) {
+	if _, err := schedule(engine.Fixpoint, g, sched.Options{}); !errors.Is(err, sched.ErrUnschedulable) {
 		t.Fatalf("err = %v, want unschedulable (cross-core deadlock)", err)
 	}
 }
@@ -129,11 +141,11 @@ func TestCrossValidationAgainstIncremental(t *testing.T) {
 			g := gen.MustLayered(p)
 			opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
 
-			fast, err := incremental.Schedule(g, opts)
+			fast, err := schedule(engine.Incremental, g, opts)
 			if err != nil {
 				t.Fatalf("cfg %+v seed %d: incremental: %v", cfg, seed, err)
 			}
-			slow, err := Schedule(g, opts)
+			slow, err := schedule(engine.Fixpoint, g, opts)
 			if err != nil {
 				t.Fatalf("cfg %+v seed %d: fixpoint: %v", cfg, seed, err)
 			}
@@ -182,7 +194,7 @@ func TestConsistentAcrossArbiters(t *testing.T) {
 			p.Seed = seed
 			g := gen.MustLayered(p)
 			opts := sched.Options{Arbiter: arb}
-			slow, err := Schedule(g, opts)
+			slow, err := schedule(engine.Fixpoint, g, opts)
 			if err != nil {
 				t.Fatalf("%s seed %d: fixpoint: %v", arb.Name(), seed, err)
 			}
@@ -190,7 +202,7 @@ func TestConsistentAcrossArbiters(t *testing.T) {
 				t.Fatalf("%s seed %d: check: %v", arb.Name(), seed, err)
 			}
 			if arb.Name() == "none" {
-				fast, err := incremental.Schedule(g, opts)
+				fast, err := schedule(engine.Incremental, g, opts)
 				if err != nil {
 					t.Fatalf("%s seed %d: incremental: %v", arb.Name(), seed, err)
 				}
@@ -214,7 +226,7 @@ func TestConsistentWithMinReleases(t *testing.T) {
 			task.MinRelease = model.Cycles((i % 7) * 400)
 		}
 		opts := sched.Options{}
-		slow, err := Schedule(g, opts)
+		slow, err := schedule(engine.Fixpoint, g, opts)
 		if err != nil {
 			t.Fatalf("seed %d: fixpoint: %v", seed, err)
 		}
@@ -226,7 +238,7 @@ func TestConsistentWithMinReleases(t *testing.T) {
 
 func TestIterationsReported(t *testing.T) {
 	g := gen.Figure1()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(engine.Fixpoint, g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

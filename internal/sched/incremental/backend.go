@@ -20,7 +20,7 @@ func init() { engine.Register(engine.Incremental, backend{}) }
 // strand goroutines.
 func (backend) Analyze(ctx context.Context, img *engine.Image) (*sched.Result, error) {
 	st := newState(img, img.NewOrders())
-	st.cancel = img.CancelWith(ctx)
+	st.cancel = ctx.Done()
 	defer st.close()
 	return st.run()
 }

@@ -100,11 +100,11 @@ func BenchmarkRescheduleWarm(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.SwapOrder(0, pos)
-				if _, err := Schedule(g, sched.Options{}); err != nil {
+				if _, err := schedule(g, sched.Options{}); err != nil {
 					b.Fatal(err)
 				}
 				g.SwapOrder(0, pos)
-				if _, err := Schedule(g, sched.Options{}); err != nil {
+				if _, err := schedule(g, sched.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -104,13 +104,13 @@ func TestCachedFastPathMatchesOracle(t *testing.T) {
 			ci, p.Layers, p.LayerSize, p.Cores, p.Banks, p.SharedBank, arb.Name(), separate)
 
 		base := sched.Options{Arbiter: arb, SeparateCompetitors: separate}
-		fast, err := Schedule(g, base)
+		fast, err := schedule(g, base)
 		if err != nil {
 			t.Fatalf("%s: fast path: %v", label, err)
 		}
 		oracle := base
 		oracle.DisableFastPath = true
-		slow, err := Schedule(g, oracle)
+		slow, err := schedule(g, oracle)
 		if err != nil {
 			t.Fatalf("%s: oracle path: %v", label, err)
 		}
@@ -133,11 +133,11 @@ func TestOracleFlagReachesNonAdditiveArbiters(t *testing.T) {
 	p.Cores, p.Banks = 4, 4
 	g := gen.MustLayered(p)
 	arb := arbiter.NewTDM(4, 2)
-	a, err := Schedule(g, sched.Options{Arbiter: arb})
+	a, err := schedule(g, sched.Options{Arbiter: arb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Schedule(g, sched.Options{Arbiter: arb, DisableFastPath: true})
+	b, err := schedule(g, sched.Options{Arbiter: arb, DisableFastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,28 @@
 package incremental_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
-// ExampleSchedule analyzes the paper's Figure 1 task set and prints the
-// published schedule.
-func ExampleSchedule() {
+// Example analyzes the paper's Figure 1 task set and prints the published
+// schedule: the graph is compiled once into an image, and the registered
+// "incremental" backend analyzes the image.
+func Example() {
 	g := gen.Figure1()
-	res, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	img, err := engine.Compile(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
 	if err != nil {
 		fmt.Println("unschedulable:", err)
 		return
@@ -34,28 +42,36 @@ func ExampleSchedule() {
 	// makespan: 7
 }
 
-// ExampleSchedule_deadline shows unschedulability reporting.
-func ExampleSchedule_deadline() {
-	g := gen.Figure1()
-	_, err := incremental.Schedule(g, sched.Options{Deadline: 6})
+// Example_deadline shows unschedulability reporting.
+func Example_deadline() {
+	img, err := engine.Compile(gen.Figure1(), sched.Options{Deadline: 6})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	_, err = engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
 	fmt.Println(err)
 	// Output:
 	// unschedulable: deadline at t=7
 }
 
-// ExampleSchedule_trace shows the cursor event stream of Section IV.
-func ExampleSchedule_trace() {
+// Example_trace shows the cursor event stream of Section IV.
+func Example_trace() {
 	b := model.NewBuilder(2, 1)
 	p := b.AddTask(model.TaskSpec{Name: "prod", WCET: 3, Core: 0, Local: 2})
 	c := b.AddTask(model.TaskSpec{Name: "cons", WCET: 2, Core: 1, Local: 2})
 	b.AddEdge(p, c, 1)
 	g, _ := b.Build()
-	_, err := incremental.Schedule(g, sched.Options{Trace: func(e sched.Event) {
+	img, err := engine.Compile(g, sched.Options{Trace: func(e sched.Event) {
 		if e.Kind != sched.EventCursor {
 			fmt.Println(e)
 		}
 	}})
 	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	if _, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img); err != nil {
 		fmt.Println(err)
 	}
 	// Output:

@@ -42,7 +42,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 			t.Fatalf("generator produced invalid graph: %v", err)
 		}
 		opts := sched.Options{SeparateCompetitors: separate}
-		res, err := Schedule(g, opts)
+		res, err := schedule(g, opts)
 		if err != nil {
 			t.Fatalf("schedulable DAG rejected: %v", err)
 		}

@@ -33,9 +33,9 @@
 // The event loop reads a compiled engine.Image — flat per-task arrays, CSR
 // adjacency, one flat demand backing array — rather than the pointer-rich
 // model.Graph, and runs the per-core orders from a mutable engine.Orders
-// overlay. Package-level Schedule stays the compatibility entry point that
-// compiles per call; the engine backend ("incremental") and the warm-start
-// Scheduler reuse one image across runs.
+// overlay. The package registers the engine backend "incremental": callers
+// engine.Compile a graph once and run it through Engine.Analyze, or through
+// the warm-start Scheduler that NewWarm hands out.
 package incremental
 
 import (
@@ -50,25 +50,6 @@ import (
 
 // Algorithm is the name recorded in results produced by this package.
 const Algorithm = "incremental"
-
-// Schedule computes release dates and worst-case response times for g under
-// opts. It returns an error wrapping sched.ErrUnschedulable when the
-// configured deadline is crossed or the per-core orders deadlock against
-// the dependency DAG; the graph itself is never mutated.
-//
-// Schedule is the compatibility wrapper around the engine: it compiles a
-// fresh image on every call (validation, adjacency flattening, demand
-// layout) and analyzes it once. Callers that analyze the same graph many
-// times should engine.Compile once and go through the engine façade.
-func Schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
-	img, err := engine.Compile(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	st := newState(img, img.NewOrders())
-	defer st.close()
-	return st.run()
-}
 
 // slot is the per-core scheduling state: the alive task of the core (if
 // any) and its accumulated per-bank competitor demands.
@@ -110,7 +91,7 @@ type state struct {
 	// uncached reference oracle.
 	fast   bool
 	trace  func(sched.Event)
-	cancel <-chan struct{}
+	cancel <-chan struct{} // ctx.Done() of the current run
 
 	res *sched.Result
 
@@ -160,7 +141,7 @@ const (
 
 // newState builds the run state over a compiled image, reading the per-core
 // orders from ord. The image's compiled options select arbiter, deadline,
-// competitor merging, fast path, trace, and default cancellation.
+// competitor merging, fast path and trace; callers set cancel per run.
 func newState(img *engine.Image, ord *engine.Orders) *state {
 	n := img.NumTasks
 	s := &state{
@@ -171,7 +152,6 @@ func newState(img *engine.Image, ord *engine.Orders) *state {
 		separate: img.Opts.SeparateCompetitors,
 		fast:     img.Opts.Arbiter.Additive() && !img.Opts.DisableFastPath,
 		trace:    img.Opts.Trace,
-		cancel:   img.Opts.Cancel,
 		res:      sched.NewResult(Algorithm, n, img.Banks),
 		depsLeft: make([]int, n),
 		headIdx:  make([]int, img.Cores),

@@ -1,21 +1,33 @@
 package incremental
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 )
+
+// schedule is the cold reference run of this package's tests: compile g
+// under opts and analyze it once through the engine.
+func schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+}
 
 // TestFigure1 reproduces experiment E1: the paper's worked example must
 // yield exactly the published schedule — interference 1, 1, 0, 2, 0 on
 // n0..n4 and a global WCRT of 7 cycles under the round-robin arbiter.
 func TestFigure1(t *testing.T) {
 	g := gen.Figure1()
-	res, err := Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -41,7 +53,7 @@ func TestFigure1(t *testing.T) {
 // interference the same task set spans only 6 cycles.
 func TestFigure1NoInterference(t *testing.T) {
 	g := gen.Figure1()
-	res, err := Schedule(g, sched.Options{Arbiter: arbiter.NewNone()})
+	res, err := schedule(g, sched.Options{Arbiter: arbiter.NewNone()})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -72,7 +84,7 @@ func TestFigure2Partition(t *testing.T) {
 	var closedAt5, openedAt5 []model.TaskID
 	aliveNow := make(map[model.TaskID]bool)
 	var aliveJustBefore5 []model.TaskID
-	res, err := Schedule(g, sched.Options{Trace: func(e sched.Event) {
+	res, err := schedule(g, sched.Options{Trace: func(e sched.Event) {
 		switch e.Kind {
 		case sched.EventCursor:
 			if e.Time == 5 {
@@ -123,7 +135,7 @@ func TestSingleTask(t *testing.T) {
 	b := model.NewBuilder(1, 1)
 	b.AddTask(model.TaskSpec{WCET: 5, Local: 100})
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -134,7 +146,7 @@ func TestSingleTask(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := model.NewBuilder(2, 2).MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -149,7 +161,7 @@ func TestMinReleaseOnlyGap(t *testing.T) {
 	b := model.NewBuilder(1, 1)
 	b.AddTask(model.TaskSpec{WCET: 2, MinRelease: 1000})
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -171,7 +183,7 @@ func TestZeroWCETTasks(t *testing.T) {
 	b.AddEdge(a, c, 0)
 	b.AddEdge(c, d, 0)
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -185,7 +197,7 @@ func TestZeroWCETTasks(t *testing.T) {
 
 func TestDeadlineExceeded(t *testing.T) {
 	g := gen.Figure1()
-	_, err := Schedule(g, sched.Options{Deadline: 6}) // needs 7
+	_, err := schedule(g, sched.Options{Deadline: 6}) // needs 7
 	if !errors.Is(err, sched.ErrUnschedulable) {
 		t.Fatalf("err = %v, want unschedulable", err)
 	}
@@ -194,7 +206,7 @@ func TestDeadlineExceeded(t *testing.T) {
 		t.Fatalf("err = %v, want deadline reason", err)
 	}
 	// Exactly at the makespan, it must be schedulable.
-	if _, err := Schedule(g, sched.Options{Deadline: 7}); err != nil {
+	if _, err := schedule(g, sched.Options{Deadline: 7}); err != nil {
 		t.Fatalf("deadline 7 should be feasible: %v", err)
 	}
 }
@@ -213,7 +225,7 @@ func TestCrossCoreDeadlock(t *testing.T) {
 	b.SetOrder(0, []model.TaskID{a, bb})
 	b.SetOrder(1, []model.TaskID{c, d})
 	g := b.MustBuild()
-	_, err := Schedule(g, sched.Options{})
+	_, err := schedule(g, sched.Options{})
 	var ue *sched.UnschedulableError
 	if !errors.As(err, &ue) || ue.Reason != "deadlock" {
 		t.Fatalf("err = %v, want deadlock", err)
@@ -237,7 +249,7 @@ func TestDeadlockWithPendingMinReleases(t *testing.T) {
 	b.SetOrder(0, []model.TaskID{a, bb})
 	b.SetOrder(1, []model.TaskID{c, d})
 	g := b.MustBuild()
-	_, err := Schedule(g, sched.Options{})
+	_, err := schedule(g, sched.Options{})
 	if !errors.Is(err, sched.ErrUnschedulable) {
 		t.Fatalf("err = %v, want unschedulable", err)
 	}
@@ -251,7 +263,7 @@ func TestInterferenceMonotoneGrowth(t *testing.T) {
 		b.AddTask(model.TaskSpec{WCET: 10, Core: model.CoreID(i), Local: 8})
 	}
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -280,7 +292,7 @@ func TestLateArrivalExtendsAliveTask(t *testing.T) {
 	long := b.AddTask(model.TaskSpec{Name: "long", WCET: 100, Core: 0, Local: 50})
 	late := b.AddTask(model.TaskSpec{Name: "late", WCET: 10, Core: 1, Local: 20, MinRelease: 40})
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+	res, err := schedule(g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -304,7 +316,7 @@ func TestNoOverlapNoInterference(t *testing.T) {
 	c := b.AddTask(model.TaskSpec{WCET: 10, Core: 1, Local: 100})
 	b.AddEdge(p, c, 50)
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -323,7 +335,7 @@ func TestDisjointBanksNoInterference(t *testing.T) {
 	b.AddTask(model.TaskSpec{WCET: 10, Core: 0, Local: 100})
 	b.AddTask(model.TaskSpec{WCET: 10, Core: 1, Local: 100})
 	g := b.MustBuild()
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -336,7 +348,7 @@ func TestReleaseDatesNeverBeforeDependencies(t *testing.T) {
 	// Check on a realistic generated graph plus the independent checker.
 	g := gen.MustLayered(gen.NewParams(6, 8))
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-	res, err := Schedule(g, opts)
+	res, err := schedule(g, opts)
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -350,7 +362,7 @@ func TestAliveSetBoundedByCores(t *testing.T) {
 	g := gen.MustLayered(gen.NewParams(8, 12))
 	alive := 0
 	maxAlive := 0
-	_, err := Schedule(g, sched.Options{Trace: func(e sched.Event) {
+	_, err := schedule(g, sched.Options{Trace: func(e sched.Event) {
 		switch e.Kind {
 		case sched.EventOpen:
 			alive++
@@ -373,7 +385,7 @@ func TestEventCountLinear(t *testing.T) {
 	// The cursor visits at most ~2n events (finish dates + minimal
 	// releases), the other half of the complexity argument.
 	g := gen.MustLayered(gen.NewParams(10, 10))
-	res, err := Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -386,7 +398,7 @@ func TestEventCountLinear(t *testing.T) {
 func TestGraphNotMutated(t *testing.T) {
 	g := gen.Figure1()
 	before := g.Clone()
-	if _, err := Schedule(g, sched.Options{}); err != nil {
+	if _, err := schedule(g, sched.Options{}); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
 	for i := range g.Tasks() {
@@ -412,11 +424,11 @@ func TestSeparateCompetitorsMorePessimistic(t *testing.T) {
 		p.Cores, p.Banks = 4, 1
 		p.SharedBank = true
 		g := gen.MustLayered(p)
-		merged, err := Schedule(g, sched.Options{})
+		merged, err := schedule(g, sched.Options{})
 		if err != nil {
 			t.Fatalf("seed %d merged: %v", seed, err)
 		}
-		separate, err := Schedule(g, sched.Options{SeparateCompetitors: true})
+		separate, err := schedule(g, sched.Options{SeparateCompetitors: true})
 		if err != nil {
 			t.Fatalf("seed %d separate: %v", seed, err)
 		}
@@ -444,7 +456,7 @@ func TestAllArbitersProduceValidSchedules(t *testing.T) {
 	g := gen.MustLayered(p)
 	for _, arb := range arbiters {
 		opts := sched.Options{Arbiter: arb}
-		res, err := Schedule(g, opts)
+		res, err := schedule(g, opts)
 		if err != nil {
 			t.Errorf("%s: %v", arb.Name(), err)
 			continue

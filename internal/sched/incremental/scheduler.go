@@ -78,13 +78,12 @@ func (sc *Scheduler) Orders() *engine.Orders { return sc.ord }
 // for subsequent Reschedule calls. The returned Result is owned by the
 // Scheduler and valid only until the next call.
 //
-// Every call resolves its cancellation channel from ctx (see
-// engine.Image.CancelWith). A canceled call returns sched.ErrCanceled and
-// never corrupts the warm state: a canceled Analyze leaves the Scheduler
-// without a baseline (the next Reschedule runs cold), and a canceled
-// Reschedule leaves the committed checkpoints untouched.
+// Every call is canceled through its ctx. A canceled call returns
+// sched.ErrCanceled and never corrupts the warm state: a canceled Analyze
+// leaves the Scheduler without a baseline (the next Reschedule runs cold),
+// and a canceled Reschedule leaves the committed checkpoints untouched.
 func (sc *Scheduler) Analyze(ctx context.Context) (*sched.Result, error) {
-	sc.st.cancel = sc.img.CancelWith(ctx)
+	sc.st.cancel = ctx.Done()
 	sc.st.reset()
 	sc.snaps = sc.snaps[:0]
 	sc.tick = 0
@@ -111,7 +110,7 @@ func (sc *Scheduler) Analyze(ctx context.Context) (*sched.Result, error) {
 // differential comparisons against Reschedule. The committed warm baseline,
 // if any, survives.
 func (sc *Scheduler) AnalyzeCold(ctx context.Context) (*sched.Result, error) {
-	sc.st.cancel = sc.img.CancelWith(ctx)
+	sc.st.cancel = ctx.Done()
 	sc.st.reset()
 	return sc.st.run()
 }
@@ -138,7 +137,7 @@ func (sc *Scheduler) Reschedule(ctx context.Context, edits ...engine.Edit) (*sch
 	if !sc.base {
 		return sc.Analyze(ctx)
 	}
-	sc.st.cancel = sc.img.CancelWith(ctx)
+	sc.st.cancel = ctx.Done()
 	for i := len(sc.snaps) - 1; i >= 0; i-- {
 		if snapSafe(&sc.snaps[i], edits) {
 			sc.st.restore(&sc.snaps[i])

@@ -25,7 +25,7 @@ func compiledScheduler(t testing.TB, g *model.Graph, opts sched.Options) *Schedu
 
 // lockstep pairs a Scheduler with the graph its image was compiled from and
 // applies every adjacent swap to both: the scheduler analyzes its order
-// overlay, and the graph stays the cold Schedule(g) reference for the same
+// overlay, and the graph stays the cold schedule(g) reference for the same
 // orders.
 type lockstep struct {
 	*Scheduler
@@ -93,7 +93,7 @@ func sampleSites(sites [][2]int, max int) [][2]int {
 func assertWarmMatchesCold(t *testing.T, label string, l *lockstep, opts sched.Options, edits ...engine.Edit) {
 	t.Helper()
 	warm, werr := l.Reschedule(context.Background(), edits...)
-	cold, cerr := Schedule(l.g, opts)
+	cold, cerr := schedule(l.g, opts)
 	if (werr == nil) != (cerr == nil) {
 		t.Fatalf("%s: warm err %v, cold err %v", label, werr, cerr)
 	}
@@ -146,7 +146,7 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: base schedule: %v", label, err)
 		}
-		baseCold, err := Schedule(g, opts)
+		baseCold, err := schedule(g, opts)
 		if err != nil {
 			t.Fatalf("%s: base cold: %v", label, err)
 		}
@@ -230,7 +230,7 @@ func TestWarmStartFrontSwapFallsBackCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseCopy, err := Schedule(g, opts)
+	baseCopy, err := schedule(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRescheduleWithoutBaseBehavesAsSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Schedule(g, opts)
+	cold, err := schedule(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

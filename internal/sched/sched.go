@@ -5,15 +5,18 @@
 // invariant checker, and an ASCII Gantt renderer in the style of the
 // paper's Figure 1.
 //
-// The actual algorithms live in the subpackages:
+// The actual algorithms live in the subpackages, which register themselves
+// as engine backends:
 //
 //   - sched/incremental — the paper's contribution, the O(n²) time-cursor
 //     algorithm (Algorithm 1);
 //   - sched/fixpoint — the O(n⁴) double fixed-point baseline of Rihani et
 //     al. (RTNS 2016) that the paper improves upon.
 //
-// Both consume the same inputs and produce the same Result type, and are
-// cross-validated for bit-identical outputs in the integration tests.
+// Both are reached the same way: engine.Compile folds a graph and its
+// Options into an image, and Engine.Analyze(ctx, img) runs a backend on
+// it, producing the same Result type. The integration tests cross-validate
+// the two.
 package sched
 
 import (
@@ -24,9 +27,11 @@ import (
 	"github.com/mia-rt/mia/internal/model"
 )
 
-// Options parameterizes a scheduling run. The zero value asks for a flat
+// Options parameterizes a scheduling run; engine.Compile folds them into
+// the image every run of that image uses. The zero value asks for a flat
 // round-robin bus with single-cycle service, no deadline, and the paper's
-// same-core competitor merging.
+// same-core competitor merging. Options carry no cancellation: a run is
+// canceled through the ctx passed to Engine.Analyze or to a Warm method.
 type Options struct {
 	// Arbiter is the bus-arbitration policy (IBUS). Nil selects flat
 	// round-robin with WordLatency 1.
@@ -58,12 +63,6 @@ type Options struct {
 	// fixed-point baseline, which has no cursor.
 	Trace func(Event)
 
-	// Cancel, when non-nil and closed, aborts the analysis with
-	// ErrCanceled at the next algorithm step. The benchmark harness uses
-	// it to impose wall-clock timeouts on the O(n⁴) baseline, as the
-	// paper's benchmarks do.
-	Cancel <-chan struct{}
-
 	// Parallelism is the number of worker goroutines a backend may use
 	// *inside* one analysis: the per-event Alive-set exchange of the
 	// incremental scheduler, the per-round interference pass of the
@@ -85,19 +84,6 @@ func (o Options) Workers() int {
 		return 1
 	}
 	return o.Parallelism
-}
-
-// Canceled reports whether the options' cancel channel is closed.
-func (o Options) Canceled() bool {
-	if o.Cancel == nil {
-		return false
-	}
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // EffectiveArbiter resolves the arbitration policy, applying the default.
@@ -172,8 +158,8 @@ func (e Event) String() string {
 // callers can test errors.Is(err, sched.ErrUnschedulable).
 var ErrUnschedulable = errors.New("unschedulable")
 
-// ErrCanceled reports an analysis aborted through Options.Cancel. It is a
-// measurement artifact (timeout), not a schedulability verdict.
+// ErrCanceled reports an analysis aborted because its context was done. It
+// is a measurement artifact (timeout), not a schedulability verdict.
 var ErrCanceled = errors.New("analysis canceled")
 
 // UnschedulableError reports why and when an analysis gave up.

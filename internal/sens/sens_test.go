@@ -5,11 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the
+// "incremental" engine backend.
+func schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+}
 
 func TestMaxWCETScaleFigure1(t *testing.T) {
 	g := gen.Figure1() // makespan 7 under RR
@@ -26,7 +37,7 @@ func TestMaxWCETScaleFigure1(t *testing.T) {
 	check := func(p int64) bool {
 		c := g.Clone()
 		scaleWCETs(c, p)
-		_, err := incremental.Schedule(c, sched.Options{Deadline: 14})
+		_, err := schedule(c, sched.Options{Deadline: 14})
 		return err == nil
 	}
 	if !check(scale) {
@@ -107,12 +118,12 @@ func TestCriticality(t *testing.T) {
 	for _, s := range slacks {
 		c := g.Clone()
 		c.Task(s.Task).WCET += s.Slack
-		if _, err := incremental.Schedule(c, sched.Options{Deadline: 10}); err != nil {
+		if _, err := schedule(c, sched.Options{Deadline: 10}); err != nil {
 			t.Errorf("%s: slack %d infeasible", s.Task, s.Slack)
 		}
 		c = g.Clone()
 		c.Task(s.Task).WCET += s.Slack + 1
-		if _, err := incremental.Schedule(c, sched.Options{Deadline: 10}); err == nil {
+		if _, err := schedule(c, sched.Options{Deadline: 10}); err == nil {
 			t.Errorf("%s: slack %d not maximal", s.Task, s.Slack)
 		}
 	}

@@ -86,8 +86,7 @@ type Config struct {
 	// with 429 without touching analyze/reschedule capacity.
 	MaxJobs int
 	// Sched is the base option set for every analysis (arbiter, competitor
-	// merging, ...). Trace and Cancel are ignored: traces would race across
-	// workers, and cancellation is wired per request.
+	// merging, ...). Trace is ignored: traces would race across workers.
 	Sched sched.Options
 }
 
@@ -117,7 +116,6 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 2
 	}
 	c.Sched.Trace = nil
-	c.Sched.Cancel = nil
 	return c
 }
 

@@ -1,16 +1,28 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/fixpoint"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/fixpoint"    // registers the "fixpoint" engine backend
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the named
+// engine backend.
+func schedule(backend string, g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(backend).Analyze(context.Background(), img)
+}
 
 func allPatterns() []Pattern { return []Pattern{Front, Back, Spread, Shuffled} }
 
@@ -135,15 +147,15 @@ func TestScaledExecution(t *testing.T) {
 // workloads, for every access pattern and for executions at and below the
 // WCET, every simulated task must finish within its analyzed window.
 func TestSoundnessAgainstIncremental(t *testing.T) {
-	soundnessAgainst(t, "incremental", incremental.Schedule)
+	soundnessAgainst(t, engine.Incremental)
 }
 
 // TestSoundnessAgainstFixpoint repeats E9 for the baseline analysis.
 func TestSoundnessAgainstFixpoint(t *testing.T) {
-	soundnessAgainst(t, "fixpoint", fixpoint.Schedule)
+	soundnessAgainst(t, engine.Fixpoint)
 }
 
-func soundnessAgainst(t *testing.T, name string, analyze func(*model.Graph, sched.Options) (*sched.Result, error)) {
+func soundnessAgainst(t *testing.T, name string) {
 	t.Helper()
 	configs := []struct {
 		layers, size, cores, banks int
@@ -161,7 +173,7 @@ func soundnessAgainst(t *testing.T, name string, analyze func(*model.Graph, sche
 			p.Seed, p.Cores, p.Banks, p.SharedBank = seed, cfg.cores, cfg.banks, cfg.shared
 			g := gen.MustLayered(p)
 			opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
-			res, err := analyze(g, opts)
+			res, err := schedule(name, g, opts)
 			if err != nil {
 				t.Fatalf("%s cfg %+v seed %d: %v", name, cfg, seed, err)
 			}
@@ -202,7 +214,7 @@ func TestInterferenceIsReal(t *testing.T) {
 	b.AddTask(model.TaskSpec{WCET: 20, Core: 0, Local: 15})
 	b.AddTask(model.TaskSpec{WCET: 20, Core: 1, Local: 15})
 	g := b.MustBuild()
-	naive, err := incremental.Schedule(g, sched.Options{Arbiter: arbiter.NewNone()})
+	naive, err := schedule(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewNone()})
 	if err != nil {
 		t.Fatalf("naive schedule: %v", err)
 	}
@@ -237,7 +249,7 @@ func TestStallAccounting(t *testing.T) {
 	p := gen.NewParams(3, 4)
 	p.Cores, p.Banks, p.SharedBank = 4, 1, true
 	g := gen.MustLayered(p)
-	res, err := incremental.Schedule(g, sched.Options{})
+	res, err := schedule(engine.Incremental, g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}

@@ -2,14 +2,16 @@ package stg
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/mapper"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 // sample is a 5-task STG: dummy source 0, diamond 1-2-3, dummy sink 4.
@@ -120,9 +122,13 @@ func TestToProblemAndSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	res, err := incremental.Schedule(mg, sched.Options{})
+	img, err := engine.Compile(mg, sched.Options{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Compile: %v", err)
+	}
+	res, err := engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
 	}
 	if err := sched.Check(mg, sched.Options{}, res); err != nil {
 		t.Fatalf("Check: %v", err)

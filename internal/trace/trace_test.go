@@ -2,21 +2,33 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
-	"github.com/mia-rt/mia/internal/sched/incremental"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
+
+// schedule compiles g under opts and runs one cold analysis with the
+// "incremental" engine backend.
+func schedule(g *model.Graph, opts sched.Options) (*sched.Result, error) {
+	img, err := engine.Compile(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.MustNew(engine.Incremental).Analyze(context.Background(), img)
+}
 
 func recordFigure2(t *testing.T) (*model.Graph, *Recorder, *sched.Result) {
 	t.Helper()
 	g := gen.Figure2()
 	var rec Recorder
-	res, err := incremental.Schedule(g, sched.Options{Trace: rec.Hook()})
+	res, err := schedule(g, sched.Options{Trace: rec.Hook()})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -102,7 +114,7 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWriteScheduleCSV(t *testing.T) {
 	g := gen.Figure1()
-	res, err := incremental.Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
@@ -125,7 +137,7 @@ func TestWriteScheduleCSV(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	g := gen.Figure1()
-	res, err := incremental.Schedule(g, sched.Options{})
+	res, err := schedule(g, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
