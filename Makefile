@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel ci clean
+.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel loc ci clean
 
 all: build
 
@@ -130,6 +130,11 @@ serve-load-smoke:
 # ./...` stays exec-free.
 serve-shard-smoke:
 	$(GO) test -race -tags servesmoke -run TestServeShardSmoke -v ./cmd/miaload
+
+# Size of the product code: non-test Go lines outside perfbench/, the
+# measure the ROADMAP tracks from change to change.
+loc:
+	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 ci: lint build race fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
 

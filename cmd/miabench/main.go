@@ -68,7 +68,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		full      = fs.Bool("full", false, "larger size sweeps (the quick default finishes in minutes)")
 		timeout   = fs.Duration("timeout", 60*time.Second, "per-run timeout for either algorithm")
 		jobs      = fs.Int("jobs", 1, "measure this many sweep points concurrently (0 = one per CPU); outputs are identical at every level, only wall-clock fidelity differs")
-		parallel  = fs.Int("parallel", 0, "intra-analysis worker goroutines per run (0 or 1 = sequential; results are bit-identical at every level)")
 		seed      = fs.Int64("seed", 1, "generation seed")
 		cores     = fs.Int("cores", 16, "platform cores")
 		banks     = fs.Int("banks", 16, "platform banks")
@@ -108,8 +107,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		progress = nil
 	}
 	base := bench.Config{Seed: *seed, Cores: *cores, Banks: *banks, SharedBank: *shared,
-		Timeout: *timeout, Arbiter: arbiter.NewRoundRobin(1), Jobs: pool.Jobs(*jobs),
-		Parallelism: *parallel}
+		Timeout: *timeout, Arbiter: arbiter.NewRoundRobin(1), Jobs: pool.Jobs(*jobs)}
 
 	switch {
 	case *headline:

@@ -58,8 +58,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		deadline  = fs.Int64("deadline", 0, "global deadline in cycles (0 = none)")
 		crit      = fs.Bool("criticality", false, "print per-task WCET slack under the deadline (needs -deadline)")
 		separate  = fs.Bool("separate", false, "disable same-core competitor merging (paper §II.C ablation)")
-		oracle    = fs.Bool("oracle", false, "disable the cached-IBUS fast path; run the uncached reference analysis (differential-testing oracle)")
-		parallel  = fs.Int("parallel", 0, "intra-analysis worker goroutines (0 or 1 = sequential; results are bit-identical at every level)")
+		oracle    = fs.Bool("oracle", false, "hide the arbiter's additivity, so the cached-IBUS fast path is off and the uncached reference analysis runs (differential-testing oracle)")
 		gantt     = fs.Int("gantt", 0, "print an ASCII Gantt chart this many columns wide")
 		svg       = fs.String("svg", "", "write a Figure 1-style SVG Gantt chart to this file")
 		chrome    = fs.String("chrome", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
@@ -122,8 +121,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Arbiter:             arb,
 		Deadline:            model.Cycles(*deadline),
 		SeparateCompetitors: *separate,
-		DisableFastPath:     *oracle,
-		Parallelism:         *parallel,
+	}
+	if *oracle {
+		opts.Arbiter = arbiter.NonAdditive{Inner: arb}
 	}
 	var rec trace.Recorder
 	if *events || *partition >= 0 {

@@ -64,7 +64,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		timeout = fs.Duration("timeout", 30*time.Second, "default per-request deadline (override per request with ?timeout_ms=)")
 		drain   = fs.Duration("drain", 15*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		arbName = fs.String("arbiter", "rr", `bus policy: "rr", "hier-rr", "tree-rr", "wrr", "tdm", "fp" or "none"`)
-		par     = fs.Int("parallel", 0, "intra-analysis worker goroutines per request (0 or 1 = sequential; results are bit-identical at every level)")
 		latency = fs.Int64("latency", 1, "bank word latency in cycles")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (loopback clients only)")
 	)
@@ -82,7 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		WarmCacheSize:  *cache,
 		GraphCacheSize: *graphs,
 		DefaultTimeout: *timeout,
-		Sched:          sched.Options{Arbiter: arb, Deadline: model.Cycles(0), Parallelism: *par},
+		Sched:          sched.Options{Arbiter: arb, Deadline: model.Cycles(0)},
 	})
 
 	ln, err := net.Listen("tcp", *addr)

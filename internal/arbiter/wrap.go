@@ -3,10 +3,11 @@ package arbiter
 import "github.com/mia-rt/mia/internal/model"
 
 // NonAdditive wraps an arbiter and hides its additivity, forcing the
-// schedulers onto their general full-recomputation path. It exists for the
-// ablation experiment quantifying the additive fast path (Section II.C
-// notes that exploiting additivity "could simplify and speed up the
-// algorithm"); it has no production use.
+// schedulers onto their general full-recomputation path. It is the oracle
+// the additive fast path is differentially tested against (miasched
+// -oracle), and it serves the ablation experiment quantifying that path
+// (Section II.C notes that exploiting additivity "could simplify and speed
+// up the algorithm").
 type NonAdditive struct {
 	Inner Arbiter
 }

@@ -86,13 +86,6 @@ type Config struct {
 	// are the artifact.
 	Jobs int
 
-	// Parallelism is the intra-analysis worker count passed through to the
-	// compiled images (sched.Options.Parallelism): it parallelizes each
-	// single analysis internally, orthogonally to Jobs' cross-point
-	// concurrency. Analysis outputs are bit-identical at every level; only
-	// the seconds change.
-	Parallelism int
-
 	// stopwatch, when non-nil, replaces the wall-clock timer: it is called
 	// at the start of a run and returns the elapsed-seconds reader. The
 	// determinism tests inject a fake so CSV/report bytes can be compared
@@ -217,7 +210,7 @@ func RunPanelContext(ctx context.Context, cfg Config, algos []Algorithm, progres
 		if err != nil {
 			return nil, err
 		}
-		img, err := engine.Compile(g, sched.Options{Arbiter: cfg.Arbiter, Parallelism: cfg.Parallelism})
+		img, err := engine.Compile(g, sched.Options{Arbiter: cfg.Arbiter})
 		if err != nil {
 			return nil, err
 		}
@@ -433,17 +426,4 @@ func (p *Panel) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Figure3Configs returns the six panels of the paper's Figure 3 with the
-// given size lists (quick defaults live in cmd/miabench).
-func Figure3Configs(lsSizes, nlSizes map[int][]int, timeout time.Duration) []Config {
-	var configs []Config
-	for _, fixed := range []int{4, 16, 64} {
-		configs = append(configs, Config{Family: "LS", Fixed: fixed, Sizes: lsSizes[fixed], Timeout: timeout})
-	}
-	for _, fixed := range []int{4, 16, 64} {
-		configs = append(configs, Config{Family: "NL", Fixed: fixed, Sizes: nlSizes[fixed], Timeout: timeout})
-	}
-	return configs
 }

@@ -124,27 +124,6 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
-func TestFigure3Configs(t *testing.T) {
-	ls := map[int][]int{4: {16}, 16: {32}, 64: {64}}
-	nl := map[int][]int{4: {16}, 16: {32}, 64: {64}}
-	configs := Figure3Configs(ls, nl, time.Second)
-	if len(configs) != 6 {
-		t.Fatalf("%d configs, want 6", len(configs))
-	}
-	names := map[string]bool{}
-	for _, c := range configs {
-		names[c.Name()] = true
-		if c.Timeout != time.Second {
-			t.Errorf("%s timeout = %v", c.Name(), c.Timeout)
-		}
-	}
-	for _, want := range []string{"LS4", "LS16", "LS64", "NL4", "NL16", "NL64"} {
-		if !names[want] {
-			t.Errorf("missing panel %s", want)
-		}
-	}
-}
-
 func TestLSAndNLFamiliesShapeGraphsDifferently(t *testing.T) {
 	lsCfg := Config{Family: "LS", Fixed: 4}
 	p, err := lsCfg.params(32)

@@ -26,9 +26,6 @@ func (img *Image) NewOrders() *Orders {
 	return &Orders{img: img, flat: flat, view: view}
 }
 
-// Cores returns the number of per-core orders.
-func (o *Orders) Cores() int { return len(o.view) }
-
 // Order returns core k's current execution order. The slice aliases the
 // overlay's backing array: it reflects later Swap/Set calls and must not
 // be mutated directly.

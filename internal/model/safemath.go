@@ -34,15 +34,6 @@ func SatMulCycles(a, b Cycles) Cycles {
 	return Cycles(satMul64(int64(a), int64(b)))
 }
 
-// SatMulAccesses multiplies two access counts, saturating at Infinity's
-// numeric value. Negative operands multiply exactly.
-func SatMulAccesses(a, b Accesses) Accesses {
-	if a < 0 || b < 0 {
-		return a * b
-	}
-	return Accesses(satMul64(int64(a), int64(b)))
-}
-
 // ScaleAccesses converts n shared-memory accesses at perAccess cycles each
 // into a cycle count, saturating at Infinity. This is the canonical
 // slots·latency step of every arbiter interference bound; MaxInput bounds

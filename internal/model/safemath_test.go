@@ -46,18 +46,6 @@ func TestSatMulCyclesNeverBelowExactOnSaturation(t *testing.T) {
 	}
 }
 
-func TestSatMulAccesses(t *testing.T) {
-	if got := SatMulAccesses(3, 4); got != 12 {
-		t.Errorf("SatMulAccesses(3, 4) = %d, want 12", got)
-	}
-	if got := SatMulAccesses(1<<40, 1<<40); got != Accesses(Infinity) {
-		t.Errorf("SatMulAccesses(2^40, 2^40) = %d, want Infinity", got)
-	}
-	if got := SatMulAccesses(-2, 8); got != -16 {
-		t.Errorf("SatMulAccesses(-2, 8) = %d, want exact -16", got)
-	}
-}
-
 func TestScaleAccesses(t *testing.T) {
 	if got := ScaleAccesses(10, 5); got != 50 {
 		t.Errorf("ScaleAccesses(10, 5) = %d, want 50", got)

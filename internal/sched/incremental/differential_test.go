@@ -77,9 +77,9 @@ func identical(t *testing.T, label string, fast, slow *sched.Result) {
 // TestCachedFastPathMatchesOracle is the differential property test behind
 // the cached-IBUS kernel: on every corpus instance, under every additive
 // arbiter and both competitor-merging modes, the memoized fast path must
-// produce a bit-identical schedule to the uncached reference path
-// (Options.DisableFastPath), which recomputes the full bound over the
-// competitor set at every update.
+// produce a bit-identical schedule to the uncached reference path (the same
+// arbiter wrapped in arbiter.NonAdditive), which recomputes the full bound
+// over the competitor set at every update.
 func TestCachedFastPathMatchesOracle(t *testing.T) {
 	arbiters := []arbiter.Arbiter{
 		arbiter.NewRoundRobin(1),
@@ -109,7 +109,7 @@ func TestCachedFastPathMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: fast path: %v", label, err)
 		}
 		oracle := base
-		oracle.DisableFastPath = true
+		oracle.Arbiter = arbiter.NonAdditive{Inner: arb}
 		slow, err := schedule(g, oracle)
 		if err != nil {
 			t.Fatalf("%s: oracle path: %v", label, err)
@@ -125,9 +125,10 @@ func TestCachedFastPathMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestOracleFlagReachesNonAdditiveArbiters pins the flag's semantics for
-// policies that never had a fast path: DisableFastPath must be a no-op, not
-// an error or a different schedule.
+// TestOracleFlagReachesNonAdditiveArbiters pins the oracle's semantics for
+// policies that never had a fast path: wrapping them in arbiter.NonAdditive
+// (what miasched -oracle does) must be a no-op, not an error or a different
+// schedule.
 func TestOracleFlagReachesNonAdditiveArbiters(t *testing.T) {
 	p := gen.NewParams(6, 6)
 	p.Cores, p.Banks = 4, 4
@@ -137,7 +138,7 @@ func TestOracleFlagReachesNonAdditiveArbiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := schedule(g, sched.Options{Arbiter: arb, DisableFastPath: true})
+	b, err := schedule(g, sched.Options{Arbiter: arbiter.NonAdditive{Inner: arb}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,9 @@ const (
 )
 
 // newState builds the run state over a compiled image, reading the per-core
-// orders from ord. The image's compiled options select arbiter, deadline,
-// competitor merging, fast path and trace; callers set cancel per run.
+// orders from ord. The image's compiled options select arbiter (whose
+// additivity selects the fast path), deadline, competitor merging and trace;
+// callers set cancel per run.
 func newState(img *engine.Image, ord *engine.Orders) *state {
 	n := img.NumTasks
 	s := &state{
@@ -150,7 +151,7 @@ func newState(img *engine.Image, ord *engine.Orders) *state {
 		arb:      img.Opts.Arbiter,
 		deadline: img.Opts.Deadline,
 		separate: img.Opts.SeparateCompetitors,
-		fast:     img.Opts.Arbiter.Additive() && !img.Opts.DisableFastPath,
+		fast:     img.Opts.Arbiter.Additive(),
 		trace:    img.Opts.Trace,
 		res:      sched.NewResult(Algorithm, n, img.Banks),
 		depsLeft: make([]int, n),

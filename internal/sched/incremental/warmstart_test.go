@@ -130,16 +130,16 @@ func TestWarmStartMatchesColdSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus[%d]: %v", ci, err)
 		}
-		opts := sched.Options{
-			Arbiter:             arbiters[ci%len(arbiters)],
-			SeparateCompetitors: ci%2 == 1,
+		arb := arbiters[ci%len(arbiters)]
+		if ci%5 == 4 {
 			// Exercise the uncached oracle path under warm start too: the
 			// checkpoint/replay machinery must be path-agnostic.
-			DisableFastPath: ci%5 == 4,
+			arb = arbiter.NonAdditive{Inner: arb}
 		}
-		label := fmt.Sprintf("corpus[%d] %d layers × %d, %d×%d shared=%v arb=%s separate=%v oracle=%v",
+		opts := sched.Options{Arbiter: arb, SeparateCompetitors: ci%2 == 1}
+		label := fmt.Sprintf("corpus[%d] %d layers × %d, %d×%d shared=%v arb=%s separate=%v",
 			ci, p.Layers, p.LayerSize, p.Cores, p.Banks, p.SharedBank,
-			opts.EffectiveArbiter().Name(), opts.SeparateCompetitors, opts.DisableFastPath)
+			arb.Name(), opts.SeparateCompetitors)
 
 		l := newLockstep(t, g, opts)
 		baseWarm, err := l.Analyze(ctx)

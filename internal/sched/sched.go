@@ -34,7 +34,9 @@ import (
 // canceled through the ctx passed to Engine.Analyze or to a Warm method.
 type Options struct {
 	// Arbiter is the bus-arbitration policy (IBUS). Nil selects flat
-	// round-robin with WordLatency 1.
+	// round-robin with WordLatency 1. Wrapping it in arbiter.NonAdditive
+	// forces the incremental scheduler onto its uncached reference path,
+	// the differential-testing oracle of the additive fast path.
 	Arbiter arbiter.Arbiter
 
 	// Deadline aborts the analysis as unschedulable when the schedule
@@ -47,15 +49,6 @@ type Options struct {
 	// default because the paper reports it to be *less* pessimistic; this
 	// flag exists for the ablation experiment quantifying that claim.
 	SeparateCompetitors bool
-
-	// DisableFastPath forces the incremental scheduler onto its uncached
-	// reference path: every interference update re-evaluates the full
-	// arbiter bound over the accumulated competitor set, even for additive
-	// policies whose cached per-competitor terms would allow an O(1)
-	// update. The two paths are differentially tested for bit-identical
-	// schedules; this flag exists so the slow path stays reachable as the
-	// oracle (and to quantify the cache's speedup in benchmarks).
-	DisableFastPath bool
 
 	// Trace, when non-nil, receives the incremental scheduler's event
 	// stream (cursor advances, openings, closings, interference updates) —
@@ -73,8 +66,8 @@ type Options struct {
 	// fixed, size-derived boundaries and each partition replays the exact
 	// per-destination accumulation order of the sequential code, so the
 	// reduction is deterministic by construction (see DESIGN §3.7), not by
-	// synchronization. Parallelism composes with, and is independent of,
-	// analysis-level concurrency such as bench sweeps' Jobs.
+	// synchronization. No command exposes it and the serving shard clears
+	// it; it remains for perfbench's measurement and the engine's tests.
 	Parallelism int
 }
 

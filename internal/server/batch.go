@@ -44,21 +44,20 @@ type batchItem struct {
 // requests — a full queue answers 429 before the first byte is streamed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.batch.Add(1)
-	hash, items, errRep := s.parseBatch(r)
+	img, items, errRep := s.parseBatch(r)
 	if errRep != nil {
 		s.writeReply(w, *errRep)
 		return
 	}
 	s.met.observeBatchItems(len(items))
-	s.streamBatch(w, r, hash, items)
+	s.streamBatch(w, r, img, items)
 }
 
-// parseBatch resolves a batch request body into a registered image
-// fingerprint plus the scenario list. On any failure it returns the reply
-// to send instead.
-func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
-	fail := func(status int, msg string) (string, []batchItem, *reply) {
-		return "", nil, &reply{status: status, body: errBody(msg)}
+// parseBatch resolves a batch request body into a registered image plus the
+// scenario list. On any failure it returns the reply to send instead.
+func (s *Server) parseBatch(r *http.Request) (*engine.Image, []batchItem, *reply) {
+	fail := func(status int, msg string) (*engine.Image, []batchItem, *reply) {
+		return nil, nil, &reply{status: status, body: errBody(msg)}
 	}
 	var img *engine.Image
 	var items []batchItem
@@ -93,24 +92,24 @@ func (s *Server) parseBatch(r *http.Request) (string, []batchItem, *reply) {
 		}
 		var rep *reply
 		if img, rep = s.resolveGraph(req.Hash, req.Graph); rep != nil {
-			return "", nil, rep
+			return nil, nil, rep
 		}
 		items = req.Items
 	}
 	if len(items) == 0 {
 		return fail(http.StatusBadRequest, "batch has no items")
 	}
-	hash := img.Fingerprint()
-	s.images.put(hash, img)
-	return hash, items, nil
+	return s.images.put(img.Fingerprint(), img), items, nil
 }
 
 // streamBatch admits the scenario list as one worker job and streams its
-// NDJSON results. The result channel is buffered for the full batch, so the
-// worker never blocks on the handler: a slow or gone client cannot pin a
-// worker, and on cancellation every result computed so far is still in the
-// channel for the handler's final drain.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string, items []batchItem) {
+// NDJSON results. The worker evaluates every item against img itself, so
+// the registry dropping the fingerprint meanwhile cannot fail the batch.
+// The result channel is buffered for the full batch, so the worker never
+// blocks on the handler: a slow or gone client cannot pin a worker, and on
+// cancellation every result computed so far is still in the channel for
+// the handler's final drain.
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, img *engine.Image, items []batchItem) {
 	start := time.Now()
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
@@ -122,6 +121,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string
 		rep reply
 	}
 	results := make(chan result, len(items))
+	hash := img.Fingerprint()
 	if !s.admit(w, func(wk *worker) {
 		if s.gate != nil {
 			s.gate()
@@ -140,7 +140,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, hash string
 			}
 			swaps := items[i].Swaps
 			rep := safeJob(ctx, wk, func(ctx context.Context, wk *worker) reply {
-				return wk.whatIf(ctx, s, hash, swaps, memo)
+				return wk.whatIf(ctx, s, img, hash, swaps, memo)
 			})
 			results <- result{i, rep}
 		}

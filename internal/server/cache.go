@@ -7,160 +7,80 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 )
 
-// closeWarmFn releases a retired analyzer's resources (parked kernel
-// workers). A package variable so tests can intercept closes and assert an
-// in-use analyzer is never freed.
-var closeWarmFn = engine.CloseWarm
-
 // warmEntry is one worker's warm analysis state for one graph fingerprint: a
 // warm analyzer over the shared compiled image. The analyzer's private order
-// overlay is the committed checkpoint baseline; reschedule requests permute
-// it and undo afterwards. Entries are confined to the worker that built
-// them, so nothing here is synchronized — the image itself is immutable and
-// shared by every worker's entry for the fingerprint.
-//
-// refs/retired make the eviction/in-use interaction safe by construction: a
-// handler brackets its use of the analyzer with acquire/release, and the
-// cache marks displaced entries retired instead of closing them directly.
-// The underlying analyzer is closed exactly once, at whichever of "last
-// release" and "retire" happens second — so an LRU eviction landing while
-// the evicted entry is still mid-analysis (today impossible only because
-// both happen on one worker goroutine) can never free state the analysis is
-// standing on.
+// overlay is the committed checkpoint baseline; scenarios permute it and
+// undo afterwards. An entry lives only in the cache of the worker that built
+// it and is touched only on that worker's goroutine, so nothing here is
+// synchronized and an eviction — which happens inside that same worker's
+// add — can never land on an entry in use. The analyzer owns no goroutines
+// (see Config.Sched), so an evicted entry is simply dropped. The image
+// itself is immutable and shared by every worker's entry for the
+// fingerprint.
 type warmEntry struct {
-	hash string
-	img  *engine.Image
-	w    engine.Warm
-
-	refs    int
-	retired bool
-	closed  bool
+	img *engine.Image
+	w   engine.Warm
 }
 
-// newWarmEntry binds a fresh warm analyzer to the shared image for exclusive
-// use by one worker. No graph is cloned: the image is the worker-shared,
-// immutable problem statement, and the analyzer's order overlay is the only
-// per-worker mutable state.
-func newWarmEntry(hash string, img *engine.Image) *warmEntry {
-	return &warmEntry{hash: hash, img: img, w: eng.NewWarm(img)}
-}
-
-// acquire marks the entry in use by one request. Pair with release.
-func (e *warmEntry) acquire() { e.refs++ }
-
-// release drops one use; the last release of a retired entry closes it.
-func (e *warmEntry) release() {
-	e.refs--
-	if e.retired && e.refs <= 0 {
-		e.close()
-	}
-}
-
-// retire marks the entry evicted from its cache: it closes now if idle, or
-// at the final release otherwise. Idempotent.
-func (e *warmEntry) retire() {
-	e.retired = true
-	if e.refs <= 0 {
-		e.close()
-	}
-}
-
-func (e *warmEntry) close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	closeWarmFn(e.w)
-}
-
-// warmCache is a worker-private LRU of warmEntry values keyed by graph
-// fingerprint — the "one warm analyzer per worker, LRU of checkpointed
-// images" pooling shape. No locking: exactly one goroutine touches it.
-type warmCache struct {
+// lru is a fixed-capacity map keyed by graph fingerprint that drops its
+// least recently used key once full. It is not synchronized: each worker's
+// warm cache is confined to that worker, and the image registry wraps its
+// own in a mutex.
+type lru[V any] struct {
 	cap     int
 	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	order   *list.List // front = most recently used; values are *lruItem[V]
 }
 
-func newWarmCache(capacity int) *warmCache {
-	return &warmCache{cap: capacity, entries: make(map[string]*list.Element), order: list.New()}
+type lruItem[V any] struct {
+	key string
+	val V
 }
 
-// get returns the entry for hash, marking it most recently used.
-func (c *warmCache) get(hash string) (*warmEntry, bool) {
-	el, ok := c.entries[hash]
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, entries: make(map[string]*list.Element), order: list.New()}
+}
+
+// get returns the value stored under key, marking it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
+	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*warmEntry), true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// put inserts an entry, evicting the least recently used one past capacity.
-// Displaced analyzers are retired, not closed: an entry a request is still
-// holding (refs > 0) survives until that request's release, so eviction can
-// never free an analyzer mid-use. Idle entries close immediately, keeping
-// the old guarantee that parked kernel workers do not outlive residency.
-func (c *warmCache) put(e *warmEntry) {
-	if el, ok := c.entries[e.hash]; ok {
-		if old := el.Value.(*warmEntry); old != e {
-			old.retire()
-		}
-		el.Value = e
+// add stores val under key unless key is already present, marks key most
+// recently used, and returns the value now stored under it: the first
+// registration wins. Past capacity the least recently used key is dropped.
+func (c *lru[V]) add(key string, val V) V {
+	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return
+		return el.Value.(*lruItem[V]).val
 	}
-	c.entries[e.hash] = c.order.PushFront(e)
+	c.entries[key] = c.order.PushFront(&lruItem[V]{key: key, val: val})
 	if c.order.Len() > c.cap {
-		last := c.order.Back()
-		evicted := last.Value.(*warmEntry)
-		delete(c.entries, evicted.hash)
-		c.order.Remove(last)
-		evicted.retire()
+		delete(c.entries, c.order.Remove(c.order.Back()).(*lruItem[V]).key)
 	}
+	return val
 }
 
-// closeAll retires every cached analyzer (releasing any parked kernel
-// workers once unreferenced) and empties the cache. Called once the owning
-// worker goroutine has exited, so by then every entry is idle.
-func (c *warmCache) closeAll() {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*warmEntry).retire()
-	}
-	c.entries = make(map[string]*list.Element)
-	c.order.Init()
-}
-
-// imageCache is the shared fingerprint → compiled-image registry. Analyze
-// populates it; reschedule-by-hash reads it when the serving worker has no
-// warm entry yet (the graph bytes are not resent). Images are immutable, so
-// every worker's warm entry for a fingerprint shares one image — the mutex
-// only guards the map/list structure.
+// imageCache is the shared fingerprint → compiled-image registry. Analyze,
+// batch and job requests populate it; reschedule-by-hash reads it when the
+// serving worker has no warm entry yet (the graph bytes are not resent).
+// Images are immutable, so every worker's warm entry for a fingerprint
+// shares one image — the mutex only guards the LRU.
 type imageCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used; values are imageRecord
-}
-
-type imageRecord struct {
-	hash string
-	img  *engine.Image
-}
-
-func newImageCache(capacity int) *imageCache {
-	return &imageCache{cap: capacity, entries: make(map[string]*list.Element), order: list.New()}
+	mu  sync.Mutex
+	lru *lru[*engine.Image]
 }
 
 func (c *imageCache) get(hash string) (*engine.Image, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[hash]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(imageRecord).img, true
+	return c.lru.get(hash)
 }
 
 // put registers img under hash and returns the canonical image for the
@@ -170,21 +90,11 @@ func (c *imageCache) get(hash string) (*engine.Image, bool) {
 func (c *imageCache) put(hash string, img *engine.Image) *engine.Image {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[hash]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(imageRecord).img // same fingerprint = same analysis input
-	}
-	c.entries[hash] = c.order.PushFront(imageRecord{hash: hash, img: img})
-	if c.order.Len() > c.cap {
-		last := c.order.Back()
-		delete(c.entries, last.Value.(imageRecord).hash)
-		c.order.Remove(last)
-	}
-	return img
+	return c.lru.add(hash, img)
 }
 
 func (c *imageCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.order.Len()
 }

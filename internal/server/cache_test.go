@@ -2,129 +2,29 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
+	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
+	"github.com/mia-rt/mia/internal/wire"
 )
-
-// countingCloser intercepts closeWarmFn to tally closes per analyzer.
-type countingCloser struct {
-	mu     sync.Mutex
-	closes map[engine.Warm]int
-}
-
-func interceptCloses(t *testing.T) *countingCloser {
-	t.Helper()
-	cc := &countingCloser{closes: make(map[engine.Warm]int)}
-	prev := closeWarmFn
-	closeWarmFn = func(w engine.Warm) {
-		cc.mu.Lock()
-		cc.closes[w]++
-		cc.mu.Unlock()
-		prev(w)
-	}
-	t.Cleanup(func() { closeWarmFn = prev })
-	return cc
-}
-
-func (cc *countingCloser) of(w engine.Warm) int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.closes[w]
-}
-
-func compileTestImage(t *testing.T) *engine.Image {
-	t.Helper()
-	img, err := engine.Compile(roundTrip(t, gen.Figure1()), sched.Options{})
-	if err != nil {
-		t.Fatalf("compiling: %v", err)
-	}
-	return img
-}
-
-// TestWarmEntryRefcount pins the eviction/in-use state machine: retiring a
-// held entry must not close it, the final release must, and both retire and
-// release are idempotent about the close.
-func TestWarmEntryRefcount(t *testing.T) {
-	cc := interceptCloses(t)
-	img := compileTestImage(t)
-
-	e := newWarmEntry("a", img)
-	e.acquire()
-	e.retire() // eviction lands while a request holds the analyzer
-	if n := cc.of(e.w); n != 0 {
-		t.Fatalf("analyzer closed %d times while still acquired, want 0", n)
-	}
-	e.retire() // a second retire must stay harmless
-	if n := cc.of(e.w); n != 0 {
-		t.Fatalf("analyzer closed %d times after double retire while acquired, want 0", n)
-	}
-	e.release() // last user gone: now it may close, exactly once
-	if n := cc.of(e.w); n != 1 {
-		t.Fatalf("analyzer closed %d times after final release, want 1", n)
-	}
-	e.retire() // idempotent after close
-	if n := cc.of(e.w); n != 1 {
-		t.Fatalf("analyzer closed %d times after post-close retire, want 1", n)
-	}
-
-	// The idle path unchanged: retire with no holders closes immediately.
-	idle := newWarmEntry("b", img)
-	idle.retire()
-	if n := cc.of(idle.w); n != 1 {
-		t.Fatalf("idle analyzer closed %d times on retire, want 1", n)
-	}
-}
-
-// TestWarmCachePutRetiresDisplaced: LRU eviction and same-hash replacement
-// both route through retire, and a held entry survives its eviction until
-// released.
-func TestWarmCachePutRetiresDisplaced(t *testing.T) {
-	cc := interceptCloses(t)
-	img := compileTestImage(t)
-	c := newWarmCache(1)
-
-	held := newWarmEntry("a", img)
-	held.acquire() // a request is mid-analysis on this entry
-	c.put(held)
-
-	evictor := newWarmEntry("b", img)
-	c.put(evictor) // capacity 1: evicts "a" while it is held
-	if n := cc.of(held.w); n != 0 {
-		t.Fatalf("held entry closed %d times by eviction, want 0 (refs > 0)", n)
-	}
-	held.release()
-	if n := cc.of(held.w); n != 1 {
-		t.Fatalf("held entry closed %d times after release, want 1", n)
-	}
-
-	// Same-hash replacement retires the displaced entry too.
-	repl := newWarmEntry("b", img)
-	c.put(repl)
-	if n := cc.of(evictor.w); n != 1 {
-		t.Fatalf("replaced entry closed %d times, want 1", n)
-	}
-	c.closeAll()
-	if n := cc.of(repl.w); n != 1 {
-		t.Fatalf("entry closed %d times by closeAll, want 1", n)
-	}
-}
 
 // TestEvictionHammer is the -race regression for the eviction-vs-in-flight
 // audit: warm caches of capacity 1 under concurrent analyze, reschedule, and
 // batch traffic over more graphs than fit, so every worker evicts constantly
 // while analyses are in flight. Under -race this fails if an eviction ever
-// frees analyzer state a request is standing on; the close counter must also
-// never exceed one per analyzer.
+// touches analyzer state a request is standing on.
 func TestEvictionHammer(t *testing.T) {
-	cc := interceptCloses(t)
 	s := newTestServer(t, Config{Workers: 4, QueueDepth: 64, WarmCacheSize: 1})
 
 	const graphs = 4
@@ -175,12 +75,122 @@ func TestEvictionHammer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
 
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for w, n := range cc.closes {
-		if n > 1 {
-			t.Errorf("analyzer %p closed %d times, want at most 1", w, n)
+// TestBatchSurvivesRegistryEviction: a batch is evaluated against the image
+// its handler resolved, not re-read from the registry on the worker. One
+// worker holds an inline-graph batch at the gate while a second graph's
+// analyze displaces the first from a one-slot registry; once released,
+// every item must still answer 200, for the JSON and the wire body alike.
+func TestBatchSurvivesRegistryEviction(t *testing.T) {
+	first := gen.Figure2()
+	firstJSON, secondJSON := graphJSON(t, first), graphJSON(t, gen.Figure1())
+	img, err := engine.CompileJSON(firstJSON, sched.Options{})
+	if err != nil {
+		t.Fatalf("compiling: %v", err)
+	}
+	hash := img.Fingerprint()
+	const items = `[{"swaps":[]},{"swaps":[{"core":2,"pos":0}]},{"swaps":[{"core":3,"pos":1},{"core":0,"pos":1}]}]`
+	bodies := []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json", "", []byte(fmt.Sprintf(`{"graph":%s,"items":%s}`, firstJSON, items))},
+		{"wire", wire.ContentType, append(wire.EncodeGraph(roundTrip(t, first)), `{"items":`+items+`}`...)},
+	}
+	for _, tc := range bodies {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1, GraphCacheSize: 1})
+			arrived := make(chan struct{}, 4)
+			release := make(chan struct{})
+			s.gate = func() { arrived <- struct{}{}; <-release }
+
+			batch := make(chan *httptest.ResponseRecorder, 1)
+			go func() { batch <- doBatch(s, tc.contentType, tc.body) }()
+			<-arrived // the worker holds the batch; its graph is registered
+			analyzed := make(chan *httptest.ResponseRecorder, 1)
+			go func() { analyzed <- do(s, http.MethodPost, "/v1/analyze", bytes.NewReader(secondJSON)) }()
+			waitFor(t, "the second graph's analyze to queue", func() bool { return s.runner.Queued() == 1 })
+			if _, ok := s.images.get(hash); ok {
+				t.Fatal("the one-slot registry still holds the first graph")
+			}
+			close(release)
+
+			rr := <-batch
+			if rr.Code != http.StatusOK {
+				t.Fatalf("batch: %d (%s)", rr.Code, rr.Body.String())
+			}
+			lines, trailer := parseNDJSON(t, rr.Body.Bytes())
+			if trailer.Truncated || len(lines) != 3 {
+				t.Fatalf("trailer %+v with %d lines, want 3 untruncated", trailer, len(lines))
+			}
+			for _, line := range lines {
+				if line.Status != http.StatusOK {
+					t.Errorf("item %d: status %d (%s), want 200", line.Index, line.Status, line.Error)
+				}
+			}
+			var res struct {
+				Hash string `json:"hash"`
+			}
+			if err := json.Unmarshal(lines[0].Result, &res); err != nil || res.Hash != hash {
+				t.Errorf("zero-swap item hash %q (%v), want the first graph's %s", res.Hash, err, hash)
+			}
+			if rr := <-analyzed; rr.Code != http.StatusOK {
+				t.Errorf("second analyze: %d (%s)", rr.Code, rr.Body.String())
+			}
+		})
+	}
+}
+
+// TestShardIgnoresParallelism: the shard clears Sched.Parallelism. A server
+// asked for four intra-analysis workers on a graph wide enough for the
+// parallel exchange to spawn them answers analyze, reschedule and batch
+// byte-identically to a default server, and after Close no goroutine of
+// its cached analyzers survives.
+func TestShardIgnoresParallelism(t *testing.T) {
+	g, err := gen.Layered(gen.NewParams(4, 16)) // 16 cores, 16 tasks per layer
+	if err != nil {
+		t.Fatalf("generating graph: %v", err)
+	}
+	// Each core runs one task per layer, and every edge joins consecutive
+	// layers, so swapping two adjacent tasks of a core keeps the graph
+	// schedulable exactly when no edge joins them.
+	var swaps []string
+	for k := 0; k < g.Cores; k++ {
+		order := g.Order(model.CoreID(k))
+		if !slices.Contains(g.Successors(order[0]), order[1]) {
+			swaps = append(swaps, fmt.Sprintf(`[{"core":%d,"pos":0}]`, k))
 		}
 	}
+	if len(swaps) < 2 {
+		t.Fatalf("found %d legal swaps, want at least 2", len(swaps))
+	}
+	body := graphJSON(t, g)
+	replies := func(s *Server) [][]byte {
+		hash := responseHash(t, analyzeGraph(t, s, body))
+		var out [][]byte
+		for _, rr := range []*httptest.ResponseRecorder{
+			do(s, http.MethodPost, "/v1/analyze", bytes.NewReader(body)),
+			do(s, http.MethodPost, "/v1/reschedule", strings.NewReader(fmt.Sprintf(`{"hash":%q,"swaps":%s}`, hash, swaps[0]))),
+			doBatch(s, "", []byte(fmt.Sprintf(`{"hash":%q,"items":[{"swaps":[]},{"swaps":%s},{"swaps":%s}]}`, hash, swaps[0], swaps[1]))),
+		} {
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d (%s)", rr.Code, rr.Body.String())
+			}
+			out = append(out, rr.Body.Bytes())
+		}
+		return out
+	}
+	want := replies(newTestServer(t, Config{Workers: 1}))
+
+	baseline := runtime.NumGoroutine()
+	s := New(Config{Workers: 1, Sched: sched.Options{Parallelism: 4}})
+	got := replies(s)
+	s.Close()
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("reply %d differs from the default server's\ngot:  %s\nwant: %s", i, got[i], want[i])
+		}
+	}
+	waitFor(t, "goroutines to return to baseline after Close", func() bool { return runtime.NumGoroutine() <= baseline })
 }

@@ -66,7 +66,8 @@ func schedReply(ctx context.Context, hash string, tasks int, res *sched.Result, 
 // graph is compiled once into an immutable engine image and registered in
 // the shared fingerprint registry, so later requests for the same
 // fingerprint — on any worker — analyze the same compiled image instead of
-// re-deriving it from graph bytes.
+// re-deriving it from graph bytes. The analysis itself is the zero-swap
+// scenario of whatIf.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.met.analyze.Add(1)
 	img, err := s.compileBody(r)
@@ -77,42 +78,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	hash := img.Fingerprint()
 	img = s.images.put(hash, img)
 	s.dispatch(w, r, func(ctx context.Context, wk *worker) reply {
-		return wk.analyze(ctx, s, img, hash)
+		return wk.whatIf(ctx, s, img, hash, nil, nil)
 	})
-}
-
-// analyze runs on a worker goroutine. A warm cache entry for the same
-// fingerprint serves the request by replaying from the latest checkpoint
-// (bit-identical to, and much cheaper than, a cold run); otherwise a fresh
-// analyzer over the shared image runs cold and its checkpoints join the
-// worker's LRU.
-func (wk *worker) analyze(ctx context.Context, s *Server, img *engine.Image, hash string) reply {
-	if err := ctx.Err(); err != nil {
-		return timeoutReply(ctx)
-	}
-	e, ok := wk.cache.get(hash)
-	warm := ok && e.w.Warm()
-	cacheNote := "miss"
-	if warm {
-		cacheNote = "hit"
-		s.met.cacheHits.Add(1)
-	} else {
-		s.met.cacheMisses.Add(1)
-	}
-	if !ok {
-		e = newWarmEntry(hash, img)
-		wk.cache.put(e)
-	}
-	e.acquire() // pin across the analysis: a cache eviction cannot close e.w mid-run
-	defer e.release()
-	var res *sched.Result
-	var err error
-	if warm {
-		res, err = e.w.Reschedule(ctx) // zero edits: replay from the last checkpoint
-	} else {
-		res, err = e.w.Analyze(ctx)
-	}
-	return schedReply(ctx, hash, e.img.NumTasks, res, err, cacheNote)
 }
 
 // rescheduleRequest is the body of POST /v1/reschedule: the fingerprint of a
@@ -146,19 +113,22 @@ func (s *Server) handleReschedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dispatch(w, r, func(ctx context.Context, wk *worker) reply {
-		return wk.whatIf(ctx, s, req.Hash, req.Swaps, nil)
+		return wk.whatIf(ctx, s, nil, req.Hash, req.Swaps, nil)
 	})
 }
 
-// whatIf runs on a worker goroutine and evaluates one edit scenario against
-// a previously registered graph: it is the shared core of the unary
-// reschedule endpoint and of every batch item, so the two paths cannot
-// drift apart. The worker's warm entry for the fingerprint — bound to the
-// shared image from the registry on a cache miss — provides the checkpoint
-// baseline; the requested swaps are applied to the analyzer's order
-// overlay, the suffix behind the earliest divergence is replayed, and the
-// swaps are undone so the baseline stays valid for the next request (the
-// explorer's apply-evaluate-undo pattern, stretched across requests).
+// whatIf runs on a worker goroutine and evaluates one edit scenario of a
+// graph: it is the one scenario path, serving analyze (no swaps), the unary
+// reschedule endpoint and every batch item, so those cannot drift apart.
+// img is the image the handler already resolved, or nil for a reschedule by
+// hash, which reads the registry only when the worker has no warm entry for
+// the fingerprint (404 if the registry has dropped it). The worker's warm
+// entry provides the checkpoint baseline; the requested swaps are applied to
+// the analyzer's order overlay, the suffix behind the earliest divergence
+// is replayed, and the swaps are undone so the baseline stays valid for the
+// next request (the explorer's apply-evaluate-undo pattern, stretched
+// across requests). A cold entry first commits its baseline with one full
+// analysis, which is also the answer to a zero-swap scenario.
 //
 // memo, when non-nil, memoizes successful replies by the fingerprint of
 // the evaluated configuration. Equal fingerprints mean identical analysis
@@ -169,21 +139,19 @@ func (s *Server) handleReschedule(w http.ResponseWriter, r *http.Request) {
 // a per-batch map; the map is worker-confined, so no locking. Unary
 // requests pass nil: cross-request result reuse would need an invalidation
 // story, while a batch scopes the memo to one stream naturally.
-func (wk *worker) whatIf(ctx context.Context, s *Server, hash string, swaps []swapEdit, memo map[string]reply) reply {
+func (wk *worker) whatIf(ctx context.Context, s *Server, img *engine.Image, hash string, swaps []swapEdit, memo map[string]reply) reply {
 	if err := ctx.Err(); err != nil {
 		return timeoutReply(ctx)
 	}
 	e, ok := wk.cache.get(hash)
 	if !ok {
-		img, found := s.images.get(hash)
-		if !found {
-			return reply{status: http.StatusNotFound, body: errBody(errUnknownHash)}
+		if img == nil {
+			if img, ok = s.images.get(hash); !ok {
+				return reply{status: http.StatusNotFound, body: errBody(errUnknownHash)}
+			}
 		}
-		e = newWarmEntry(hash, img)
-		wk.cache.put(e)
+		e = wk.cache.add(hash, &warmEntry{img: img, w: eng.NewWarm(img)})
 	}
-	e.acquire() // pin across apply-evaluate-undo: eviction cannot close e.w mid-scenario
-	defer e.release()
 	warm := e.w.Warm()
 	cacheNote := "miss"
 	if warm {
@@ -197,8 +165,9 @@ func (wk *worker) whatIf(ctx context.Context, s *Server, hash string, swaps []sw
 	// swap is applied: Reschedule without a baseline would commit the edited
 	// orders as the new baseline, which the undo below would then invalidate.
 	if !warm {
-		if _, err := e.w.Analyze(ctx); err != nil {
-			return schedReply(ctx, hash, e.img.NumTasks, nil, err, cacheNote)
+		res, err := e.w.Analyze(ctx)
+		if err != nil || len(swaps) == 0 {
+			return schedReply(ctx, hash, e.img.NumTasks, res, err, cacheNote)
 		}
 	}
 

@@ -17,13 +17,17 @@
 // Each graph is compiled once into an immutable engine.Image registered by
 // canonical fingerprint (model.Graph.Fingerprint); every worker's warm
 // analyzer for that fingerprint shares the one image, and only the
-// analyzer's order overlay and checkpoints are per-worker. Repeat analyses
-// and single-edit reschedules replay a checkpointed suffix instead of
-// re-analyzing from t=0 — the same warm-start reuse the design-space
-// explorer exploits, now held across requests. Warm replays are bit-identical
-// to cold runs (the scheduler's differential suite pins this), so a client
-// cannot observe whether its response came from a checkpoint: only latency
-// and the cache counters differ.
+// analyzer's order overlay and checkpoints are per-worker, held in a plain
+// LRU only that worker touches. Analyze, reschedule and every batch item
+// run one scenario path (whatIf): a cold analyzer commits its baseline with
+// one full analysis, and repeat analyses and edit reschedules replay a
+// checkpointed suffix instead of re-analyzing from t=0 — the same
+// warm-start reuse the design-space explorer exploits, now held across
+// requests. Intra-analysis parallelism stays off (see Config.Sched): the
+// workers already run whole analyses in parallel. Warm replays are
+// bit-identical to cold runs (the scheduler's differential suite pins
+// this), so a client cannot observe whether its response came from a
+// checkpoint: only latency and the cache counters differ.
 //
 // Load shedding: a full queue answers 429 with Retry-After rather than
 // queuing unboundedly. Deadlines: every request carries a context deadline
@@ -87,6 +91,9 @@ type Config struct {
 	MaxJobs int
 	// Sched is the base option set for every analysis (arbiter, competitor
 	// merging, ...). Trace is ignored: traces would race across workers.
+	// Parallelism is ignored too: the workers already run whole analyses in
+	// parallel, so a cached analyzer never owns kernel goroutines and an
+	// evicted one needs no closing.
 	Sched sched.Options
 }
 
@@ -116,24 +123,24 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 2
 	}
 	c.Sched.Trace = nil
+	c.Sched.Parallelism = 0
 	return c
 }
 
 // worker is one evaluator goroutine's private state: its warm-analyzer LRU.
 type worker struct {
-	cache *warmCache
+	cache *lru[*warmEntry]
 }
 
 // Server is the analysis service. Create with New, mount Handler on an
 // http.Server, and shut down with BeginDrain followed by Close.
 type Server struct {
-	cfg     Config
-	runner  *pool.Runner[*worker]
-	workers []*worker
-	images  *imageCache
-	jobs    *jobSet
-	met     *metrics
-	mux     *http.ServeMux
+	cfg    Config
+	runner *pool.Runner[*worker]
+	images *imageCache
+	jobs   *jobSet
+	met    *metrics
+	mux    *http.ServeMux
 
 	drainCh chan struct{} // closed by BeginDrain
 
@@ -151,13 +158,12 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	workers := make([]*worker, cfg.Workers)
 	for i := range workers {
-		workers[i] = &worker{cache: newWarmCache(cfg.WarmCacheSize)}
+		workers[i] = &worker{cache: newLRU[*warmEntry](cfg.WarmCacheSize)}
 	}
 	s := &Server{
 		cfg:     cfg,
 		runner:  pool.NewRunner(workers, cfg.QueueDepth),
-		workers: workers,
-		images:  newImageCache(cfg.GraphCacheSize),
+		images:  &imageCache{lru: newLRU[*engine.Image](cfg.GraphCacheSize)},
 		jobs:    newJobSet(cfg.MaxJobs),
 		met:     newMetrics(),
 		mux:     http.NewServeMux(),
@@ -215,11 +221,6 @@ func (s *Server) Close() {
 	s.BeginDrain()
 	s.jobs.wg.Wait() // cancelled by BeginDrain; wait for the goroutines to land
 	s.runner.Drain()
-	// The worker goroutines have exited; release any parked intra-analysis
-	// kernel workers their cached warm analyzers still hold.
-	for _, w := range s.workers {
-		w.cache.closeAll()
-	}
 }
 
 // reply is what a worker computes for one request; the handler goroutine

@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -73,31 +72,6 @@ func (p Partition) String() string {
 func (r *Recorder) WriteText(w io.Writer) error {
 	for _, e := range r.Events {
 		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// eventJSON is the JSON-lines form of an event.
-type eventJSON struct {
-	Kind  string       `json:"kind"`
-	Time  model.Cycles `json:"t"`
-	Task  int          `json:"task,omitempty"`
-	Value model.Cycles `json:"value,omitempty"`
-}
-
-// WriteJSONL dumps the recorded events as JSON lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events {
-		rec := eventJSON{Kind: e.Kind.String(), Time: e.Time, Value: e.Value}
-		if e.Task != model.NoTask {
-			rec.Task = int(e.Task)
-		} else {
-			rec.Task = -1
-		}
-		if err := enc.Encode(rec); err != nil {
 			return err
 		}
 	}

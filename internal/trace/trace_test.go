@@ -97,21 +97,6 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	_, rec, _ := recordFigure2(t)
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(rec.Events) {
-		t.Fatalf("%d lines for %d events", len(lines), len(rec.Events))
-	}
-	if !strings.Contains(lines[0], `"kind":"cursor"`) {
-		t.Errorf("first line = %q", lines[0])
-	}
-}
-
 func TestWriteScheduleCSV(t *testing.T) {
 	g := gen.Figure1()
 	res, err := schedule(g, sched.Options{})
