@@ -10,11 +10,16 @@
 // The comparison is deliberately a *smoke* check, not a statistics suite:
 // shared CI runners are noisy, so a benchmark only draws a warning when it
 // regresses beyond the threshold (default 2x) — and a warning is all it
-// draws. benchdiff always exits 0 on a successful comparison, regressions
-// included; a non-zero exit means the input or the baseline could not be
-// read. Time regressions warn; allocation-count regressions also warn, and
-// a benchmark whose baseline pins 0 allocs/op warns on ANY allocation, since
-// allocs/op is deterministic and zero is the contract the scheduler's hot
+// draws. -update stamps the baseline with the machine it was measured on
+// (the `cpu:` header line, the GOMAXPROCS suffix of the benchmark names
+// and the Go version); comparing against a baseline stamped by another
+// machine prints one warning line before anything else, because its
+// timings are not comparable with this run's. benchdiff always exits 0 on
+// a successful comparison, regressions included; a non-zero exit means the
+// input or the baseline could not be read. Time regressions warn;
+// allocation-count regressions also warn, and a benchmark whose baseline
+// pins 0 allocs/op warns on ANY allocation, since allocs/op is
+// deterministic and zero is the contract the scheduler's hot
 // path ships with (see the AllocsPerRun guards). Custom b.ReportMetric units
 // (latency quantiles such as p50-ms) are pinned and compared the same way,
 // except that a metric the baseline does not pin yet compares silently — a
@@ -31,6 +36,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,8 +60,25 @@ type entry struct {
 type baseline struct {
 	// Note records how the numbers were produced, for humans regenerating
 	// the file.
-	Note       string           `json:"note,omitempty"`
+	Note string `json:"note,omitempty"`
+	// Machine is where the numbers were measured; baselines written before
+	// benchdiff stamped them have none and compare without the check.
+	Machine    *machine         `json:"machine,omitempty"`
 	Benchmarks map[string]entry `json:"benchmarks"`
+}
+
+// machine identifies where a set of benchmark numbers was measured: the
+// `cpu:` line of the go test header, the GOMAXPROCS suffix of the benchmark
+// names (go test omits it at 1), and the Go version benchdiff runs under —
+// the toolchain that built the benchmarks when one go command runs both.
+type machine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (m machine) String() string {
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %d, %s", m.CPU, m.GOMAXPROCS, m.Go)
 }
 
 func main() {
@@ -90,21 +113,25 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	// pipe). The reader goroutine is abandoned on cancellation; the process
 	// exits right after, so nothing leaks past main.
 	type parsed struct {
-		m   map[string]entry
-		err error
+		m    map[string]entry
+		mach machine
+		err  error
 	}
 	ch := make(chan parsed, 1)
 	go func() {
-		m, err := parseBench(stdin)
-		ch <- parsed{m, err}
+		m, mach, err := parseBench(stdin)
+		ch <- parsed{m, mach, err}
 	}()
-	var measured map[string]entry
+	var (
+		measured map[string]entry
+		mach     machine
+	)
 	select {
 	case p := <-ch:
 		if p.err != nil {
 			return p.err
 		}
-		measured = p.m
+		measured, mach = p.m, p.mach
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -113,7 +140,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 
 	if *update {
-		return writeBaseline(*basePath, measured)
+		return writeBaseline(*basePath, measured, mach)
 	}
 
 	data, err := os.ReadFile(*basePath)
@@ -125,13 +152,18 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		return fmt.Errorf("%s: %w", *basePath, err)
 	}
 
-	warn := func(format string, a ...any) {
+	warnAs := func(title, format string, a ...any) {
 		msg := fmt.Sprintf(format, a...)
 		if *gha {
-			fmt.Fprintf(stdout, "::warning title=benchmark regression::%s\n", msg)
+			fmt.Fprintf(stdout, "::warning title=%s::%s\n", title, msg)
 		} else {
 			fmt.Fprintf(stdout, "WARN: %s\n", msg)
 		}
+	}
+	warn := func(format string, a ...any) { warnAs("benchmark regression", format, a...) }
+	if base.Machine != nil && *base.Machine != mach {
+		warnAs("benchmark machine", "baseline was measured on %s, this run on %s — timings compare across machines",
+			*base.Machine, mach)
 	}
 
 	names := make([]string, 0, len(measured))
@@ -216,22 +248,29 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	return nil
 }
 
-// parseBench extracts Benchmark lines from `go test -bench` output. The
-// trailing -N GOMAXPROCS suffix is stripped so baselines transfer across
-// machines with different core counts.
-func parseBench(r io.Reader) (map[string]entry, error) {
+// parseBench extracts Benchmark lines from `go test -bench` output, and the
+// machine they ran on. The trailing -N GOMAXPROCS suffix is stripped from
+// the names so baselines transfer across machines with different core
+// counts; the machine stamp records it instead.
+func parseBench(r io.Reader) (map[string]entry, machine, error) {
 	out := map[string]entry{}
+	mach := machine{GOMAXPROCS: 1, Go: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			mach.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
+				mach.GOMAXPROCS = procs
 			}
 		}
 		var e entry
@@ -240,7 +279,7 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("line %q: bad value %q", sc.Text(), fields[i])
+				return nil, mach, fmt.Errorf("line %q: bad value %q", sc.Text(), fields[i])
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -261,17 +300,19 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 			}
 		}
 		if !seenNs {
-			return nil, fmt.Errorf("line %q: no ns/op field", sc.Text())
+			return nil, mach, fmt.Errorf("line %q: no ns/op field", sc.Text())
 		}
 		out[name] = e
 	}
-	return out, sc.Err()
+	return out, mach, sc.Err()
 }
 
-// writeBaseline pins the measured numbers as the new baseline.
-func writeBaseline(path string, measured map[string]entry) error {
+// writeBaseline pins the measured numbers, stamped with the machine they
+// were measured on, as the new baseline.
+func writeBaseline(path string, measured map[string]entry, mach machine) error {
 	b := baseline{
 		Note:       "regenerate: go test ./... -bench . -benchmem | benchdiff -baseline BENCH_baseline.json -update",
+		Machine:    &mach,
 		Benchmarks: measured,
 	}
 	data, err := json.MarshalIndent(&b, "", "  ")

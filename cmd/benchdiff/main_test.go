@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,7 @@ import (
 const sampleBench = `goos: linux
 goarch: amd64
 pkg: github.com/mia-rt/mia/internal/sched/incremental
+cpu: Intel(R) Xeon(R) CPU @ 2.20GHz
 BenchmarkScheduleIncremental/n=256-8         	    1000	    100000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRescheduleWarm/n=256/warm-8         	    5000	     20000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRescheduleWarm/n=256/cold-8         	    1000	    210000 ns/op	   60720 B/op	     264 allocs/op
@@ -46,6 +48,68 @@ func TestUpdateWritesBaseline(t *testing.T) {
 	}
 	if e.NsOp != 20000 || e.AllocsOp == nil || *e.AllocsOp != 0 {
 		t.Fatalf("entry = %+v", e)
+	}
+}
+
+func TestUpdateRecordsMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		input string
+		want  machine
+	}{
+		{"suffixed", sampleBench, machine{CPU: "Intel(R) Xeon(R) CPU @ 2.20GHz", GOMAXPROCS: 8, Go: runtime.Version()}},
+		// go test prints no suffix at GOMAXPROCS=1, and no cpu line on
+		// platforms it cannot identify.
+		{"bare", "BenchmarkX 	 100	 5000 ns/op\n", machine{GOMAXPROCS: 1, Go: runtime.Version()}},
+	} {
+		data, err := os.ReadFile(writeTempBaseline(t, tc.input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b baseline
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Machine == nil || *b.Machine != tc.want {
+			t.Fatalf("%s: machine = %+v, want %+v", tc.name, b.Machine, tc.want)
+		}
+	}
+}
+
+// TestCompareAcrossMachinesWarnsFirst: a baseline stamped by another machine
+// draws exactly one warning, ahead of every per-benchmark line, and the
+// comparison still succeeds.
+func TestCompareAcrossMachinesWarnsFirst(t *testing.T) {
+	path := writeTempBaseline(t, sampleBench)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	b.Machine.CPU, b.Machine.GOMAXPROCS = "AMD EPYC 7B13", 64
+	if data, err = json.Marshal(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	slow := strings.Replace(sampleBench, "20000 ns/op", "90000 ns/op", 1)
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-baseline", path}, strings.NewReader(slow), &out); err != nil {
+		t.Fatalf("a foreign baseline must not fail the run: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if !strings.HasPrefix(lines[0], "WARN: baseline was measured on") || !strings.Contains(lines[0], "AMD EPYC 7B13") {
+		t.Fatalf("first line is not the machine warning:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "baseline was measured on"); n != 1 {
+		t.Fatalf("machine warning printed %d times:\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "4.5x") {
+		t.Fatalf("the comparison itself must still run:\n%s", out.String())
 	}
 }
 

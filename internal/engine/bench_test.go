@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/engine"
@@ -77,8 +78,11 @@ func BenchmarkCompileOnce(b *testing.B) {
 }
 
 // BenchmarkWarmReplay measures the steady state the serving layer actually
-// runs in: a pre-compiled image plus checkpointed warm-start replay of a
-// single-swap edit.
+// runs in: a pre-compiled image plus checkpointed warm-start replay. The
+// n=256 and n=1024 cases replay one single-swap edit and its undo. The
+// mixed case is the what-if serving shape: 60×64 tasks on 16 cores × 16
+// banks, cycling a fixed seeded set of independent swaps at positions
+// spread over every order, each applied, replayed once and undone.
 func BenchmarkWarmReplay(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -112,6 +116,60 @@ func BenchmarkWarmReplay(b *testing.B) {
 			}
 		})
 	}
+
+	img, err := engine.Compile(benchGraph(b, 3840), sched.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := engine.MustNew(engine.Incremental).NewWarm(img)
+	ctx := context.Background()
+	if _, err := w.Analyze(ctx); err != nil {
+		b.Fatal(err)
+	}
+	edits := mixedSwaps(b, img, w, 16)
+	b.Run("n=3840/mixed", func(b *testing.B) {
+		ord := w.Orders()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % len(edits)
+			e := edits[j]
+			ord.Swap(e.Core, e.From)
+			if _, err := w.Reschedule(ctx, edits[j:j+1]...); err != nil {
+				b.Fatal(err)
+			}
+			ord.Swap(e.Core, e.From)
+		}
+	})
+}
+
+// mixedSwaps draws n adjacent swaps of w's committed orders, each at a
+// uniformly random core and position (seeded, so every run replays the same
+// set), keeping only swaps whose orders still schedule: swapping two tasks
+// with a precedence path between them deadlocks.
+func mixedSwaps(b *testing.B, img *engine.Image, w engine.Warm, n int) []engine.Edit {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	ord := w.Orders()
+	ctx := context.Background()
+	var edits []engine.Edit
+	for tries := 0; len(edits) < n; tries++ {
+		if tries == 16*n {
+			b.Fatalf("only %d of %d swaps schedule", len(edits), n)
+		}
+		k := model.CoreID(rng.Intn(img.Cores))
+		if len(ord.Order(k)) < 2 {
+			continue
+		}
+		pos := rng.Intn(len(ord.Order(k)) - 1)
+		ord.Swap(k, pos)
+		_, err := w.AnalyzeCold(ctx)
+		ord.Swap(k, pos)
+		if err == nil {
+			edits = append(edits, engine.Edit{Core: k, From: pos})
+		}
+	}
+	return edits
 }
 
 // BenchmarkParallelKernel measures the intra-analysis parallel speedup on

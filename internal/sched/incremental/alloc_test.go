@@ -80,3 +80,33 @@ func TestRescheduleSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state swap/Reschedule cycle allocates %.1f objects per run, want 0", avg)
 	}
 }
+
+// TestFreshAnalyzerAllocations bounds what a warm analyzer costs on top of
+// a one-shot analysis: building a Scheduler and running its first,
+// checkpoint-recording Analyze at the paper's scale (6×64 tasks, 16 cores ×
+// 16 banks) must allocate fewer than twice the objects of Engine.Analyze
+// on the same image. Checkpoints allocate one buffer each; the bound catches
+// a checkpoint layout that allocates per slot and bank, which puts the
+// ratio near 16.
+func TestFreshAnalyzerAllocations(t *testing.T) {
+	img, err := engine.Compile(gen.MustLayered(gen.NewParams(6, 64)), sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	eng := engine.MustNew(engine.Incremental)
+	cold := testing.AllocsPerRun(3, func() {
+		if _, err := eng.Analyze(ctx, img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(3, func() {
+		if _, err := newScheduler(img).Analyze(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("fresh analyzer %.0f allocations, Engine.Analyze %.0f", fresh, cold)
+	if fresh >= 2*cold {
+		t.Fatalf("fresh analyzer allocates %.0f objects, want fewer than 2 × %.0f (Engine.Analyze)", fresh, cold)
+	}
+}

@@ -106,10 +106,12 @@ type state struct {
 	events int
 
 	// ckpt, when non-nil, is invoked at the top of every event iteration,
-	// before the event at the current cursor is processed. The warm-start
-	// Scheduler uses it to capture checkpoints at event boundaries; it is
-	// nil for one-shot runs and during replays.
-	ckpt func()
+	// before the event at the current cursor is processed; returning true
+	// ends the loop with the result as the hook left it. The warm-start
+	// Scheduler captures checkpoints through it during Analyze and, during
+	// a Reschedule, ends a replay that has reached a time-shifted state of
+	// the committed run; it is nil for one-shot runs.
+	ckpt func() bool
 
 	// scratch is the reusable one-element request slice of the additive
 	// fast path; keeping it in state avoids a heap allocation on every
@@ -264,9 +266,12 @@ func (s *state) run() (*sched.Result, error) {
 		// Checkpoint hook: the state right here — before the event at s.t
 		// is processed — is exactly what a warm restart needs to capture,
 		// because re-entering this loop with a restored state replays the
-		// event at s.t and everything after it with no special casing.
-		if s.ckpt != nil {
-			s.ckpt()
+		// event at s.t and everything after it with no special casing. It
+		// is also the state a replay compares with the committed run's
+		// checkpoints; on a match the hook has filled the rest of the
+		// result and the loop ends here.
+		if s.ckpt != nil && s.ckpt() {
+			break
 		}
 		s.events++
 		s.emit(sched.EventCursor, s.t, model.NoTask, 0)

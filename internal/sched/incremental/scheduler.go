@@ -11,7 +11,7 @@ import (
 
 // maxCheckpoints bounds the Scheduler's checkpoint store. When a run records
 // more, every other checkpoint is dropped and the recording stride doubles,
-// so memory stays O(maxCheckpoints · state size) while the replay distance
+// so memory stays O(maxCheckpoints · frontier size) while the replay distance
 // from the nearest checkpoint stays O(events / maxCheckpoints).
 const maxCheckpoints = 64
 
@@ -33,13 +33,29 @@ const maxCheckpoints = 64
 // replayed suffix is bit-identical to a cold run (enforced by the
 // differential tests in warmstart_test.go).
 //
-// All buffers — working state, result, and checkpoints — are owned by the
-// Scheduler and reused across calls, so the steady-state event loop runs
-// allocation-free (pinned by an AllocsPerRun guard test). Consequently the
-// returned *sched.Result is overwritten by the next call; callers that need
-// to keep one must copy it. A Scheduler is not safe for concurrent use;
-// give each goroutine its own — several Schedulers may share one immutable
-// engine.Image.
+// A replay usually does not have to run to the end either. Once every
+// mutated position has opened, the replay often reaches the committed
+// run's state at some checkpoint shifted by a constant Δ; from there the
+// rest of the run is the committed rest plus Δ, because an interference
+// bound depends on which windows overlap, not on absolute time. The
+// Scheduler keeps the committed run's final result, detects that state at
+// the top of the event loop, and fills the remaining tasks from the
+// committed result (the shifted cutoff, DESIGN §3.4).
+//
+// Checkpoints are frontier checkpoints: each keeps the cursor, counters,
+// head indices and dependency counts, plus the alive tasks' finish,
+// interference, per-bank row and competitor sets — one exact-sized buffer
+// per checkpoint. Closed tasks are final in the committed result, so a
+// restore takes them from there. Checkpoint memory is therefore
+// O(64 · (n + cores · banks · competitors)), not O(64 · n · banks).
+//
+// All buffers — working state, result, committed copy and checkpoints — are
+// owned by the Scheduler and reused across calls, so the steady-state event
+// loop runs allocation-free (pinned by an AllocsPerRun guard test).
+// Consequently the returned *sched.Result is overwritten by the next call;
+// callers that need to keep one must copy it. A Scheduler is not safe for
+// concurrent use; give each goroutine its own — several Schedulers may share
+// one immutable engine.Image.
 //
 // Between calls the caller may mutate ONLY the execution orders, through
 // the Orders overlay (Swap, SetOrder). Tasks, edges, demands and the
@@ -54,18 +70,45 @@ type Scheduler struct {
 	stride int        // record every stride-th event
 	tick   int        // event counter of the recording run
 
-	recording bool // checkpoint hook active (Analyze runs only)
-	base      bool // snaps describe the orders as of the last Analyze
+	mode hookMode // what the event-boundary hook does in the current run
+	base bool     // snaps, baseRes and baseOrders describe the last Analyze
 
-	lastEvents int // event count of the last successful Analyze
+	// The committed run: the last successful Analyze's result (whose
+	// Iterations is its event count) and its orders, flat and indexed
+	// like img.OrderIDs.
+	baseRes    *sched.Result
+	baseOrders []model.TaskID
+
+	// Shifted-cutoff state of the current replay.
+	armAt   []int // per core: the head index past the last position that differs from baseOrders
+	armed   bool  // every head has reached its armAt
+	cand    int   // first checkpoint whose opened count is not below the live one
+	cutoffs int   // replays the cutoff has ended, for tests
 }
+
+// hookMode selects what the Scheduler's event-boundary hook does.
+type hookMode uint8
+
+const (
+	hookNone   hookMode = iota // AnalyzeCold, or a replay the cutoff may not end
+	hookRecord                 // Analyze: capture checkpoints
+	hookCutoff                 // Reschedule: end at a time-shifted committed state
+)
 
 // newScheduler builds a warm scheduler over img owning a private order
 // overlay initialized to the image's baseline orders.
 func newScheduler(img *engine.Image) *Scheduler {
 	ord := img.NewOrders()
-	sc := &Scheduler{img: img, ord: ord, st: newState(img, ord), stride: 1}
-	sc.st.ckpt = sc.checkpoint
+	sc := &Scheduler{
+		img:        img,
+		ord:        ord,
+		st:         newState(img, ord),
+		stride:     1,
+		baseRes:    sched.NewResult(Algorithm, img.NumTasks, img.Banks),
+		baseOrders: make([]model.TaskID, img.NumTasks),
+		armAt:      make([]int, img.Cores),
+	}
+	sc.st.ckpt = sc.atEvent
 	return sc
 }
 
@@ -89,20 +132,45 @@ func (sc *Scheduler) Analyze(ctx context.Context) (*sched.Result, error) {
 	sc.tick = 0
 	// Size the stride from the previous run so a steady-state run records
 	// ~maxCheckpoints evenly spaced checkpoints instead of recording densely
-	// and compacting repeatedly.
-	if sc.lastEvents > 0 {
-		if stride := (sc.lastEvents + maxCheckpoints - 1) / maxCheckpoints; stride > 1 {
-			sc.stride = stride
-		}
+	// and compacting repeatedly. Before any run, expect about one event per
+	// task (a close is usually an event of its own), with an eighth of
+	// headroom so a run with a few more events does not compact.
+	events := sc.baseRes.Iterations
+	if events == 0 {
+		events = sc.img.NumTasks + sc.img.NumTasks/8
 	}
-	sc.recording = true
+	if stride := (events + maxCheckpoints - 1) / maxCheckpoints; stride > 1 {
+		sc.stride = stride
+	}
+	sc.mode = hookRecord
 	res, err := sc.st.run()
-	sc.recording = false
+	sc.mode = hookNone
 	sc.base = err == nil
 	if err == nil {
-		sc.lastEvents = sc.st.events
+		sc.commit(res)
 	}
 	return res, err
+}
+
+// commit keeps the successful run's result and orders as the committed run
+// that restores take closed tasks from and the shifted cutoff fills from.
+func (sc *Scheduler) commit(res *sched.Result) {
+	b := sc.baseRes
+	copy(b.Release, res.Release)
+	copy(b.Interference, res.Interference)
+	copy(b.Response, res.Response)
+	copy(b.FlatPerBank(), res.FlatPerBank())
+	b.Makespan, b.Iterations = res.Makespan, res.Iterations
+	for k := 0; k < sc.img.Cores; k++ {
+		copy(sc.baseOrder(model.CoreID(k)), sc.ord.Order(model.CoreID(k)))
+	}
+}
+
+// baseOrder returns core k's committed order.
+//
+//mia:hotpath
+func (sc *Scheduler) baseOrder(k model.CoreID) []model.TaskID {
+	return sc.baseOrders[sc.img.OrderStart[k]:sc.img.OrderStart[k+1]]
 }
 
 // AnalyzeCold analyzes the current orders from t=0 without recording
@@ -119,10 +187,13 @@ func (sc *Scheduler) AnalyzeCold(ctx context.Context) (*sched.Result, error) {
 // given divergence sites, relative to the orders committed by the last
 // successful Analyze. It restores the latest checkpoint that provably
 // precedes every site's first possible influence on the schedule and
-// replays only the remaining events; when no checkpoint qualifies (a
-// mutation at the very front of an order), it falls back to a cold replay.
-// Either way the result is bit-identical to what Analyze would compute on
-// the mutated orders — only cheaper.
+// replays the remaining events; when no checkpoint qualifies (a mutation at
+// the very front of an order), it falls back to a cold replay. Without a
+// trace hook or a deadline, the replay stops at the first event whose state
+// matches a committed checkpoint shifted in time, and the remaining tasks
+// are filled from the committed result. Either way the result is
+// bit-identical to what Analyze would compute on the mutated orders — only
+// cheaper.
 //
 // The checkpoint store is never modified: after the caller undoes its
 // mutation (restoring the committed orders), further Reschedule calls
@@ -138,14 +209,23 @@ func (sc *Scheduler) Reschedule(ctx context.Context, edits ...engine.Edit) (*sch
 		return sc.Analyze(ctx)
 	}
 	sc.st.cancel = ctx.Done()
-	for i := len(sc.snaps) - 1; i >= 0; i-- {
-		if snapSafe(&sc.snaps[i], edits) {
-			sc.st.restore(&sc.snaps[i])
-			return sc.st.run()
-		}
+	i := len(sc.snaps) - 1
+	for i >= 0 && !sc.snapSafe(&sc.snaps[i], edits) {
+		i--
 	}
-	sc.st.reset()
-	return sc.st.run()
+	if i >= 0 {
+		sc.restore(&sc.snaps[i])
+	} else {
+		sc.st.reset()
+	}
+	// A trace must see every event, and a deadline check reads absolute
+	// times the committed run does not share, so both replay to the end.
+	if sc.st.trace == nil && sc.st.deadline == model.Infinity {
+		sc.arm(edits)
+	}
+	res, err := sc.st.run()
+	sc.mode = hookNone
+	return res, err
 }
 
 // Close joins the parked worker goroutines of the parallel exchange kernel,
@@ -164,15 +244,27 @@ func (sc *Scheduler) Close() { sc.st.close() }
 // warm-pool occupancy in metrics.
 func (sc *Scheduler) Warm() bool { return sc.base }
 
-// checkpoint is the state's event-boundary hook: during recording runs it
-// captures every stride-th event into the store, compacting (drop every
-// other checkpoint, double the stride) when the store outgrows its bound.
+// atEvent is the state's event-boundary hook: Analyze records checkpoints
+// through it, and a Reschedule replay ends through it once the live state
+// is a time-shifted committed one.
+//
+//mia:hotpath
+func (sc *Scheduler) atEvent() bool {
+	switch sc.mode {
+	case hookRecord:
+		sc.checkpoint()
+	case hookCutoff:
+		return sc.cutoff()
+	}
+	return false
+}
+
+// checkpoint captures every stride-th event of a recording run into the
+// store, compacting (drop every other checkpoint, double the stride) when
+// the store outgrows its bound.
 //
 //mia:hotpath
 func (sc *Scheduler) checkpoint() {
-	if !sc.recording {
-		return
-	}
 	if sc.tick%sc.stride == 0 {
 		sc.push().capture(sc.st)
 		if len(sc.snaps) > maxCheckpoints {
@@ -218,104 +310,292 @@ func (sc *Scheduler) compact() {
 // the latest safe checkpoint is the best restart point.
 //
 //mia:hotpath
-func snapSafe(sn *snapshot, edits []engine.Edit) bool {
+func (sc *Scheduler) snapSafe(sn *snapshot, edits []engine.Edit) bool {
+	heads, tasks := sn.buf[:sc.img.Cores], sn.buf[sc.img.Cores:2*sc.img.Cores]
 	for _, e := range edits {
-		h := sn.headIdx[e.Core]
-		if h > e.From || (h == e.From && sn.slots[e.Core].task == model.NoTask) {
+		h := int(heads[e.Core])
+		if h > e.From || (h == e.From && model.TaskID(tasks[e.Core]) == model.NoTask) {
 			return false
 		}
 	}
 	return true
 }
 
-// snapshot captures the complete mutable state of a run immediately before
-// the event at cursor t is processed: restoring it and re-entering the event
+// snapshot is a frontier checkpoint: the state of a recording run
+// immediately before the event at cursor t is processed, minus everything
+// the committed result already holds. Restoring it and re-entering the event
 // loop replays the event at t and everything after with no special casing.
-// All slices are full-length copies into buffers owned by the snapshot and
-// reused across captures.
+//
+// buf is one exact-sized buffer of int64 words, reused across captures:
+//
+//	headIdx[cores] | slot task[cores] (NoTask when idle) | depsLeft[n] |
+//	per alive core, ascending:
+//	    finish | interference | per-bank row[banks] |
+//	    per bank: len(comp) | (core, demand)·len(comp) | terms·len(comp) on the fast path
+//
+// The competitor index is not captured: it is derivable from comp and
+// rebuilt on restore.
 type snapshot struct {
 	t      model.Cycles
 	events int
 	closed int
 	relPtr int
+	opened int // Σ headIdx, the key the cutoff looks checkpoints up by
 
-	headIdx  []int
-	depsLeft []int
-	slots    []slotSnap
-
-	release      []model.Cycles
-	interference []model.Cycles
-	response     []model.Cycles
-	perBank      []model.Cycles // flat task-major copy of Result.PerBank
+	buf []int64
 }
 
-// slotSnap is the deep copy of one core's slot. The competitor index is not
-// captured: it is derivable from comp and rebuilt on restore, which keeps
-// checkpoints O(entries) instead of O(cores·banks).
-type slotSnap struct {
-	task   model.TaskID
-	finish model.Cycles
-	comp   [][]arbiter.Request
-	terms  [][]model.Cycles
-}
-
-// capture deep-copies the state into the snapshot, reusing its buffers.
+// capture copies the frontier of s into the snapshot, reusing its buffer.
 //
 //mia:hotpath buffers are revived across captures; first capture warms them
 func (sn *snapshot) capture(s *state) {
 	sn.t, sn.events, sn.closed, sn.relPtr = s.t, s.events, s.closed, s.relPtr
-	sn.headIdx = append(sn.headIdx[:0], s.headIdx...)
-	sn.depsLeft = append(sn.depsLeft[:0], s.depsLeft...)
-	if sn.slots == nil {
-		//mialint:ignore hotpathalloc -- one-time buffer birth on a snapshot entry's first capture; nil-guarded, steady-state captures reuse
-		sn.slots = make([]slotSnap, len(s.slots))
+	size := 2*len(s.slots) + len(s.depsLeft)
+	for k := range s.slots {
+		sl := &s.slots[k]
+		if sl.task == model.NoTask {
+			continue
+		}
+		size += 2 + len(sl.comp)
+		for b := range sl.comp {
+			size += 1 + 2*len(sl.comp[b]) + len(sl.terms[b])
+		}
+	}
+	if cap(sn.buf) < size {
+		//mialint:ignore hotpathalloc -- one-time buffer birth on a snapshot entry's first capture of a larger frontier; cap-guarded, steady-state captures of the same events reuse
+		sn.buf = make([]int64, size)
+	}
+	w := sn.buf[:size]
+	sn.buf = w
+	sn.opened = 0
+	for k, h := range s.headIdx {
+		w[k] = int64(h)
+		w[len(s.slots)+k] = int64(s.slots[k].task)
+		sn.opened += h
+	}
+	p := 2 * len(s.slots)
+	for _, d := range s.depsLeft {
+		w[p] = int64(d)
+		p++
 	}
 	for k := range s.slots {
-		sl, ss := &s.slots[k], &sn.slots[k]
-		ss.task, ss.finish = sl.task, sl.finish
-		if ss.comp == nil {
-			//mialint:ignore hotpathalloc -- one-time buffer birth on a snapshot entry's first capture; nil-guarded, steady-state captures reuse
-			ss.comp = make([][]arbiter.Request, len(sl.comp))
-			//mialint:ignore hotpathalloc -- one-time buffer birth on a snapshot entry's first capture; nil-guarded, steady-state captures reuse
-			ss.terms = make([][]model.Cycles, len(sl.terms))
+		sl := &s.slots[k]
+		if sl.task == model.NoTask {
+			continue
 		}
-		for b := range sl.comp {
-			ss.comp[b] = append(ss.comp[b][:0], sl.comp[b]...)
-			ss.terms[b] = append(ss.terms[b][:0], sl.terms[b]...)
+		w[p], w[p+1] = int64(sl.finish), int64(s.res.Interference[sl.task])
+		p += 2
+		for _, v := range s.res.PerBank[sl.task] {
+			w[p] = int64(v)
+			p++
+		}
+		for b, comp := range sl.comp {
+			w[p] = int64(len(comp))
+			p++
+			for _, r := range comp {
+				w[p], w[p+1] = int64(r.Core), int64(r.Demand)
+				p += 2
+			}
+			for _, v := range sl.terms[b] {
+				w[p] = int64(v)
+				p++
+			}
 		}
 	}
-	sn.release = append(sn.release[:0], s.res.Release...)
-	sn.interference = append(sn.interference[:0], s.res.Interference...)
-	sn.response = append(sn.response[:0], s.res.Response...)
-	sn.perBank = append(sn.perBank[:0], s.res.FlatPerBank()...)
 }
 
-// restore copies the snapshot back into the working state, rebuilding the
-// per-core competitor index from the restored competitor sets.
+// restore rebuilds the working state the recording run had at checkpoint sn:
+// closed tasks from the committed result, future tasks zeroed, alive tasks
+// and their competitor sets from the frontier, and the per-core competitor
+// index from the restored sets.
 //
 //mia:hotpath
-func (s *state) restore(sn *snapshot) {
+func (sc *Scheduler) restore(sn *snapshot) {
+	s, w, cores := sc.st, sn.buf, len(sc.st.slots)
 	s.t, s.events, s.closed, s.relPtr = sn.t, sn.events, sn.closed, sn.relPtr
-	copy(s.headIdx, sn.headIdx)
-	copy(s.depsLeft, sn.depsLeft)
+	for k := range s.headIdx {
+		s.headIdx[k] = int(w[k])
+	}
+	p := 2 * cores
+	for i := range s.depsLeft {
+		s.depsLeft[i] = int(w[p])
+		p++
+	}
+	res, base := s.res, sc.baseRes
+	copy(res.Release, base.Release)
+	copy(res.Interference, base.Interference)
+	copy(res.Response, base.Response)
+	copy(res.FlatPerBank(), base.FlatPerBank())
+	for k, h := range s.headIdx {
+		for _, id := range sc.baseOrder(model.CoreID(k))[h:] {
+			res.Release[id], res.Interference[id], res.Response[id] = 0, 0, 0
+			clear(res.PerBank[id])
+		}
+	}
 	for k := range s.slots {
-		sl, ss := &s.slots[k], &sn.slots[k]
-		sl.task, sl.finish = ss.task, ss.finish
+		sl := &s.slots[k]
 		for b := range sl.comp {
 			for _, r := range sl.comp[b] {
 				sl.compIdx[b][r.Core] = -1
 			}
-			sl.comp[b] = append(sl.comp[b][:0], ss.comp[b]...)
-			sl.terms[b] = append(sl.terms[b][:0], ss.terms[b]...)
-			if s.fast && !s.separate {
+			sl.comp[b] = sl.comp[b][:0]
+			sl.terms[b] = sl.terms[b][:0]
+		}
+		sl.task = model.TaskID(w[cores+k])
+		if sl.task == model.NoTask {
+			continue
+		}
+		id := sl.task
+		sl.finish, res.Interference[id], res.Response[id] = model.Cycles(w[p]), model.Cycles(w[p+1]), 0
+		p += 2
+		for b := range res.PerBank[id] {
+			res.PerBank[id][b] = model.Cycles(w[p])
+			p++
+		}
+		for b := range sl.comp {
+			n := int(w[p])
+			p++
+			for i := 0; i < n; i++ {
+				sl.comp[b] = append(sl.comp[b], arbiter.Request{Core: model.CoreID(w[p]), Demand: model.Accesses(w[p+1])})
+				p += 2
+			}
+			if !s.fast {
+				continue
+			}
+			for i := 0; i < n; i++ {
+				sl.terms[b] = append(sl.terms[b], model.Cycles(w[p]))
+				p++
+			}
+			if !s.separate {
 				for i, r := range sl.comp[b] {
 					sl.compIdx[b][r.Core] = int32(i)
 				}
 			}
 		}
 	}
-	copy(s.res.Release, sn.release)
-	copy(s.res.Interference, sn.interference)
-	copy(s.res.Response, sn.response)
-	copy(s.res.FlatPerBank(), sn.perBank)
+}
+
+// arm enables the shifted cutoff for the replay about to run. A core's
+// remaining order must equal its committed one before the replay can match
+// a committed state, so for every edited core it finds the last position
+// where the overlay differs from the committed order (Edit.From is only the
+// first) and records the head index past it.
+//
+//mia:hotpath
+func (sc *Scheduler) arm(edits []engine.Edit) {
+	clear(sc.armAt)
+	for _, e := range edits {
+		cur, com := sc.ord.Order(e.Core), sc.baseOrder(e.Core)
+		for i := len(cur) - 1; i >= e.From && i >= sc.armAt[e.Core]; i-- {
+			if cur[i] != com[i] {
+				sc.armAt[e.Core] = i + 1
+				break
+			}
+		}
+	}
+	sc.armed, sc.cand, sc.mode = false, 0, hookCutoff
+}
+
+// cutoff looks the live state up among the committed checkpoints with the
+// same head indices and, on a time-shifted match, fills the rest of the
+// result from the committed run and ends the replay. Lookups start once
+// every core's head has passed its last mutated position; from then on the
+// live opened count only grows, so the candidate cursor only moves forward.
+//
+//mia:hotpath
+func (sc *Scheduler) cutoff() bool {
+	s := sc.st
+	opened := 0
+	for k, h := range s.headIdx {
+		if !sc.armed && h < sc.armAt[k] {
+			return false
+		}
+		opened += h
+	}
+	sc.armed = true
+	for sc.cand < len(sc.snaps) && sc.snaps[sc.cand].opened < opened {
+		sc.cand++
+	}
+	for j := sc.cand; j < len(sc.snaps) && sc.snaps[j].opened == opened; j++ {
+		if sn := &sc.snaps[j]; sc.shifted(sn) {
+			sc.fill(sn)
+			sc.cutoffs++
+			return true
+		}
+	}
+	return false
+}
+
+// shifted reports whether the live state is checkpoint sn's state shifted
+// by Δ = s.t − sn.t, so that the rest of the live run is the rest of the
+// committed run plus Δ. That needs equal head indices, the same task alive
+// on every core, with the same cursor-relative finish and the same
+// competitor sets (core and demand, in order). Everything else follows:
+// remaining orders are equal once the cutoff is armed, so equal heads and
+// alive tasks mean equal closed sets and dependency counts; terms, per-bank
+// rows and interference are functions of the task and its competitor sets;
+// and release = finish − WCET − interference. Minimal release dates are not
+// shift-invariant: with Δ ≠ 0 every m_i must lie at or before both cursors.
+//
+//mia:hotpath
+func (sc *Scheduler) shifted(sn *snapshot) bool {
+	s, w, cores := sc.st, sn.buf, len(sc.st.slots)
+	for k, h := range s.headIdx {
+		if int64(h) != w[k] || int64(s.slots[k].task) != w[cores+k] {
+			return false
+		}
+	}
+	delta := s.t - sn.t
+	if n := len(s.minRels); delta != 0 && n > 0 && s.minRels[n-1] > min(s.t, sn.t) {
+		return false
+	}
+	p := 2*cores + len(s.depsLeft)
+	for k := range s.slots {
+		sl := &s.slots[k]
+		if sl.task == model.NoTask {
+			continue
+		}
+		if sl.finish != model.Cycles(w[p])+delta {
+			return false
+		}
+		p += 2 + len(sl.comp)
+		for b, comp := range sl.comp {
+			if int64(len(comp)) != w[p] {
+				return false
+			}
+			p++
+			for _, r := range comp {
+				if int64(r.Core) != w[p] || int64(r.Demand) != w[p+1] {
+					return false
+				}
+				p += 2
+			}
+			p += len(sl.terms[b])
+		}
+	}
+	return true
+}
+
+// fill completes the result after a match with checkpoint sn: every task the
+// live run has not closed takes its committed values, its release shifted
+// by Δ, and the event count becomes the live events plus the committed
+// run's events from sn on.
+//
+//mia:hotpath
+func (sc *Scheduler) fill(sn *snapshot) {
+	s, res, base := sc.st, sc.st.res, sc.baseRes
+	delta := s.t - sn.t
+	for k := range s.slots {
+		from := s.headIdx[k]
+		if s.slots[k].task != model.NoTask {
+			from-- // the alive task is the core's last opened one
+		}
+		for _, id := range s.ord.Order(model.CoreID(k))[from:] {
+			res.Release[id] = base.Release[id] + delta
+			res.Interference[id] = base.Interference[id]
+			res.Response[id] = base.Response[id]
+			copy(res.PerBank[id], base.PerBank[id])
+		}
+	}
+	s.events += base.Iterations - sn.events
 }
