@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff engine-diff-parallel loc ci clean
+.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff loc ci clean
 
 all: build
 
@@ -65,11 +65,6 @@ fuzz-smoke:
 #   $(GO) test ./internal/sched/incremental ./internal/engine \
 #     ./internal/explore/pareto ./internal/wire ./internal/server \
 #     -run '^$$' -bench . -benchmem -benchtime 1s | $(GO) run ./cmd/benchdiff -update
-# After -update, re-pin BenchmarkParallelKernel/n=4096/P=4 to 1 alloc/op:
-# at the smoke benchtime that benchmark runs a single iteration, which can
-# catch one runtime sudog allocation from channel parking (it amortizes to 0
-# at any longer benchtime; the analyzer's own 0-alloc contract is enforced
-# by the AllocsPerRun guard tests, not by this warn-only smoke pass).
 bench-smoke:
 	$(GO) test ./internal/sched/incremental ./internal/engine \
 	  ./internal/explore/pareto ./internal/wire ./internal/server \
@@ -94,17 +89,7 @@ pareto-smoke:
 # this target is the fast loop while working on the image or a backend.
 engine-diff:
 	$(GO) test ./internal/engine -run \
-	  'TestCorpusDigestGolden|TestAdjacencyMatchesGraph|TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestParallelBitIdentical|TestMetamorphic' -v
-
-# Parallel-kernel determinism under the race detector: corpus-wide
-# bit-identity at Parallelism ∈ {1,2,4,8}, the metamorphic battery, and the
-# kernel lifecycle tests (shared-image races, worker-leak, cancellation).
-# CI runs this leg twice — GOMAXPROCS=1 and GOMAXPROCS=4 — because both the
-# interleavings the race detector can observe and the partition scheduling
-# differ; results must be bit-identical regardless.
-engine-diff-parallel:
-	$(GO) test -race ./internal/engine -run \
-	  'TestParallelBitIdentical|TestMetamorphic|TestSharedImageConcurrentParallel|TestParallelKernelShutdownNoLeak|TestParallelCancellation' -v
+	  'TestCorpusDigestGolden|TestAdjacencyMatchesGraph|TestEngineBitIdentical|TestEditedReschedule|TestRTABoundDominates|TestMetamorphic' -v
 
 # End-to-end smoke check for the analysis service: builds the real miaserve
 # binary, boots it on an ephemeral port, round-trips analyze → reschedule

@@ -172,48 +172,6 @@ func mixedSwaps(b *testing.B, img *engine.Image, w engine.Warm, n int) []engine.
 	return edits
 }
 
-// BenchmarkParallelKernel measures the intra-analysis parallel speedup on
-// single-instance latency: one cold incremental analysis over a precompiled
-// 64-core/64-bank image, sequential (P=1) versus the four-way blocked kernel
-// (P=4). The wide platform gives each event enough pairwise exchange work to
-// amortize the fork/join signaling; results are bit-identical at both
-// levels (pinned by the differential suite), so the seconds are the only
-// thing this knob changes.
-func BenchmarkParallelKernel(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		p := gen.NewParams(n/64, 64)
-		p.Seed = 7
-		p.Cores, p.Banks = 64, 64
-		g := gen.MustLayered(p)
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/P=%d", n, par), func(b *testing.B) {
-				img, err := engine.Compile(g, sched.Options{Parallelism: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := engine.MustNew(engine.Incremental).NewWarm(img)
-				defer engine.CloseWarm(w)
-				ctx := context.Background()
-				// Two warm-ups: the first spawns the kernel workers, the
-				// second flushes one-time runtime bookkeeping (sudog pools)
-				// so short -benchtime runs don't report phantom allocs.
-				for i := 0; i < 2; i++ {
-					if _, err := w.AnalyzeCold(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.AnalyzeCold(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkCompile isolates what the other two differ by: validation,
 // cloning, and SoA/CSR flattening for one graph.
 func BenchmarkCompile(b *testing.B) {

@@ -11,9 +11,11 @@ import (
 	"github.com/mia-rt/mia/internal/sched"
 )
 
-// Edit requests a warm re-analysis after one adjacent swap on a per-core
-// order: positions From and From+1 of core Core's order were exchanged
-// since the analyzer's committed baseline.
+// Edit names where one core's order changed since the analyzer's committed
+// baseline: From is the first position where core Core's order may differ
+// from the committed one. One Edit may stand for several swaps on the same
+// core (callers collapse them to the smallest position); the warm analyzer
+// compares the overlay itself to find the last differing position.
 type Edit struct {
 	Core model.CoreID
 	From int
@@ -58,6 +60,10 @@ type Warm interface {
 	// the next Reschedule can replay instead of starting cold.
 	Warm() bool
 }
+
+// CloseWarm does nothing: a Warm holds no resources beyond garbage-collected
+// memory. It is kept only because the benchmark module still calls it.
+func CloseWarm(Warm) {}
 
 // Canonical backend names. Backends self-register from their package
 // init, so importing an algorithm package (even blank) makes its name

@@ -59,9 +59,9 @@ type Image struct {
 	// DemandMask is the bitset form of Demand, one bit per bank: bit b of
 	// task id's MaskWords-word row is set iff Demand[id*Banks+b] > 0. Two
 	// tasks interfere on exactly the banks in the AND of their rows, so
-	// the interference kernels intersect masks word-at-a-time (64 banks
-	// per compare — the cache-block unit of the blocked passes) and only
-	// touch the demand matrix on set bits, in ascending bank order.
+	// the incremental scheduler's interference exchange intersects masks
+	// word-at-a-time (64 banks per compare) and only touches the demand
+	// matrix on set bits, in ascending bank order.
 	DemandMask []uint64
 	// MaskWords is the per-task word count of DemandMask: ⌈Banks/64⌉.
 	MaskWords int

@@ -207,21 +207,3 @@ func TestMetamorphicDemandScaling(t *testing.T) {
 		}
 	}
 }
-
-// TestMetamorphicParallelismInvariance: the worker count is a performance
-// knob, not a semantic one — Parallelism ∈ {1, 2, 4, 8} yields bit-identical
-// results on every instance and backend (the corpus-wide version lives in
-// TestParallelBitIdenticalAcrossCorpus; this one covers the metamorphic
-// instance pool, whose platform shapes differ).
-func TestMetamorphicParallelismInvariance(t *testing.T) {
-	for ii, p := range metamorphicInstances() {
-		g := gen.MustLayered(p)
-		for _, backend := range []string{engine.Incremental, engine.Fixpoint, engine.RTA} {
-			base := analyze(t, backend, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
-			for _, par := range []int{1, 2, 4, 8} {
-				got := analyze(t, backend, g, sched.Options{Arbiter: arbiter.NewRoundRobin(1), Parallelism: par})
-				identical(t, fmt.Sprintf("instance[%d] %s P=%d", ii, backend, par), got, base)
-			}
-		}
-	}
-}

@@ -110,8 +110,6 @@ type worker struct {
 	objs []objective.Objective
 }
 
-func (wk *worker) close() { engine.CloseWarm(wk.w) }
-
 // evalOut is one candidate's evaluation: objective values (all +Inf when
 // the candidate is unschedulable or structurally invalid), the candidate's
 // canonical fingerprint, and its policy label.
@@ -211,7 +209,6 @@ func Search(ctx context.Context, img *engine.Image, opts Options) (*Result, erro
 	workers := make([]*worker, jobs)
 	for i := range workers {
 		workers[i] = &worker{img: img, eng: eng, w: eng.NewWarm(img), objs: objs}
-		defer workers[i].close()
 	}
 	evaluate := func(gs []*Genome) ([]evalOut, error) {
 		return pool.MapWith(ctx, workers, len(gs),

@@ -76,49 +76,51 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 		}
 	}
 
-	// The per-task bounds are mutually independent (each reads only the
-	// immutable image and the frozen perCore totals, and writes only its
-	// own result rows), so with Options.Parallelism > 1 they are computed
-	// over fixed task partitions — bit-identical to the sequential loop by
-	// construction. Each partition owns a competitor scratch buffer and
-	// polls cancellation itself; workers are joined before the function
-	// returns either way.
-	parts := img.Opts.Workers()
-	if parts > n {
-		parts = n
-	}
-	if parts > 1 {
-		kern := engine.NewKernel(parts)
-		stopped := make([]bool, parts)
-		bufs := make([][]arbiter.Request, parts)
-		for p := range bufs {
-			bufs[p] = make([]arbiter.Request, 0, n)
+	comps := make([]arbiter.Request, 0, n)
+	for i := 0; i < n; i++ {
+		if ctx.Err() != nil {
+			return nil, sched.ErrCanceled
 		}
-		kern.SetTask(func(part int) {
-			lo, hi := engine.PartitionRange(n, parts, part)
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					stopped[part] = true
-					return
+		id := model.TaskID(i)
+		dstCore := img.CoreOf[i]
+		row := img.DemandRow(id)
+		var inter model.Cycles
+		for b, d := range row {
+			if d == 0 {
+				continue
+			}
+			comps = comps[:0]
+			if separate {
+				// One entry per other-core task with demand on the bank,
+				// in ascending task-ID order.
+				for j := 0; j < n; j++ {
+					if img.CoreOf[j] == dstCore {
+						continue
+					}
+					if w := img.DemandRow(model.TaskID(j))[b]; w > 0 {
+						comps = append(comps, arbiter.Request{Core: img.CoreOf[j], Demand: w})
+					}
 				}
-				bufs[part] = taskBound(img, arb, separate, perCore, bufs[part], i, res)
+			} else {
+				// One merged entry per other core, in ascending core order.
+				for k := 0; k < img.Cores; k++ {
+					if model.CoreID(k) == dstCore {
+						continue
+					}
+					if w := perCore[k*img.Banks+b]; w > 0 {
+						comps = append(comps, arbiter.Request{Core: model.CoreID(k), Demand: w})
+					}
+				}
 			}
-		})
-		kern.Run()
-		kern.Close()
-		for _, st := range stopped {
-			if st {
-				return nil, sched.ErrCanceled
+			if len(comps) == 0 {
+				continue
 			}
+			bound := arb.Bound(arbiter.Request{Core: dstCore, Demand: d}, comps, model.BankID(b))
+			res.PerBank[i][b] = bound
+			inter += bound
 		}
-	} else {
-		comps := make([]arbiter.Request, 0, n)
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return nil, sched.ErrCanceled
-			}
-			comps = taskBound(img, arb, separate, perCore, comps, i, res)
-		}
+		res.Interference[i] = inter
+		res.Response[i] = img.WCET[i] + inter
 	}
 
 	// Same-core predecessor table from the order overlay, then the release
@@ -177,58 +179,6 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 		return nil, sched.DeadlineExceeded(res.Makespan)
 	}
 	return res, nil
-}
-
-// taskBound computes one task's per-bank interference bounds, total
-// interference and response time, writing only that task's rows of res. It
-// is the shared body of the sequential loop and the parallel partitions;
-// comps is a reusable competitor scratch buffer, returned so the caller can
-// keep its grown capacity.
-//
-//mia:hotpath
-func taskBound(img *engine.Image, arb arbiter.Arbiter, separate bool, perCore []model.Accesses, comps []arbiter.Request, i int, res *sched.Result) []arbiter.Request {
-	id := model.TaskID(i)
-	dstCore := img.CoreOf[i]
-	row := img.DemandRow(id)
-	n := img.NumTasks
-	var inter model.Cycles
-	for b, d := range row {
-		if d == 0 {
-			continue
-		}
-		comps = comps[:0]
-		if separate {
-			// One entry per other-core task with demand on the bank,
-			// in ascending task-ID order.
-			for j := 0; j < n; j++ {
-				if img.CoreOf[j] == dstCore {
-					continue
-				}
-				if w := img.DemandRow(model.TaskID(j))[b]; w > 0 {
-					comps = append(comps, arbiter.Request{Core: img.CoreOf[j], Demand: w})
-				}
-			}
-		} else {
-			// One merged entry per other core, in ascending core order.
-			for k := 0; k < img.Cores; k++ {
-				if model.CoreID(k) == dstCore {
-					continue
-				}
-				if w := perCore[k*img.Banks+b]; w > 0 {
-					comps = append(comps, arbiter.Request{Core: model.CoreID(k), Demand: w})
-				}
-			}
-		}
-		if len(comps) == 0 {
-			continue
-		}
-		bound := arb.Bound(arbiter.Request{Core: dstCore, Demand: d}, comps, model.BankID(b))
-		res.PerBank[i][b] = bound
-		inter += bound
-	}
-	res.Interference[i] = inter
-	res.Response[i] = img.WCET[i] + inter
-	return comps
 }
 
 // horizon is the latest finish date implied by the given releases and

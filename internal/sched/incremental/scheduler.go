@@ -228,15 +228,6 @@ func (sc *Scheduler) Reschedule(ctx context.Context, edits ...engine.Edit) (*sch
 	return res, err
 }
 
-// Close joins the parked worker goroutines of the parallel exchange kernel,
-// when the compiled options enabled one (Options.Parallelism > 1);
-// engine.CloseWarm reaches it through the optional-Close assertion. The
-// Scheduler — checkpoints, warm baseline and all — remains fully usable:
-// the next parallel run simply respawns the workers. Call it when retiring
-// a Scheduler from a pool so parked goroutines do not outlive the analyzer
-// that owns them; sequential Schedulers make it a no-op.
-func (sc *Scheduler) Close() { sc.st.close() }
-
 // Warm reports whether the Scheduler holds a valid warm-start baseline: a
 // successful Analyze has committed checkpoints and the caller has not
 // invalidated them. Serving layers use it to distinguish a cheap Reschedule

@@ -1,22 +1,26 @@
-// Package sched defines the common vocabulary of the two interference-aware
-// schedulers in this repository: the problem options, the schedule result
+// Package sched defines the common vocabulary of the interference analyses
+// in this repository: the problem options, the schedule result
 // (release dates Θ and response times R), unschedulability errors, the
 // shared interference computation over execution windows, an independent
 // invariant checker, and an ASCII Gantt renderer in the style of the
 // paper's Figure 1.
 //
-// The actual algorithms live in the subpackages, which register themselves
+// The actual algorithms live in three packages, which register themselves
 // as engine backends:
 //
 //   - sched/incremental — the paper's contribution, the O(n²) time-cursor
 //     algorithm (Algorithm 1);
 //   - sched/fixpoint — the O(n⁴) double fixed-point baseline of Rihani et
-//     al. (RTNS 2016) that the paper improves upon.
+//     al. (RTNS 2016) that the paper improves upon;
+//   - internal/rta — a window-free compositional bound, the cheap and
+//     pessimistic schedulability screen that dominates the incremental
+//     schedule.
 //
-// Both are reached the same way: engine.Compile folds a graph and its
+// All three are reached the same way: engine.Compile folds a graph and its
 // Options into an image, and Engine.Analyze(ctx, img) runs a backend on
 // it, producing the same Result type. The integration tests cross-validate
-// the two.
+// the two schedulers, and the engine tests check that the rta bound
+// dominates the incremental one.
 package sched
 
 import (
@@ -56,27 +60,9 @@ type Options struct {
 	// fixed-point baseline, which has no cursor.
 	Trace func(Event)
 
-	// Parallelism is the number of worker goroutines a backend may use
-	// *inside* one analysis: the per-event Alive-set exchange of the
-	// incremental scheduler, the per-round interference pass of the
-	// fixed-point baseline, and the per-task bound loop of the RTA screen
-	// partition their work across this many fixed partitions. 0 and 1 both
-	// select the sequential path, preserving the pre-parallel behavior
-	// exactly. Results are bit-identical at every level: partitions have
-	// fixed, size-derived boundaries and each partition replays the exact
-	// per-destination accumulation order of the sequential code, so the
-	// reduction is deterministic by construction (see DESIGN §3.7), not by
-	// synchronization. No command exposes it and the serving shard clears
-	// it; it remains for perfbench's measurement and the engine's tests.
+	// Parallelism is ignored; every analysis runs on one goroutine. It is
+	// kept only because the benchmark module sets it.
 	Parallelism int
-}
-
-// Workers resolves Parallelism to the effective partition count: at least 1.
-func (o Options) Workers() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
 }
 
 // EffectiveArbiter resolves the arbitration policy, applying the default.

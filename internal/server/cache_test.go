@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
-	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
 	"github.com/mia-rt/mia/internal/wire"
 )
@@ -140,57 +137,4 @@ func TestBatchSurvivesRegistryEviction(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestShardIgnoresParallelism: the shard clears Sched.Parallelism. A server
-// asked for four intra-analysis workers on a graph wide enough for the
-// parallel exchange to spawn them answers analyze, reschedule and batch
-// byte-identically to a default server, and after Close no goroutine of
-// its cached analyzers survives.
-func TestShardIgnoresParallelism(t *testing.T) {
-	g, err := gen.Layered(gen.NewParams(4, 16)) // 16 cores, 16 tasks per layer
-	if err != nil {
-		t.Fatalf("generating graph: %v", err)
-	}
-	// Each core runs one task per layer, and every edge joins consecutive
-	// layers, so swapping two adjacent tasks of a core keeps the graph
-	// schedulable exactly when no edge joins them.
-	var swaps []string
-	for k := 0; k < g.Cores; k++ {
-		order := g.Order(model.CoreID(k))
-		if !slices.Contains(g.Successors(order[0]), order[1]) {
-			swaps = append(swaps, fmt.Sprintf(`[{"core":%d,"pos":0}]`, k))
-		}
-	}
-	if len(swaps) < 2 {
-		t.Fatalf("found %d legal swaps, want at least 2", len(swaps))
-	}
-	body := graphJSON(t, g)
-	replies := func(s *Server) [][]byte {
-		hash := responseHash(t, analyzeGraph(t, s, body))
-		var out [][]byte
-		for _, rr := range []*httptest.ResponseRecorder{
-			do(s, http.MethodPost, "/v1/analyze", bytes.NewReader(body)),
-			do(s, http.MethodPost, "/v1/reschedule", strings.NewReader(fmt.Sprintf(`{"hash":%q,"swaps":%s}`, hash, swaps[0]))),
-			doBatch(s, "", []byte(fmt.Sprintf(`{"hash":%q,"items":[{"swaps":[]},{"swaps":%s},{"swaps":%s}]}`, hash, swaps[0], swaps[1]))),
-		} {
-			if rr.Code != http.StatusOK {
-				t.Fatalf("status %d (%s)", rr.Code, rr.Body.String())
-			}
-			out = append(out, rr.Body.Bytes())
-		}
-		return out
-	}
-	want := replies(newTestServer(t, Config{Workers: 1}))
-
-	baseline := runtime.NumGoroutine()
-	s := New(Config{Workers: 1, Sched: sched.Options{Parallelism: 4}})
-	got := replies(s)
-	s.Close()
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("reply %d differs from the default server's\ngot:  %s\nwant: %s", i, got[i], want[i])
-		}
-	}
-	waitFor(t, "goroutines to return to baseline after Close", func() bool { return runtime.NumGoroutine() <= baseline })
 }

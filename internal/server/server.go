@@ -23,8 +23,8 @@
 // one full analysis, and repeat analyses and edit reschedules replay a
 // checkpointed suffix instead of re-analyzing from t=0 — the same
 // warm-start reuse the design-space explorer exploits, now held across
-// requests. Intra-analysis parallelism stays off (see Config.Sched): the
-// workers already run whole analyses in parallel. Warm replays are
+// requests. Each analysis runs on its worker's goroutine; the workers run
+// whole analyses in parallel. Warm replays are
 // bit-identical to cold runs (the scheduler's differential suite pins
 // this), so a client cannot observe whether its response came from a
 // checkpoint: only latency and the cache counters differ.
@@ -91,9 +91,6 @@ type Config struct {
 	MaxJobs int
 	// Sched is the base option set for every analysis (arbiter, competitor
 	// merging, ...). Trace is ignored: traces would race across workers.
-	// Parallelism is ignored too: the workers already run whole analyses in
-	// parallel, so a cached analyzer never owns kernel goroutines and an
-	// evicted one needs no closing.
 	Sched sched.Options
 }
 
@@ -123,7 +120,6 @@ func (c Config) withDefaults() Config {
 		c.MaxJobs = 2
 	}
 	c.Sched.Trace = nil
-	c.Sched.Parallelism = 0
 	return c
 }
 
@@ -240,13 +236,14 @@ func errBody(msg string) []byte {
 }
 
 // requestCtx layers the per-request deadline onto the connection context.
-// An invalid or non-positive timeout_ms falls back to the default: admission
-// control should never fail a request over a malformed hint.
+// An invalid, non-positive or overflowing timeout_ms falls back to the
+// default: admission control should never fail a request over a malformed
+// hint.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		var ms int64
-		if _, err := fmt.Sscan(v, &ms); err == nil && ms > 0 {
+		if _, err := fmt.Sscan(v, &ms); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}

@@ -315,6 +315,21 @@ func TestDeadlineExpiryAnswers504(t *testing.T) {
 	}
 }
 
+// TestOverflowingTimeoutFallsBackToDefault: a timeout_ms too large for a
+// time.Duration is a malformed hint like any other, so the request runs
+// under the default deadline. Converted unchecked, 1e13 ms wraps to a
+// negative duration and 2^62 ms to zero, either of which expires at once.
+func TestOverflowingTimeoutFallsBackToDefault(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	body := graphJSON(t, gen.Figure1())
+	for _, ms := range []string{"10000000000000", "4611686018427387904", "abc", "-5"} {
+		rr := do(s, http.MethodPost, "/v1/analyze?timeout_ms="+ms, bytes.NewReader(body))
+		if rr.Code != http.StatusOK {
+			t.Errorf("timeout_ms=%s: got %d, want 200 (body %s)", ms, rr.Code, rr.Body.String())
+		}
+	}
+}
+
 func TestDrainRejectsNewFinishesAdmitted(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	arrived := make(chan struct{}, 1)
