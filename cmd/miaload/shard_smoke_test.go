@@ -6,12 +6,15 @@ package main
 // serving tier as real processes over loopback TCP: three miaserve shards
 // with a deliberately tiny admission queue, one miarouter fronting them,
 // and miaload driving through the router. It checks the tier's three
-// operating regimes end to end:
+// operating regimes end to end, and the replication path:
 //
 //   - steady state: batch traffic through the router completes with zero
 //     errors (routing and replication are invisible to the client);
 //   - saturation: overload sheds with 429 and every shed response carries a
 //     bounded Retry-After in [1, 30] s (validated by miaload -saturate);
+//   - replication: every analyze the router replicated reached a shard
+//     as a register-only request (shard requests.register summed equals
+//     the router's replications, and both are above 0);
 //   - drain: SIGINT stops router and shards cleanly, exit code 0.
 //
 // Same build tag as serve-smoke so `go test ./...` stays exec-free; CI runs
@@ -21,6 +24,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -108,6 +112,39 @@ func TestServeShardSmoke(t *testing.T) {
 	}
 	if sat.RetryAfterMinS < 1 || sat.RetryAfterMaxS > 30 {
 		t.Fatalf("Retry-After range [%d, %d] s outside [1, 30]", sat.RetryAfterMinS, sat.RetryAfterMaxS)
+	}
+
+	// Replication: the priming analyzes were replicated, and each
+	// replication the router counted reached a shard as a register-only
+	// request (the router replicates synchronously, so by now every one
+	// has been answered).
+	metrics := func(base string, v any) {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatalf("GET %s/metrics: %v", base, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("decoding %s/metrics: %v", base, err)
+		}
+	}
+	var rm struct {
+		Replications int64 `json:"replications"`
+	}
+	metrics(routerURL, &rm)
+	var registered int64
+	for _, u := range urls {
+		var sm struct {
+			Requests struct {
+				Register int64 `json:"register"`
+			} `json:"requests"`
+		}
+		metrics(u, &sm)
+		registered += sm.Requests.Register
+	}
+	if rm.Replications == 0 || registered != rm.Replications {
+		t.Fatalf("router replications %d, shard register requests %d: want equal and above 0", rm.Replications, registered)
 	}
 
 	// Drain: router first, then the shards; each must exit 0.

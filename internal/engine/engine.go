@@ -51,8 +51,9 @@ type Warm interface {
 	// touching the warm baseline — the oracle path for differential
 	// comparisons against Reschedule.
 	AnalyzeCold(ctx context.Context) (*sched.Result, error)
-	// Reschedule re-analyzes after the given adjacent-swap edits were
-	// applied to Orders since the committed baseline. Backends with warm
+	// Reschedule re-analyzes after Orders changed since the committed
+	// baseline. edits name every changed core, each with the first
+	// position where its order may differ (see Edit). Backends with warm
 	// state replay from the latest safe checkpoint; others rerun cold.
 	// Results are bit-identical to a cold analysis of the same orders.
 	Reschedule(ctx context.Context, edits ...Edit) (*sched.Result, error)

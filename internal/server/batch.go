@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
+	"github.com/mia-rt/mia/internal/httpbody"
 	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
 )
@@ -62,7 +62,7 @@ func (s *Server) parseBatch(r *http.Request) (*engine.Image, []batchItem, *reply
 	var img *engine.Image
 	var items []batchItem
 	if wire.IsContentType(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
+		body, err := httpbody.Read(nil, r, s.cfg.MaxRequestBytes)
 		if err != nil {
 			return fail(http.StatusBadRequest, err.Error())
 		}

@@ -68,8 +68,22 @@ func schedReply(ctx context.Context, hash string, tasks int, res *sched.Result, 
 // fingerprint — on any worker — analyze the same compiled image instead of
 // re-deriving it from graph bytes. The analysis itself is the zero-swap
 // scenario of whatIf.
+//
+// With ?register=1 the graph is compiled and registered the same way, and
+// the reply is only {"hash":...}: the request never enters the admission
+// queue and runs no analysis. The router replicates analyzes this way, so
+// a replica holds the image without paying for a schedule nobody reads.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	s.met.analyze.Add(1)
+	v, register := r.URL.Query()["register"]
+	if register {
+		s.met.register.Add(1)
+		if len(v) != 1 || v[0] != "1" {
+			s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(`register must be "1"`)})
+			return
+		}
+	} else {
+		s.met.analyze.Add(1)
+	}
 	img, err := s.compileBody(r)
 	if err != nil {
 		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody(err.Error())})
@@ -77,6 +91,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	hash := img.Fingerprint()
 	img = s.images.put(hash, img)
+	if register {
+		if s.draining() {
+			s.writeReply(w, reply{status: http.StatusServiceUnavailable, body: errBody("draining")})
+			return
+		}
+		body, _ := json.Marshal(struct {
+			Hash string `json:"hash"`
+		}{hash})
+		s.writeReply(w, reply{status: http.StatusOK, body: body})
+		return
+	}
 	s.dispatch(w, r, func(ctx context.Context, wk *worker) reply {
 		return wk.whatIf(ctx, s, img, hash, nil, nil)
 	})

@@ -22,6 +22,7 @@ type metrics struct {
 	start time.Time
 
 	analyze     atomic.Int64
+	register    atomic.Int64 // analyze requests with ?register=1
 	reschedule  atomic.Int64
 	batch       atomic.Int64
 	jobs        atomic.Int64
@@ -217,6 +218,7 @@ type metricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      struct {
 		Analyze    int64 `json:"analyze"`
+		Register   int64 `json:"register"`
 		Reschedule int64 `json:"reschedule"`
 		Batch      int64 `json:"batch"`
 		Jobs       int64 `json:"jobs"`
@@ -274,6 +276,7 @@ func (m *metrics) snapshot(queueDepth, queueCap int, completed int64, graphs int
 	var s metricsSnapshot
 	s.UptimeSeconds = time.Since(m.start).Seconds()
 	s.Requests.Analyze = m.analyze.Load()
+	s.Requests.Register = m.register.Load()
 	s.Requests.Reschedule = m.reschedule.Load()
 	s.Requests.Batch = m.batch.Load()
 	s.Requests.Jobs = m.jobs.Load()

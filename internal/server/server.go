@@ -4,7 +4,8 @@
 // regulation controllers that re-run interference analysis in a loop.
 //
 //	POST /v1/analyze     graph (JSON or binary wire format) in → schedule
-//	                     (Θ, R, makespan) out
+//	                     (Θ, R, makespan) out; with ?register=1 the graph
+//	                     is only registered and the reply is its hash
 //	POST /v1/reschedule  fingerprint + order edits → schedule out, served
 //	                     from a warm scheduler checkpoint when possible
 //	POST /v1/batch       one graph (by value or fingerprint) + many edit
@@ -41,7 +42,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
+	"github.com/mia-rt/mia/internal/httpbody"
 	"github.com/mia-rt/mia/internal/pool"
 	"github.com/mia-rt/mia/internal/sched"
 	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
@@ -377,7 +378,7 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 // size cap and full validation; the ingest counters record which one
 // served each graph-carrying request.
 func (s *Server) compileBody(r *http.Request) (*engine.Image, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
+	body, err := httpbody.Read(nil, r, s.cfg.MaxRequestBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -345,6 +345,9 @@ func TestDrainRejectsNewFinishesAdmitted(t *testing.T) {
 	if rr := do(s, http.MethodPost, "/v1/analyze", bytes.NewReader(body)); rr.Code != http.StatusServiceUnavailable {
 		t.Errorf("analyze during drain: got %d, want 503", rr.Code)
 	}
+	if rr := do(s, http.MethodPost, "/v1/analyze?register=1", bytes.NewReader(body)); rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("register during drain: got %d, want 503", rr.Code)
+	}
 	if rr := do(s, http.MethodGet, "/healthz", nil); rr.Code != http.StatusServiceUnavailable {
 		t.Errorf("healthz during drain: got %d, want 503 (body %s)", rr.Code, rr.Body.String())
 	}
@@ -438,6 +441,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	body := graphJSON(t, gen.Figure1())
 	analyzeGraph(t, s, body)
 	analyzeGraph(t, s, body) // may hit or miss depending on which worker serves it
+	if rr := do(s, http.MethodPost, "/v1/analyze?register=1", bytes.NewReader(body)); rr.Code != http.StatusOK {
+		t.Fatalf("register: got %d (body %s)", rr.Code, rr.Body.String())
+	}
 
 	rr := do(s, http.MethodGet, "/metrics", nil)
 	if rr.Code != http.StatusOK {
@@ -447,14 +453,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("decoding metrics: %v (body %s)", err, rr.Body.String())
 	}
-	if snap.Requests.Analyze != 2 {
-		t.Errorf("requests.analyze = %d, want 2", snap.Requests.Analyze)
+	if snap.Requests.Analyze != 2 || snap.Requests.Register != 1 {
+		t.Errorf("requests.analyze = %d, requests.register = %d, want 2 and 1", snap.Requests.Analyze, snap.Requests.Register)
 	}
 	if snap.Requests.Healthz != 1 {
 		t.Errorf("requests.healthz = %d, want 1", snap.Requests.Healthz)
 	}
-	if snap.Responses.Class2xx < 3 {
-		t.Errorf("responses.2xx = %d, want >= 3", snap.Responses.Class2xx)
+	if snap.Responses.Class2xx < 4 {
+		t.Errorf("responses.2xx = %d, want >= 4", snap.Responses.Class2xx)
 	}
 	if snap.Queue.Capacity != 7 {
 		t.Errorf("queue.capacity = %d, want 7", snap.Queue.Capacity)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/mia-rt/mia/internal/httpbody"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
@@ -35,9 +36,11 @@ import (
 //     and passively mark the failed shard down until a health probe clears
 //     it.
 //   - Analyze bodies are replicated: after the serving shard answers 200,
-//     the same body is re-posted best-effort to the next ring replica, so
-//     every registered image is pinned on its primary plus one successor
-//     and a by-hash request surviving a primary death still resolves.
+//     the same body is re-posted best-effort to the next ring replica with
+//     ?register=1, which compiles and registers the image without analyzing
+//     it, so every registered image is pinned on its primary plus one
+//     successor and a by-hash request surviving a primary death still
+//     resolves.
 //   - A shard dying mid-batch fails over: the router re-admits exactly the
 //     items whose result lines it has not yet streamed to the client, maps
 //     the successor's line indices back to the original item indices, and
@@ -386,15 +389,16 @@ func blobFingerprint(body []byte) string {
 }
 
 // forward issues one attempt of the client's request to one shard: same
-// method, path and query, with body as the payload. The in-flight counter
-// brackets only the attempt itself, not the body read — it is the
-// admission-pressure signal for bounded-load placement, and a long stream
-// is backpressure the shard already accounts for in its own queue.
-func (r *Router) forward(client *http.Client, url string, in *http.Request, contentType string, body []byte) (*http.Response, error) {
+// method, uri (the client's own path and query, except for replication),
+// with body as the payload. The in-flight counter brackets only the attempt
+// itself, not the body read — it is the admission-pressure signal for
+// bounded-load placement, and a long stream is backpressure the shard
+// already accounts for in its own queue.
+func (r *Router) forward(client *http.Client, url string, in *http.Request, uri, contentType string, body []byte) (*http.Response, error) {
 	t := r.targets[url]
 	t.inflight.Add(1)
 	defer t.inflight.Add(-1)
-	req, err := http.NewRequestWithContext(in.Context(), in.Method, url+in.URL.RequestURI(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(in.Context(), in.Method, url+uri, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +492,7 @@ func (r *Router) fail(w http.ResponseWriter, u *unanswered) {
 // for the body's fingerprint, copy the first final answer through, and
 // replicate successful analyze bodies to the next replica.
 func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
+	body, err := httpbody.Read(w, req, r.cfg.MaxRequestBytes)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
@@ -500,7 +504,7 @@ func (r *Router) handleUnary(w http.ResponseWriter, req *http.Request) {
 	cands := r.candidates(r.routeFingerprint(req, body))
 	u := r.walk(req.Context(), cands,
 		func(url string) (*http.Response, error) {
-			return r.forward(r.client, url, req, contentType, body)
+			return r.forward(r.client, url, req, req.URL.RequestURI(), contentType, body)
 		},
 		func(url string, resp *http.Response) bool {
 			r.copyResponse(w, resp)
@@ -539,7 +543,7 @@ func (r *Router) handleJobByID(w http.ResponseWriter, req *http.Request) {
 	}
 	u := r.walk(req.Context(), r.candidates(jobFingerprint(req.PathValue("id"))),
 		func(url string) (*http.Response, error) {
-			return r.forward(client, url, req, "", nil)
+			return r.forward(client, url, req, req.URL.RequestURI(), "", nil)
 		},
 		func(url string, resp *http.Response) bool {
 			if stream && resp.StatusCode == http.StatusOK {
@@ -598,11 +602,16 @@ func relayJob(w http.ResponseWriter, body io.Reader) {
 
 // replicate pins an analyzed graph on the rest of its replica set: the
 // analyze request is re-sent, best-effort and synchronously, to every
-// replica that did not already serve it. Failures are ignored beyond the
-// passive down-mark — replication narrows the failover window, it is not a
-// durability contract (a successor that missed a blob answers 404 on
-// failover and the client re-analyzes).
+// replica that did not already serve it, in its register-only form — same
+// path and body bytes, the client's query plus register=1 — so a replica
+// compiles and registers the image but runs no analysis. Failures are
+// ignored beyond the passive down-mark — replication narrows the failover
+// window, it is not a durability contract (a successor that missed a blob
+// answers 404 on failover and the client re-analyzes).
 func (r *Router) replicate(req *http.Request, cands []string, served, contentType string, body []byte) {
+	q := req.URL.Query()
+	q.Set("register", "1")
+	uri := req.URL.Path + "?" + q.Encode()
 	n := 0
 	for _, url := range cands {
 		if n >= r.cfg.Replicas {
@@ -612,7 +621,7 @@ func (r *Router) replicate(req *http.Request, cands []string, served, contentTyp
 		if url == served {
 			continue
 		}
-		resp, err := r.forward(r.client, url, req, contentType, body)
+		resp, err := r.forward(r.client, url, req, uri, contentType, body)
 		if err != nil {
 			r.markDown(url)
 			continue
@@ -804,7 +813,7 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 // original item indices, and the router writes the single final trailer
 // itself.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
+	body, err := httpbody.Read(w, req, r.cfg.MaxRequestBytes)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
@@ -822,7 +831,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			}
 			st.sent = st.notStreamed()
 			contentType, sub := pb.subBody(st.sent)
-			return r.forward(r.batchClient, url, req, contentType, sub)
+			return r.forward(r.batchClient, url, req, req.URL.RequestURI(), contentType, sub)
 		},
 		func(url string, resp *http.Response) bool {
 			switch {

@@ -1,13 +1,18 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,15 +23,31 @@ import (
 // prove which evaluation produced a line) and job streams with three front
 // updates, optionally dying after a set number of lines. It keeps the real
 // protocol's framing — NDJSON lines, one trailer — so the router under
-// test cannot tell it from miaserve.
+// test cannot tell it from miaserve. Every request it receives is logged.
 type fakeShard struct {
 	name     string
 	dieAfter int32 // kill the connection after this many lines (<0: never)
 	cutLine  bool  // when dying, first send half of the next line
 	batches  atomic.Int32
-	analyzes atomic.Int32
 	healthy  atomic.Bool
 	ts       *httptest.Server
+
+	mu   sync.Mutex
+	reqs []fakeReq
+}
+
+// fakeReq is one request as a fake shard received it.
+type fakeReq struct {
+	path     string
+	query    url.Values
+	bodyHash [sha256.Size]byte
+}
+
+// requests returns the shard's request log so far.
+func (f *fakeShard) requests() []fakeReq {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]fakeReq(nil), f.reqs...)
 }
 
 type fakeItem struct {
@@ -46,7 +67,6 @@ func newFakeShard(t *testing.T, name string, dieAfter int32) *fakeShard {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
 	mux.HandleFunc("POST /v1/analyze", func(w http.ResponseWriter, r *http.Request) {
-		f.analyzes.Add(1)
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"hash":"h","servedBy":%q}`, f.name)
@@ -79,7 +99,14 @@ func newFakeShard(t *testing.T, name string, dieAfter int32) *fakeShard {
 		}
 		fmt.Fprint(w, `{"done":true,"status":"done","updates":3,"truncated":false}`+"\n")
 	})
-	f.ts = httptest.NewServer(mux)
+	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		f.mu.Lock()
+		f.reqs = append(f.reqs, fakeReq{path: r.URL.Path, query: r.URL.Query(), bodyHash: sha256.Sum256(body)})
+		f.mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.ts.Close)
 	return f
 }
@@ -357,14 +384,16 @@ func TestRouter404ContinuesRingWalk(t *testing.T) {
 }
 
 // TestRouterReplicatesAnalyze: a successful analyze is re-posted to the
-// successor, so both replicas of the fingerprint's set register the image.
+// successor in its register-only form — the same path and body bytes, the
+// client's query plus register=1 — so both replicas of the fingerprint's
+// set register the image and only the primary analyzes it.
 func TestRouterReplicatesAnalyze(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, "a", -1), newFakeShard(t, "b", -1), newFakeShard(t, "c", -1)}
 	urls := []string{shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL}
 	r := newTestRouter(t, Config{Targets: urls, Replicas: 2, Retries: 3})
 
 	body := `{"cores":1,"banks":1}` // fake shards accept anything
-	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/analyze?timeout_ms=500", strings.NewReader(body))
 	req.Header.Set("X-Mia-Fingerprint", "pinned-fp")
 	rr := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rr, req)
@@ -373,14 +402,23 @@ func TestRouterReplicatesAnalyze(t *testing.T) {
 	}
 
 	order := r.ring.Order("pinned-fp")
-	if got := shardFor(shards, order[0]).analyzes.Load(); got != 1 {
-		t.Errorf("primary analyzes = %d, want 1", got)
-	}
-	if got := shardFor(shards, order[1]).analyzes.Load(); got != 1 {
-		t.Errorf("successor analyzes = %d, want 1 (replication)", got)
-	}
-	if got := shardFor(shards, order[2]).analyzes.Load(); got != 0 {
-		t.Errorf("third shard analyzes = %d, want 0 (outside the replica set)", got)
+	want := sha256.Sum256([]byte(body))
+	for i, wantQuery := range []url.Values{
+		{"timeout_ms": {"500"}},
+		{"timeout_ms": {"500"}, "register": {"1"}},
+		nil, // outside the replica set
+	} {
+		got := shardFor(shards, order[i]).requests()
+		if wantQuery == nil {
+			if len(got) != 0 {
+				t.Errorf("ring position %d received %d requests, want none", i, len(got))
+			}
+			continue
+		}
+		if len(got) != 1 || got[0].path != "/v1/analyze" || got[0].bodyHash != want ||
+			!reflect.DeepEqual(got[0].query, wantQuery) {
+			t.Errorf("ring position %d received %+v, want one /v1/analyze with the client's bytes and query %v", i, got, wantQuery)
+		}
 	}
 	if got := r.met.replications.Load(); got != 1 {
 		t.Errorf("replications = %d, want 1", got)
