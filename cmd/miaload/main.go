@@ -1,7 +1,7 @@
-// Command miaload load-tests a running miaserve instance and reports a
-// latency histogram — the measurement harness for the serving layer's two
-// amortization levers: binary wire ingest (vs graph JSON) and batched edit
-// evaluation (vs unary reschedules).
+// Command miaload load-tests a running miaserve or miarouter instance and
+// reports a latency histogram — the measurement harness for the serving
+// layer's two amortization levers: binary wire ingest (vs graph JSON) and
+// batched edit evaluation (vs unary reschedules).
 //
 // It generates one layered task graph (the paper's evaluation shape),
 // registers it with the target server, then drives one of three request
@@ -21,6 +21,11 @@
 // report (p50/p95/p99/mean/max latency in milliseconds, throughput,
 // response bytes, error count).
 //
+// A sharded fleet is load-tested through miarouter: -addr names the
+// router, which places each graph's requests on its shards. Every request
+// carries the graph's fingerprint in wire.RouteHeader, so the router need
+// not decode a body to place it.
+//
 // Usage:
 //
 //	miaload -addr http://127.0.0.1:8080 -mode batch -batch 100 -requests 20
@@ -31,10 +36,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -48,7 +53,7 @@ import (
 
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
-	"github.com/mia-rt/mia/internal/shard"
+	"github.com/mia-rt/mia/internal/regress"
 	"github.com/mia-rt/mia/internal/wire"
 )
 
@@ -67,7 +72,6 @@ type report struct {
 	Wire        bool    `json:"wire"`
 	Tasks       int     `json:"tasks"`
 	Graphs      int     `json:"graphs,omitempty"`
-	Targets     int     `json:"targets,omitempty"`
 	Requests    int     `json:"requests"`
 	Batch       int     `json:"batch,omitempty"`
 	Concurrency int     `json:"concurrency"`
@@ -84,8 +88,8 @@ type report struct {
 	BytesIn     int64   `json:"bytes_in"`
 	Errors      int64   `json:"errors"`
 	// Saturation-mode accounting: requests the service shed with 429 (plus
-	// the Retry-After bounds it advertised) and requests every target
-	// answered 503 for (drain). Zero outside -saturate.
+	// the Retry-After bounds it advertised) and requests it answered 503
+	// for (drain). Zero outside -saturate.
 	Shed           int64 `json:"shed,omitempty"`
 	Drained        int64 `json:"drained,omitempty"`
 	RetryAfterMinS int   `json:"retry_after_min_s,omitempty"`
@@ -93,14 +97,12 @@ type report struct {
 }
 
 // loadGraph is one generated graph's client-side serving state: its upload
-// body, canonical fingerprint (the routing key), the server-reported hash,
-// and the target order its requests walk (the fingerprint's ring walk in
-// -targets mode, or the single -addr base).
+// body, canonical fingerprint (the routing hint), and the server-reported
+// hash.
 type loadGraph struct {
 	fp    string
 	hash  string
 	body  string
-	order []string
 	sites []swapSite
 }
 
@@ -110,8 +112,7 @@ type swapSite struct{ core, pos int }
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("miaload", flag.ContinueOnError)
 	var (
-		addr        = fs.String("addr", "http://127.0.0.1:8080", "base URL of the miaserve instance under test")
-		targetsFlag = fs.String("targets", "", "comma-separated shard base URLs: route client-side by fingerprint over their consistent-hash ring, with failover (overrides -addr)")
+		addr        = fs.String("addr", "http://127.0.0.1:8080", "base URL of the miaserve or miarouter instance under test")
 		mode        = fs.String("mode", "unary", `request mix: "analyze", "unary" or "batch"`)
 		useWire     = fs.Bool("wire", false, "upload the graph in binary wire format instead of JSON")
 		tasks       = fs.Int("tasks", 512, "generated graph size (layers of 64 tasks on 16 cores)")
@@ -136,31 +137,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("need -requests, -batch, -concurrency, -graphs >= 1 and -tasks >= 64")
 	}
 
-	// Target fleet: the single -addr base, or the -targets shard list with a
-	// client-side ring — the same ring the router builds, so a shard-aware
-	// miaload and a router agree on every fingerprint's primary without
-	// coordination.
-	bases := []string{strings.TrimRight(*addr, "/")}
-	var ring *shard.Ring
-	if *targetsFlag != "" {
-		bases = bases[:0]
-		for _, tgt := range strings.Split(*targetsFlag, ",") {
-			if tgt = strings.TrimSpace(tgt); tgt != "" {
-				bases = append(bases, strings.TrimRight(tgt, "/"))
-			}
-		}
-		if len(bases) == 0 {
-			return fmt.Errorf("-targets has no usable URLs")
-		}
-		ring = shard.NewRing(bases, 0)
-	}
-
-	d := &driver{client: &http.Client{Timeout: *timeout}, saturate: *saturate}
+	d := &driver{base: strings.TrimRight(*addr, "/"), client: &http.Client{Timeout: *timeout}, saturate: *saturate}
 
 	// Generate and register the graphs (measuring the one-time ingest cost).
-	// In ring mode each graph is primed on its primary AND its successor —
-	// the router's replication policy — so failover requests land on a shard
-	// that already holds the image.
 	contentType := "application/json"
 	if *useWire {
 		contentType = wire.ContentType
@@ -187,10 +166,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			body = buf.Bytes()
 		}
 		numTasks = g.NumTasks()
-		lg := &loadGraph{fp: g.Fingerprint(), body: string(body), order: bases}
-		if ring != nil {
-			lg.order = ring.Order(lg.fp)
-		}
+		lg := &loadGraph{fp: g.Fingerprint(), body: string(body)}
 		// Identity-pair edit scenarios, rotated across the cores that have
 		// at least two tasks mapped (a swap needs pos and pos+1).
 		for k := 0; k < g.Cores; k++ {
@@ -201,29 +177,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if len(lg.sites) == 0 {
 			return fmt.Errorf("generated graph %d has no core with >= 2 tasks", gi)
 		}
-		primeTargets := lg.order[:1]
-		if ring != nil && len(lg.order) > 1 {
-			primeTargets = lg.order[:2]
-		}
-		// Priming is per-replica best-effort (a dead successor is exactly
-		// what failover exists for), but at least one replica must accept
-		// the graph or no later request can succeed.
 		analyzeStart := time.Now()
-		primed := 0
-		var lastPrimeErr error
-		for _, tgt := range primeTargets {
-			hash, n, err := doAnalyze(ctx, d.client, tgt, contentType, body, lg.fp)
-			if err != nil {
-				lastPrimeErr = err
-				continue
-			}
-			lg.hash = hash
-			primeBytes += int64(n)
-			primed++
+		hash, n, err := d.analyze(ctx, contentType, body, lg.fp)
+		if err != nil {
+			return fmt.Errorf("priming analyze of graph %d: %w", gi, err)
 		}
-		if primed == 0 {
-			return fmt.Errorf("priming analyze of graph %d: no replica accepted it: %w", gi, lastPrimeErr)
-		}
+		lg.hash = hash
+		primeBytes += int64(n)
 		analyzeMs += float64(time.Since(analyzeStart)) / float64(time.Millisecond)
 		lgs[gi] = lg
 	}
@@ -299,9 +259,6 @@ feed:
 	if *graphs > 1 {
 		rep.Graphs = *graphs
 	}
-	if ring != nil {
-		rep.Targets = len(bases)
-	}
 	if *mode == "batch" {
 		rep.Batch = *batch
 	}
@@ -311,9 +268,9 @@ feed:
 	d.mu.Unlock()
 	sorted := append([]float64(nil), lat...)
 	sort.Float64s(sorted)
-	rep.Latency.P50 = quantile(sorted, 0.50)
-	rep.Latency.P95 = quantile(sorted, 0.95)
-	rep.Latency.P99 = quantile(sorted, 0.99)
+	rep.Latency.P50 = regress.NearestRank(sorted, 0.50)
+	rep.Latency.P95 = regress.NearestRank(sorted, 0.95)
+	rep.Latency.P99 = regress.NearestRank(sorted, 0.99)
 	rep.Latency.Max = sorted[len(sorted)-1]
 	var sum float64
 	for _, v := range sorted {
@@ -352,11 +309,11 @@ feed:
 	return nil
 }
 
-// driver issues the load requests: per-graph target order with failover
-// across shards (connection errors and 503s move to the next replica), and
-// saturation accounting when -saturate converts shed responses from errors
-// into the measured outcome.
+// driver issues the load requests to one base URL, with saturation
+// accounting when -saturate converts shed responses from errors into the
+// measured outcome.
 type driver struct {
+	base     string
 	client   *http.Client
 	saturate bool
 
@@ -390,64 +347,51 @@ func (d *driver) recordShed(retryAfter string) error {
 	return nil
 }
 
-// do issues one load request, walking the graph's target order: a
-// connection error or 503 moves to the next replica; 429 is terminal (the
-// primary's admission verdict — retrying it elsewhere would defeat the
-// bounded-load signal) and counts as shed under -saturate. Successful
+// post sends one request for graph fingerprint fp.
+func (d *driver) post(ctx context.Context, path, contentType, fp string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set(wire.RouteHeader, fp)
+	return d.client.Do(req)
+}
+
+// do issues one load request. A 429 counts as shed and a 503 (drain) as
+// drained under -saturate, and fails the request otherwise. Other
 // responses are validated by readResponse.
 func (d *driver) do(ctx context.Context, lg *loadGraph, path, contentType, body string, isBatch bool) (int64, error) {
-	var lastErr error
-	sawDrain := false
-	for _, base := range lg.order {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, strings.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", contentType)
-		req.Header.Set(wire.RouteHeader, lg.fp)
-		resp, err := d.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch resp.StatusCode {
-		case http.StatusServiceUnavailable, http.StatusBadGateway:
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			sawDrain = sawDrain || resp.StatusCode == http.StatusServiceUnavailable
-			lastErr = fmt.Errorf("%s: status %d", base, resp.StatusCode)
-			continue
-		case http.StatusTooManyRequests:
-			ra := resp.Header.Get("Retry-After")
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if !d.saturate {
-				return 0, fmt.Errorf("%s: shed (429, Retry-After %q)", base, ra)
-			}
-			return 0, d.recordShed(ra)
-		}
-		nb, err := readResponse(resp, isBatch)
-		resp.Body.Close()
-		return nb, err
+	resp, err := d.post(ctx, path, contentType, lg.fp, strings.NewReader(body))
+	if err != nil {
+		return 0, err
 	}
-	if d.saturate && sawDrain {
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusTooManyRequests:
+		ra := resp.Header.Get("Retry-After")
+		io.Copy(io.Discard, resp.Body)
+		if !d.saturate {
+			return 0, fmt.Errorf("shed (429, Retry-After %q)", ra)
+		}
+		return 0, d.recordShed(ra)
+	case http.StatusServiceUnavailable:
+		io.Copy(io.Discard, resp.Body)
+		if !d.saturate {
+			return 0, errors.New("draining (503)")
+		}
 		d.mu.Lock()
 		d.drained++
 		d.mu.Unlock()
 		return 0, nil
 	}
-	return 0, fmt.Errorf("all targets failed: %w", lastErr)
+	return readResponse(resp, isBatch)
 }
 
-// doAnalyze registers the graph on one target and returns its fingerprint.
-func doAnalyze(ctx context.Context, client *http.Client, base, contentType string, body []byte, fp string) (string, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/analyze", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set(wire.RouteHeader, fp)
-	resp, err := client.Do(req)
+// analyze registers the graph and returns its fingerprint and the reply's
+// size.
+func (d *driver) analyze(ctx context.Context, contentType string, body []byte, fp string) (string, int, error) {
+	resp, err := d.post(ctx, "/v1/analyze", contentType, fp, bytes.NewReader(body))
 	if err != nil {
 		return "", 0, err
 	}
@@ -498,24 +442,4 @@ func readResponse(resp *http.Response, isBatch bool) (int64, error) {
 		}
 	}
 	return int64(len(rb)), nil
-}
-
-// quantile reads the q-quantile from an ascending sample by the
-// nearest-rank definition: index ⌈q·n⌉−1, clamped. The previous
-// int(q·(n−1)) truncated the rank downward, so small samples
-// underestimated — p99 of two samples reported the minimum. An empty
-// sample reports 0 by convention.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
 }

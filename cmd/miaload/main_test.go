@@ -8,7 +8,9 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/regress"
 	"github.com/mia-rt/mia/internal/server"
+	"github.com/mia-rt/mia/internal/shard"
 )
 
 // startServer boots an in-process miaserve core behind httptest, so the
@@ -72,7 +74,8 @@ func TestLoadModes(t *testing.T) {
 	}
 }
 
-// TestQuantile pins the nearest-rank definition at the sample sizes the old
+// TestQuantile pins the nearest-rank definition miaload's report reads its
+// latency quantiles with (regress.NearestRank) at the sample sizes the old
 // int(q·(n−1)) formula underestimated: n = 1 and 2 (p99 must be the max,
 // not the min), the empty sample (0 by convention), and n = 100 anchors.
 func TestQuantile(t *testing.T) {
@@ -102,37 +105,55 @@ func TestQuantile(t *testing.T) {
 		{100, 1.00, 100},
 	}
 	for _, tc := range cases {
-		if got := quantile(seq(tc.n), tc.q); got != tc.want {
-			t.Errorf("quantile(n=%d, q=%.2f) = %v, want %v", tc.n, tc.q, got, tc.want)
+		if got := regress.NearestRank(seq(tc.n), tc.q); got != tc.want {
+			t.Errorf("NearestRank(n=%d, q=%.2f) = %v, want %v", tc.n, tc.q, got, tc.want)
 		}
 	}
 }
 
-// TestLoadShardTargets drives the shard-aware client path end to end: three
-// in-process shards, client-side ring routing with -targets, several graphs
-// spread across the fleet. Every request must land successfully (priming on
-// primary + successor means even a routing disagreement would surface as a
-// 404 error here).
+// startRouter boots an in-process miarouter core over targets behind
+// httptest. Health is passive: a shard is marked down by its first failed
+// request.
+func startRouter(t *testing.T, targets ...string) *httptest.Server {
+	t.Helper()
+	r, err := shard.NewRouter(context.Background(), shard.Config{Targets: targets})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		r.Close()
+	})
+	return ts
+}
+
+// TestLoadShardTargets drives a fleet end to end: three in-process shards
+// behind an in-process router, several graphs spread across the fleet.
+// Every request must land successfully: the router places each graph's
+// requests by fingerprint and replicates its analyze, so a routing
+// disagreement would surface as a 404 error here.
 func TestLoadShardTargets(t *testing.T) {
 	ts1, ts2, ts3 := startServer(t), startServer(t), startServer(t)
-	targets := ts1.URL + "," + ts2.URL + "," + ts3.URL
-	rep := runLoad(t, ts1.URL, "-targets", targets, "-graphs", "3", "-mode", "batch", "-batch", "4")
+	router := startRouter(t, ts1.URL, ts2.URL, ts3.URL)
+	rep := runLoad(t, router.URL, "-graphs", "3", "-mode", "batch", "-batch", "4")
 	if rep.Errors != 0 {
 		t.Fatalf("report has %d errors", rep.Errors)
 	}
-	if rep.Targets != 3 || rep.Graphs != 3 {
-		t.Errorf("report targets=%d graphs=%d, want 3 and 3", rep.Targets, rep.Graphs)
+	if rep.Graphs != 3 {
+		t.Errorf("report graphs=%d, want 3", rep.Graphs)
 	}
 }
 
-// TestLoadFailover: one of two targets is dead from the start; the
-// client-side ring must fail requests over to the surviving shard.
+// TestLoadFailover: one of two shards is dead from the start; the router
+// must fail requests over to the surviving shard.
 func TestLoadFailover(t *testing.T) {
 	live := startServer(t)
 	dead := startServer(t)
 	deadURL := dead.URL
 	dead.Close() // connection refused for every request routed here first
-	rep := runLoad(t, live.URL, "-targets", live.URL+","+deadURL, "-graphs", "2")
+	router := startRouter(t, live.URL, deadURL)
+	rep := runLoad(t, router.URL, "-graphs", "2")
 	if rep.Errors != 0 {
 		t.Fatalf("failover load reported %d errors", rep.Errors)
 	}

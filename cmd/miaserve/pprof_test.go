@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"github.com/mia-rt/mia/internal/server"
 )
 
 func apiStub() http.Handler {
@@ -57,5 +59,23 @@ func TestPprofMountLeavesAPIRoutes(t *testing.T) {
 	h.ServeHTTP(rr, req)
 	if rr.Code != http.StatusTeapot {
 		t.Fatalf("API route behind pprof mux: status %d", rr.Code)
+	}
+}
+
+// The server keeps its counters in a private expvar tree and serves them on
+// /metrics only. Importing expvar registers /debug/vars on
+// http.DefaultServeMux, which miaserve never serves, with or without pprof.
+func TestNoDebugVars(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	defer srv.Close()
+	for _, pprofOn := range []bool{false, true} {
+		h := assembleHandler(srv.Handler(), pprofOn)
+		req := httptest.NewRequest(http.MethodGet, "/debug/vars", nil)
+		req.RemoteAddr = "127.0.0.1:54321"
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if rr.Code != http.StatusNotFound {
+			t.Errorf("pprof %v: GET /debug/vars: %d, want 404", pprofOn, rr.Code)
+		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"io"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 )
 
 // ContentType is the media type of every stream.
@@ -154,14 +154,14 @@ func line(v any) []byte {
 type Writer struct {
 	w       io.Writer
 	flusher http.Flusher
-	count   *atomic.Int64
+	count   *expvar.Int
 	lines   int
 	ended   bool
 }
 
 // Start sends a stream's 200 header and returns its writer. count, when
 // not nil, accumulates every byte the writer sends.
-func Start(w http.ResponseWriter, count *atomic.Int64) *Writer {
+func Start(w http.ResponseWriter, count *expvar.Int) *Writer {
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(http.StatusOK)
 	f, _ := w.(http.Flusher)

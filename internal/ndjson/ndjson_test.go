@@ -3,10 +3,10 @@ package ndjson
 import (
 	"bytes"
 	"errors"
+	"expvar"
 	"io"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"testing/iotest"
 )
@@ -60,7 +60,7 @@ func TestClassify(t *testing.T) {
 // and only the first End writes.
 func TestWriterExactlyOneTrailer(t *testing.T) {
 	rr := httptest.NewRecorder()
-	var count atomic.Int64
+	var count expvar.Int
 	sw := Start(rr, &count)
 	sw.Line([]byte("{\"index\":0,\"status\":200}\n"))
 	sw.Line([]byte("{\"index\":1,\"status\":200}\n"))
@@ -78,8 +78,8 @@ func TestWriterExactlyOneTrailer(t *testing.T) {
 	if got := rr.Body.String(); got != want {
 		t.Errorf("body %q, want %q", got, want)
 	}
-	if count.Load() != int64(len(want)) {
-		t.Errorf("byte count %d, want %d", count.Load(), len(want))
+	if count.Value() != int64(len(want)) {
+		t.Errorf("byte count %d, want %d", count.Value(), len(want))
 	}
 	if !rr.Flushed {
 		t.Errorf("End did not flush")

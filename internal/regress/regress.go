@@ -4,7 +4,8 @@
 // "O(n^4.52)" for the old one on NL4).
 //
 // Fitting log t = α·log n + β over measured (n, t) pairs yields the
-// empirical exponent α of a power-law runtime t ≈ e^β · n^α.
+// empirical exponent α of a power-law runtime t ≈ e^β · n^α. NearestRank
+// reads quantiles off measured latency samples.
 package regress
 
 import (
@@ -94,4 +95,20 @@ func leastSquares(xs, ys []float64) (slope, intercept, r2 float64, err error) {
 	}
 	r2 = 1 - ssRes/syy
 	return slope, intercept, r2, nil
+}
+
+// NearestRank returns the q-quantile of an ascending sample by the
+// nearest-rank definition: the smallest element such that at least q·n of
+// the sample is ≤ it, i.e. index ⌈q·n⌉−1, clamped to the sample. The form
+// int(q·(n−1)) truncates instead of rounding up and underestimates small
+// samples: p99 of two samples would be the minimum. An empty sample has no
+// quantile and reports 0 by convention. The serving tier's /metrics and
+// miaload's report both read their latency quantiles with it.
+func NearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(n))) - 1
+	return sorted[min(max(i, 0), n-1)]
 }

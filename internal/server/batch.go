@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,19 +15,6 @@ import (
 	"github.com/mia-rt/mia/internal/ndjson"
 	"github.com/mia-rt/mia/internal/wire"
 )
-
-// batchRequest is the JSON body of POST /v1/batch: one graph — by value or
-// by the fingerprint of an earlier analyze — plus an array of edit
-// scenarios to evaluate against it. Exactly one of Hash/Graph must be set.
-//
-// With the wire Content-Type (wire.ContentType) the body is instead a binary
-// wire blob immediately followed by the JSON object {"items":[...]} — the
-// blob's header states its exact size, so the two parts need no separator.
-type batchRequest struct {
-	Hash  string          `json:"hash,omitempty"`
-	Graph json.RawMessage `json:"graph,omitempty"`
-	Items []batchItem     `json:"items"`
-}
 
 // batchItem is one edit scenario: a swap sequence with the same semantics
 // as the unary reschedule endpoint (each batch item is evaluated by exactly
@@ -53,51 +41,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.streamBatch(w, r, img, items)
 }
 
-// parseBatch resolves a batch request body into a registered image plus the
-// scenario list. On any failure it returns the reply to send instead.
+// parseBatch resolves a batch request body (its envelope is
+// wire.ParseBatch's) into a registered image plus the scenario list, each
+// item decoded strictly. On any failure it returns the reply to send
+// instead.
 func (s *Server) parseBatch(r *http.Request) (*engine.Image, []batchItem, *reply) {
 	fail := func(status int, msg string) (*engine.Image, []batchItem, *reply) {
 		return nil, nil, &reply{status: status, body: errBody(msg)}
 	}
+	body, err := httpbody.Read(nil, r, s.cfg.MaxRequestBytes)
+	if err != nil {
+		return fail(http.StatusBadRequest, err.Error())
+	}
+	b, err := wire.ParseBatch(r.Header.Get("Content-Type"), body)
+	if err != nil {
+		return fail(http.StatusBadRequest, err.Error())
+	}
+	items := make([]batchItem, len(b.Items))
+	for i, raw := range b.Items {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&items[i]); err != nil {
+			return fail(http.StatusBadRequest, fmt.Sprintf("parsing batch item %d: %v", i, err))
+		}
+	}
 	var img *engine.Image
-	var items []batchItem
-	if wire.IsContentType(r.Header.Get("Content-Type")) {
-		body, err := httpbody.Read(nil, r, s.cfg.MaxRequestBytes)
-		if err != nil {
-			return fail(http.StatusBadRequest, err.Error())
-		}
-		n, err := wire.Size(body)
-		if err != nil || n > len(body) {
-			return fail(http.StatusBadRequest, "batch body must start with a wire graph blob")
-		}
-		if img, err = engine.CompileFromWire(body[:n], s.cfg.Sched); err != nil {
+	if b.Blob != nil {
+		if img, err = engine.CompileFromWire(b.Blob, s.cfg.Sched); err != nil {
 			return fail(http.StatusBadRequest, err.Error())
 		}
 		s.met.ingestWire.Add(1)
-		var rest struct {
-			Items []batchItem `json:"items"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(body[n:]))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rest); err != nil {
-			return fail(http.StatusBadRequest, "parsing batch items after wire blob: "+err.Error())
-		}
-		items = rest.Items
 	} else {
-		var req batchRequest
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return fail(http.StatusBadRequest, "parsing batch request: "+err.Error())
-		}
 		var rep *reply
-		if img, rep = s.resolveGraph(req.Hash, req.Graph); rep != nil {
+		if img, rep = s.resolveGraph(b.Hash, b.Graph); rep != nil {
 			return nil, nil, rep
 		}
-		items = req.Items
-	}
-	if len(items) == 0 {
-		return fail(http.StatusBadRequest, "batch has no items")
 	}
 	return s.images.put(img.Fingerprint(), img), items, nil
 }

@@ -168,7 +168,7 @@ func TestBatchWireIngest(t *testing.T) {
 	if res.Hash != jsonHash {
 		t.Errorf("wire-ingested batch hash %s, JSON analyze hash %s", res.Hash, jsonHash)
 	}
-	if got := s.met.ingestWire.Load(); got != 1 {
+	if got := s.met.ingestWire.Value(); got != 1 {
 		t.Errorf("ingestWire = %d, want 1", got)
 	}
 }
@@ -193,10 +193,10 @@ func TestAnalyzeWireIngest(t *testing.T) {
 		t.Errorf("wire analyze differs from JSON analyze\nwire: %s\njson: %s",
 			rr.Body.Bytes(), jsonResp.Body.Bytes())
 	}
-	if got := s.met.ingestWire.Load(); got != 1 {
+	if got := s.met.ingestWire.Value(); got != 1 {
 		t.Errorf("ingestWire = %d, want 1", got)
 	}
-	if got := s.met.ingestJSON.Load(); got != 1 {
+	if got := s.met.ingestJSON.Value(); got != 1 {
 		t.Errorf("ingestJSON = %d, want 1", got)
 	}
 }
@@ -263,7 +263,7 @@ func TestBatchQueueFullSheds429(t *testing.T) {
 	if secs, err := strconv.Atoi(got); err != nil || secs < 1 || secs > 30 {
 		t.Errorf("Retry-After = %q, want an integer in [1, 30]", got)
 	}
-	if shed := s.met.shed.Load(); shed != 1 {
+	if shed := s.met.shed.Value(); shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
 	}
 }
@@ -427,27 +427,21 @@ func TestBatchMetrics(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("batch: %d (%s)", rr.Code, rr.Body.String())
 	}
-	mr := do(s, http.MethodGet, "/metrics", nil)
-	if mr.Code != http.StatusOK {
-		t.Fatalf("metrics: %d", mr.Code)
+	m := scrape(t, s.Handler())
+	if m["requests.batch"] != "1" {
+		t.Errorf("requests.batch = %s, want 1", m["requests.batch"])
 	}
-	var snap metricsSnapshot
-	if err := json.Unmarshal(mr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("decoding metrics: %v (%s)", err, mr.Body.String())
+	if m["ingest.json"] != "1" { // the analyze that registered the graph
+		t.Errorf("ingest.json = %s, want 1", m["ingest.json"])
 	}
-	if snap.Requests.Batch != 1 {
-		t.Errorf("requests.batch = %d, want 1", snap.Requests.Batch)
+	if m["ingest.wire"] != "0" {
+		t.Errorf("ingest.wire = %s, want 0", m["ingest.wire"])
 	}
-	if snap.Ingest.JSON != 1 { // the analyze that registered the graph
-		t.Errorf("ingest.json = %d, want 1", snap.Ingest.JSON)
+	if m["batch.items.le_10"] != "1" || m["batch.items.sum"] != "2" || m["batch.items.max"] != "2" {
+		t.Errorf("items histogram le_10=%s sum=%s max=%s, want 1, 2 and 2",
+			m["batch.items.le_10"], m["batch.items.sum"], m["batch.items.max"])
 	}
-	if snap.Ingest.Wire != 0 {
-		t.Errorf("ingest.wire = %d, want 0", snap.Ingest.Wire)
-	}
-	if snap.Batch.Items.Le10 != 1 || snap.Batch.Items.Sum != 2 || snap.Batch.Items.Max != 2 {
-		t.Errorf("items histogram %+v, want le_10=1 sum=2 max=2", snap.Batch.Items)
-	}
-	if snap.Batch.StreamedBytes <= 0 {
-		t.Errorf("streamed_bytes = %d, want > 0", snap.Batch.StreamedBytes)
+	if n, _ := strconv.Atoi(m["batch.streamed_bytes"]); n <= 0 {
+		t.Errorf("streamed_bytes = %s, want > 0", m["batch.streamed_bytes"])
 	}
 }

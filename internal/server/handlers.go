@@ -264,10 +264,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.metricsReqs.Add(1)
-	body, err := s.met.snapshot(s.runner.Queued(), s.runner.Capacity(), s.runner.Completed(), s.images.len())
-	if err != nil {
-		s.writeReply(w, reply{status: http.StatusInternalServerError, body: errBody(err.Error())})
-		return
-	}
-	s.writeReply(w, reply{status: http.StatusOK, body: body})
+	s.writeReply(w, reply{status: http.StatusOK, body: []byte(s.met.vars.String())})
 }

@@ -217,7 +217,7 @@ func (j *searchJob) pushUpdate(m *metrics, u pareto.FrontUpdate) {
 	if err != nil {
 		return
 	}
-	m.jobsFrontSize.Store(int64(len(u.Points)))
+	m.jobsFrontSize.Set(int64(len(u.Points)))
 	j.mu.Lock()
 	j.generation = u.Generation
 	j.evaluations = u.Evaluations
@@ -250,7 +250,7 @@ func (j *searchJob) finish(m *metrics, res *pareto.Result, err error) {
 	j.mu.Unlock()
 	m.jobsActive.Add(-1)
 	m.jobsCompleted.Add(1)
-	m.jobsFrontSize.Store(int64(front))
+	m.jobsFrontSize.Set(int64(front))
 }
 
 // jobCreateRequest is the body of POST /v1/jobs: a graph by value or by
@@ -435,7 +435,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.writeReply(w, reply{status: http.StatusNotFound, body: errBody("unknown job id")})
 		return
 	}
-	sw := ndjson.Start(w, &s.met.streamedBytes)
+	sw := ndjson.Start(w, nil)
 	s.met.countResponse(http.StatusOK)
 	for {
 		j.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/gen"
@@ -102,6 +103,30 @@ func TestJobLifecycleAndMetrics(t *testing.T) {
 	assertJobMetrics(t, s, 0, 1)
 }
 
+// TestJobStreamLeavesBatchBytes: batch.streamed_bytes counts batch streams
+// only, so streaming a finished job leaves it unchanged.
+func TestJobStreamLeavesBatchBytes(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	body := jobBody(t, smokeGraphJSON(t), `,"pop_size":6,"generations":2,"seed":3`)
+	rr := do(s, http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("job create: got %d, want 202 (body %s)", rr.Code, rr.Body.String())
+	}
+	job := decodeJob(t, rr.Body.Bytes())
+	waitFor(t, "job completion", func() bool {
+		return decodeJob(t, do(s, http.MethodGet, "/v1/jobs/"+job.ID, nil).Body.Bytes()).Status != jobRunning
+	})
+
+	before := s.met.streamedBytes.Value()
+	srr := do(s, http.MethodGet, "/v1/jobs/"+job.ID+"/stream", nil)
+	if updates, _ := parseJobStream(t, srr.Body.Bytes()); srr.Code != http.StatusOK || len(updates) == 0 {
+		t.Fatalf("job stream: got %d with %d updates, want 200 with updates", srr.Code, len(updates))
+	}
+	if after := s.met.streamedBytes.Value(); after != before {
+		t.Errorf("batch.streamed_bytes went %d -> %d over a job stream, want unchanged", before, after)
+	}
+}
+
 // parseJobStream splits an NDJSON job stream into its update lines and the
 // single trailer, failing on any malformed or post-trailer line.
 func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, ndjson.JobTrailer) {
@@ -145,27 +170,14 @@ func parseJobStream(t *testing.T, stream []byte) ([]jobUpdateLine, ndjson.JobTra
 func assertJobMetrics(t *testing.T, s *Server, active, completed int64) {
 	t.Helper()
 	waitFor(t, "job metrics to settle", func() bool {
-		return s.met.jobsActive.Load() == active && s.met.jobsCompleted.Load() == completed
+		return s.met.jobsActive.Value() == active && s.met.jobsCompleted.Value() == completed
 	})
-	rr := do(s, http.MethodGet, "/metrics", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("metrics: got %d", rr.Code)
+	m := scrape(t, s.Handler())
+	if m["jobs.active"] != strconv.FormatInt(active, 10) || m["jobs.completed"] != strconv.FormatInt(completed, 10) {
+		t.Fatalf("jobs metrics = active %s completed %s, want %d/%d",
+			m["jobs.active"], m["jobs.completed"], active, completed)
 	}
-	var snap struct {
-		Jobs struct {
-			Active    int64 `json:"active"`
-			Completed int64 `json:"completed"`
-			FrontSize int64 `json:"front_size"`
-		} `json:"jobs"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("decoding metrics: %v", err)
-	}
-	if snap.Jobs.Active != active || snap.Jobs.Completed != completed {
-		t.Fatalf("jobs metrics = active %d completed %d, want %d/%d",
-			snap.Jobs.Active, snap.Jobs.Completed, active, completed)
-	}
-	if completed > 0 && snap.Jobs.FrontSize == 0 {
+	if completed > 0 && m["jobs.front_size"] == "0" {
 		t.Errorf("jobs.front_size = 0 after a completed job")
 	}
 }
@@ -287,7 +299,7 @@ func TestJobTableBounded(t *testing.T) {
 	if drr := do(s, http.MethodDelete, "/v1/jobs/"+first.ID, nil); drr.Code != http.StatusOK {
 		t.Fatalf("cancel: got %d", drr.Code)
 	}
-	waitFor(t, "job slot release", func() bool { return s.met.jobsActive.Load() == 0 })
+	waitFor(t, "job slot release", func() bool { return s.met.jobsActive.Value() == 0 })
 	again := do(s, http.MethodPost, "/v1/jobs", bytes.NewReader(longJobBody(t)))
 	if again.Code != http.StatusAccepted {
 		t.Fatalf("job create after slot freed: got %d (body %s)", again.Code, again.Body.String())

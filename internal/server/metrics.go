@@ -1,12 +1,13 @@
 package server
 
 import (
-	"encoding/json"
-	"math"
+	"expvar"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/mia-rt/mia/internal/pool"
+	"github.com/mia-rt/mia/internal/regress"
 )
 
 // latencyWindow bounds the rolling latency sample the quantiles are computed
@@ -16,34 +17,37 @@ import (
 const latencyWindow = 1024
 
 // metrics holds the service counters exposed on /metrics. Counters are
-// plain atomics (expvar-style: monotonic, scraped as a JSON snapshot);
-// the latency ring is the only locked structure.
+// expvar.Ints in one private expvar.Map tree, vars, which /metrics serves
+// as is; the server's gauges and the latency and items summaries are
+// expvar.Funcs read at scrape time. Nothing is published to expvar's
+// process-wide registry, so several servers can share a process. The
+// latency ring and the items histogram are the only locked structures.
 type metrics struct {
-	start time.Time
+	vars expvar.Map
 
-	analyze     atomic.Int64
-	register    atomic.Int64 // analyze requests with ?register=1
-	reschedule  atomic.Int64
-	batch       atomic.Int64
-	jobs        atomic.Int64
-	healthz     atomic.Int64
-	metricsReqs atomic.Int64
+	analyze     expvar.Int
+	register    expvar.Int // analyze requests with ?register=1
+	reschedule  expvar.Int
+	batch       expvar.Int
+	jobs        expvar.Int
+	healthz     expvar.Int
+	metricsReqs expvar.Int
 
 	// Search-job lifecycle: active is a gauge of running jobs, completed
 	// counts jobs that reached a terminal state (done, cancelled, or
 	// failed), frontSize is a gauge of the most recently reported front's
 	// cardinality.
-	jobsActive    atomic.Int64
-	jobsCompleted atomic.Int64
-	jobsFrontSize atomic.Int64
+	jobsActive    expvar.Int
+	jobsCompleted expvar.Int
+	jobsFrontSize expvar.Int
 
 	// Graph ingest path split: JSON decode+Compile vs binary wire fast path.
-	ingestJSON atomic.Int64
-	ingestWire atomic.Int64
+	ingestJSON expvar.Int
+	ingestWire expvar.Int
 
 	// streamedBytes totals the NDJSON bytes written by batch responses
 	// (result lines and trailers, including truncated streams).
-	streamedBytes atomic.Int64
+	streamedBytes expvar.Int
 
 	// items is the items-per-batch histogram: fixed decade buckets (≤1,
 	// ≤10, ≤100, ≤1000, >1000) plus sum and max, enough to tell sweep-sized
@@ -54,15 +58,15 @@ type metrics struct {
 		sum, max                         int64
 	}
 
-	resp2xx atomic.Int64
-	resp4xx atomic.Int64
-	resp5xx atomic.Int64
+	resp2xx expvar.Int
+	resp4xx expvar.Int
+	resp5xx expvar.Int
 
-	shed     atomic.Int64
-	inFlight atomic.Int64
+	shed     expvar.Int
+	inFlight expvar.Int
 
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
+	cacheHits   expvar.Int
+	cacheMisses expvar.Int
 
 	lat struct {
 		mu    sync.Mutex
@@ -89,8 +93,49 @@ type metrics struct {
 // traffic at any load level where shedding happens.
 const drainWindow = 64
 
-func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+// newMetrics builds the counters and their /metrics tree. runner and
+// images own the queue and registry gauges, read at scrape time.
+func newMetrics(runner *pool.Runner[*worker], images *imageCache) *metrics {
+	m := &metrics{}
+	start := time.Now()
+	m.vars.Set("uptime_seconds", expvar.Func(func() any { return time.Since(start).Seconds() }))
+	m.vars.Set("requests", tree(map[string]expvar.Var{
+		"analyze": &m.analyze, "register": &m.register, "reschedule": &m.reschedule,
+		"batch": &m.batch, "jobs": &m.jobs, "healthz": &m.healthz, "metrics": &m.metricsReqs,
+	}))
+	m.vars.Set("jobs", tree(map[string]expvar.Var{
+		"active": &m.jobsActive, "completed": &m.jobsCompleted, "front_size": &m.jobsFrontSize,
+	}))
+	m.vars.Set("ingest", tree(map[string]expvar.Var{"json": &m.ingestJSON, "wire": &m.ingestWire}))
+	m.vars.Set("batch", tree(map[string]expvar.Var{
+		"items": expvar.Func(m.itemsSummary), "streamed_bytes": &m.streamedBytes,
+	}))
+	m.vars.Set("responses", tree(map[string]expvar.Var{"2xx": &m.resp2xx, "4xx": &m.resp4xx, "5xx": &m.resp5xx}))
+	m.vars.Set("shed", &m.shed)
+	m.vars.Set("in_flight", &m.inFlight)
+	m.vars.Set("queue", tree(map[string]expvar.Var{
+		"depth":     expvar.Func(func() any { return runner.Queued() }),
+		"capacity":  expvar.Func(func() any { return runner.Capacity() }),
+		"completed": expvar.Func(func() any { return runner.Completed() }),
+	}))
+	m.vars.Set("cache", tree(map[string]expvar.Var{
+		"hits": &m.cacheHits, "misses": &m.cacheMisses,
+		"graphs": expvar.Func(func() any { return images.len() }),
+	}))
+	m.vars.Set("latency_ms", expvar.Func(func() any {
+		p50, p99, samples := m.quantiles()
+		return map[string]any{"p50": p50, "p99": p99, "samples": samples}
+	}))
+	return m
+}
+
+// tree returns a Map holding vars (expvar keeps a Map's keys sorted).
+func tree(vars map[string]expvar.Var) *expvar.Map {
+	m := new(expvar.Map)
+	for k, v := range vars {
+		m.Set(k, v)
+	}
+	return m
 }
 
 // observeLatency records one analyze/reschedule request duration.
@@ -164,6 +209,17 @@ func (m *metrics) observeBatchItems(n int) {
 	m.items.mu.Unlock()
 }
 
+// itemsSummary is the items histogram as /metrics reports it.
+func (m *metrics) itemsSummary() any {
+	m.items.mu.Lock()
+	defer m.items.mu.Unlock()
+	return map[string]int64{
+		"le_1": m.items.le1, "le_10": m.items.le10, "le_100": m.items.le100,
+		"le_1000": m.items.le1000, "gt_1000": m.items.gt1000,
+		"sum": m.items.sum, "max": m.items.max,
+	}
+}
+
 // countResponse tallies a response by status class.
 func (m *metrics) countResponse(status int) {
 	switch {
@@ -174,27 +230,6 @@ func (m *metrics) countResponse(status int) {
 	default:
 		m.resp2xx.Add(1)
 	}
-}
-
-// nearestRank returns the q-quantile of an already-sorted sample by the
-// nearest-rank definition: the smallest element such that at least q·n of
-// the sample is ≤ it, i.e. index ⌈q·n⌉−1. The previous form int(q·(n−1))
-// truncated instead of rounding up, which underestimates on small samples —
-// p99 of two samples returned the *minimum* — and an empty sample has no
-// quantile, so it reports 0 by convention.
-func nearestRank(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return sorted[i]
 }
 
 // quantiles computes p50/p99 over the current latency window.
@@ -209,105 +244,5 @@ func (m *metrics) quantiles() (p50, p99 float64, samples int64) {
 	samples = m.lat.total
 	m.lat.mu.Unlock()
 	sort.Float64s(window)
-	return nearestRank(window, 0.50), nearestRank(window, 0.99), samples
-}
-
-// metricsSnapshot is the /metrics response body. Field order is fixed by the
-// struct, so scrapes are byte-stable for a given counter state.
-type metricsSnapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Requests      struct {
-		Analyze    int64 `json:"analyze"`
-		Register   int64 `json:"register"`
-		Reschedule int64 `json:"reschedule"`
-		Batch      int64 `json:"batch"`
-		Jobs       int64 `json:"jobs"`
-		Healthz    int64 `json:"healthz"`
-		Metrics    int64 `json:"metrics"`
-	} `json:"requests"`
-	Jobs struct {
-		Active    int64 `json:"active"`
-		Completed int64 `json:"completed"`
-		FrontSize int64 `json:"front_size"`
-	} `json:"jobs"`
-	Ingest struct {
-		JSON int64 `json:"json"`
-		Wire int64 `json:"wire"`
-	} `json:"ingest"`
-	Batch struct {
-		Items struct {
-			Le1    int64 `json:"le_1"`
-			Le10   int64 `json:"le_10"`
-			Le100  int64 `json:"le_100"`
-			Le1000 int64 `json:"le_1000"`
-			Gt1000 int64 `json:"gt_1000"`
-			Sum    int64 `json:"sum"`
-			Max    int64 `json:"max"`
-		} `json:"items"`
-		StreamedBytes int64 `json:"streamed_bytes"`
-	} `json:"batch"`
-	Responses struct {
-		Class2xx int64 `json:"2xx"`
-		Class4xx int64 `json:"4xx"`
-		Class5xx int64 `json:"5xx"`
-	} `json:"responses"`
-	Shed     int64 `json:"shed"`
-	InFlight int64 `json:"in_flight"`
-	Queue    struct {
-		Depth     int   `json:"depth"`
-		Capacity  int   `json:"capacity"`
-		Completed int64 `json:"completed"`
-	} `json:"queue"`
-	Cache struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-		Graphs int   `json:"graphs"`
-	} `json:"cache"`
-	LatencyMs struct {
-		P50     float64 `json:"p50"`
-		P99     float64 `json:"p99"`
-		Samples int64   `json:"samples"`
-	} `json:"latency_ms"`
-}
-
-// snapshot assembles the scrape body. queueDepth/queueCap/completed/graphs
-// are passed in by the server, which owns those structures.
-func (m *metrics) snapshot(queueDepth, queueCap int, completed int64, graphs int) ([]byte, error) {
-	var s metricsSnapshot
-	s.UptimeSeconds = time.Since(m.start).Seconds()
-	s.Requests.Analyze = m.analyze.Load()
-	s.Requests.Register = m.register.Load()
-	s.Requests.Reschedule = m.reschedule.Load()
-	s.Requests.Batch = m.batch.Load()
-	s.Requests.Jobs = m.jobs.Load()
-	s.Requests.Healthz = m.healthz.Load()
-	s.Requests.Metrics = m.metricsReqs.Load()
-	s.Jobs.Active = m.jobsActive.Load()
-	s.Jobs.Completed = m.jobsCompleted.Load()
-	s.Jobs.FrontSize = m.jobsFrontSize.Load()
-	s.Ingest.JSON = m.ingestJSON.Load()
-	s.Ingest.Wire = m.ingestWire.Load()
-	m.items.mu.Lock()
-	s.Batch.Items.Le1 = m.items.le1
-	s.Batch.Items.Le10 = m.items.le10
-	s.Batch.Items.Le100 = m.items.le100
-	s.Batch.Items.Le1000 = m.items.le1000
-	s.Batch.Items.Gt1000 = m.items.gt1000
-	s.Batch.Items.Sum = m.items.sum
-	s.Batch.Items.Max = m.items.max
-	m.items.mu.Unlock()
-	s.Batch.StreamedBytes = m.streamedBytes.Load()
-	s.Responses.Class2xx = m.resp2xx.Load()
-	s.Responses.Class4xx = m.resp4xx.Load()
-	s.Responses.Class5xx = m.resp5xx.Load()
-	s.Shed = m.shed.Load()
-	s.InFlight = m.inFlight.Load()
-	s.Queue.Depth = queueDepth
-	s.Queue.Capacity = queueCap
-	s.Queue.Completed = completed
-	s.Cache.Hits = m.cacheHits.Load()
-	s.Cache.Misses = m.cacheMisses.Load()
-	s.Cache.Graphs = graphs
-	s.LatencyMs.P50, s.LatencyMs.P99, s.LatencyMs.Samples = m.quantiles()
-	return json.Marshal(&s)
+	return regress.NearestRank(window, 0.50), regress.NearestRank(window, 0.99), samples
 }

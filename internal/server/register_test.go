@@ -52,10 +52,10 @@ func TestRegisterOnly(t *testing.T) {
 			if ct, cache := rr.Header().Get("Content-Type"), rr.Header().Get("X-Mia-Cache"); ct != "application/json" || cache != "" {
 				t.Errorf("register headers Content-Type %q X-Mia-Cache %q, want application/json and none", ct, cache)
 			}
-			if hits, misses, done := s.met.cacheHits.Load(), s.met.cacheMisses.Load(), s.runner.Completed(); hits+misses+done != 0 {
+			if hits, misses, done := s.met.cacheHits.Value(), s.met.cacheMisses.Value(), s.runner.Completed(); hits+misses+done != 0 {
 				t.Errorf("register ran an analysis: cache hits %d misses %d, queue completed %d; want all 0", hits, misses, done)
 			}
-			if a, r, n := s.met.analyze.Load(), s.met.register.Load(), s.images.len(); a != 0 || r != 1 || n != 1 {
+			if a, r, n := s.met.analyze.Value(), s.met.register.Value(), s.images.len(); a != 0 || r != 1 || n != 1 {
 				t.Errorf("requests.analyze %d, requests.register %d, registered graphs %d; want 0, 1, 1", a, r, n)
 			}
 
@@ -114,6 +114,7 @@ func TestBodyOverLimit(t *testing.T) {
 	if len(jsonBody) <= limit || len(wireBody) <= limit {
 		t.Fatalf("test graph too small: %d JSON and %d wire bytes against a %d-byte limit", len(jsonBody), len(wireBody), limit)
 	}
+	jsonBatch := []byte(`{"graph":` + string(jsonBody) + `,"items":[{"swaps":[]}]}`)
 	wireBatch := append(append([]byte(nil), wireBody...), `{"items":[{"swaps":[]}]}`...)
 	const want = `{"error":"http: request body too large"}`
 
@@ -131,6 +132,7 @@ func TestBodyOverLimit(t *testing.T) {
 			{"json analyze", "/v1/analyze", "application/json", jsonBody},
 			{"json register", "/v1/analyze?register=1", "application/json", jsonBody},
 			{"wire analyze", "/v1/analyze", wire.ContentType, wireBody},
+			{"json batch", "/v1/batch", "application/json", jsonBatch},
 			{"wire batch", "/v1/batch", wire.ContentType, wireBatch},
 		} {
 			for _, declared := range []bool{true, false} {

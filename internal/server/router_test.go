@@ -317,10 +317,10 @@ func TestRouterKillShardMidBatch(t *testing.T) {
 	}
 	// The work provably crossed shards: the primary took the first batch,
 	// the successor the failover sub-batch.
-	if n := primary.srv.met.batch.Load(); n < 1 {
+	if n := primary.srv.met.batch.Value(); n < 1 {
 		t.Errorf("primary served %d batches, want >= 1", n)
 	}
-	if n := successor.srv.met.batch.Load(); n < 1 {
+	if n := successor.srv.met.batch.Value(); n < 1 {
 		t.Errorf("successor served %d batches, want >= 1 (failover never engaged)", n)
 	}
 }
@@ -345,7 +345,7 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 	ring := shard.NewRing(urls, 0)
 	order := ring.Order(job.Hash)
 	primary := shardByURL(shards, order[0])
-	if n := primary.srv.met.jobs.Load(); n < 1 {
+	if n := primary.srv.met.jobs.Value(); n < 1 {
 		t.Errorf("primary shard saw %d job requests, want >= 1 (fingerprint routing broken)", n)
 	}
 

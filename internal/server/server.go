@@ -12,7 +12,7 @@
 //	                     scenarios → streamed NDJSON, one result line per
 //	                     scenario as it completes, truncation-marked trailer
 //	GET  /healthz        liveness (503 while draining)
-//	GET  /metrics        expvar-style counters + latency quantiles
+//	GET  /metrics        expvar counters + latency quantiles
 //
 // Requests pass a bounded admission queue onto a fixed pool of workers.
 // Each graph is compiled once into an immutable engine.Image registered by
@@ -162,10 +162,10 @@ func New(cfg Config) *Server {
 		runner:  pool.NewRunner(workers, cfg.QueueDepth),
 		images:  &imageCache{lru: newLRU[*engine.Image](cfg.GraphCacheSize)},
 		jobs:    newJobSet(cfg.MaxJobs),
-		met:     newMetrics(),
 		mux:     http.NewServeMux(),
 		drainCh: make(chan struct{}),
 	}
+	s.met = newMetrics(s.runner, s.images)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/reschedule", s.handleReschedule)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -180,9 +180,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics returns the server's counter set (read-only use intended).
-func (s *Server) Metrics() *metrics { return s.met }
 
 // BeginDrain switches the server into draining mode: every subsequent
 // analyze/reschedule/healthz/job-create request answers 503 immediately,

@@ -140,7 +140,7 @@ func TestAnalyzeWarmHitIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(cold.Body.Bytes(), warm.Body.Bytes()) {
 		t.Errorf("warm analyze differs from cold\ncold: %s\nwarm: %s", cold.Body.Bytes(), warm.Body.Bytes())
 	}
-	if hits := s.met.cacheHits.Load(); hits != 1 {
+	if hits := s.met.cacheHits.Value(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
 }
@@ -161,7 +161,7 @@ func TestRescheduleWarmMatchesColdAnalyze(t *testing.T) {
 	if got := warm.Header().Get("X-Mia-Cache"); got != "hit" {
 		t.Errorf("reschedule X-Mia-Cache = %q, want \"hit\"", got)
 	}
-	if hits := warmSrv.met.cacheHits.Load(); hits != 1 {
+	if hits := warmSrv.met.cacheHits.Value(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
 
@@ -282,7 +282,7 @@ func TestQueueFullShedsWith429(t *testing.T) {
 	} else if secs != 3 {
 		t.Errorf("Retry-After = %d, want the configured fallback 3 (no completions observed yet)", secs)
 	}
-	if shed := s.met.shed.Load(); shed != 1 {
+	if shed := s.met.shed.Value(); shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
 	}
 
@@ -445,34 +445,29 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("register: got %d (body %s)", rr.Code, rr.Body.String())
 	}
 
-	rr := do(s, http.MethodGet, "/metrics", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("metrics: got %d", rr.Code)
+	m := scrape(t, s.Handler())
+	if m["requests.analyze"] != "2" || m["requests.register"] != "1" {
+		t.Errorf("requests.analyze = %s, requests.register = %s, want 2 and 1", m["requests.analyze"], m["requests.register"])
 	}
-	var snap metricsSnapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("decoding metrics: %v (body %s)", err, rr.Body.String())
+	if m["requests.healthz"] != "1" {
+		t.Errorf("requests.healthz = %s, want 1", m["requests.healthz"])
 	}
-	if snap.Requests.Analyze != 2 || snap.Requests.Register != 1 {
-		t.Errorf("requests.analyze = %d, requests.register = %d, want 2 and 1", snap.Requests.Analyze, snap.Requests.Register)
+	if n, _ := strconv.Atoi(m["responses.2xx"]); n < 4 {
+		t.Errorf("responses.2xx = %s, want >= 4", m["responses.2xx"])
 	}
-	if snap.Requests.Healthz != 1 {
-		t.Errorf("requests.healthz = %d, want 1", snap.Requests.Healthz)
+	if m["queue.capacity"] != "7" {
+		t.Errorf("queue.capacity = %s, want 7", m["queue.capacity"])
 	}
-	if snap.Responses.Class2xx < 4 {
-		t.Errorf("responses.2xx = %d, want >= 4", snap.Responses.Class2xx)
+	hits, _ := strconv.Atoi(m["cache.hits"])
+	misses, _ := strconv.Atoi(m["cache.misses"])
+	if hits+misses != 2 {
+		t.Errorf("cache hits+misses = %d, want 2", hits+misses)
 	}
-	if snap.Queue.Capacity != 7 {
-		t.Errorf("queue.capacity = %d, want 7", snap.Queue.Capacity)
+	if m["cache.graphs"] != "1" {
+		t.Errorf("cache.graphs = %s, want 1", m["cache.graphs"])
 	}
-	if snap.Cache.Hits+snap.Cache.Misses != 2 {
-		t.Errorf("cache hits+misses = %d, want 2", snap.Cache.Hits+snap.Cache.Misses)
-	}
-	if snap.Cache.Graphs != 1 {
-		t.Errorf("cache.graphs = %d, want 1", snap.Cache.Graphs)
-	}
-	if snap.LatencyMs.Samples != 2 {
-		t.Errorf("latency samples = %d, want 2", snap.LatencyMs.Samples)
+	if m["latency_ms.samples"] != "2" {
+		t.Errorf("latency samples = %s, want 2", m["latency_ms.samples"])
 	}
 }
 

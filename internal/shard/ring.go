@@ -128,16 +128,6 @@ func (r *Ring) Order(key string) []string {
 	return out
 }
 
-// Replicas returns the first n members of Order(key) — the key's replica
-// set. n past the member count is truncated.
-func (r *Ring) Replicas(key string, n int) []string {
-	ord := r.Order(key)
-	if n < len(ord) {
-		ord = ord[:n]
-	}
-	return ord
-}
-
 // OrderBounded is the bounded-load variant of Order: members accepted by
 // the ok predicate (healthy, under the load bound) keep their ring order
 // and come first; rejected members follow, also in ring order, as the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"math/rand"
@@ -157,15 +158,19 @@ type target struct {
 	inflight atomic.Int64
 }
 
-// routerMetrics are the router's own counters, exposed on /metrics.
+// routerMetrics are the router's own counters, exposed on /metrics: the
+// expvar.Ints of one private expvar.Map, vars, beside the per-target state
+// read at scrape time. Nothing is published to expvar's process-wide
+// registry.
 type routerMetrics struct {
-	forwarded      atomic.Int64 // requests forwarded to a shard (attempts)
-	retries        atomic.Int64 // replica retries after a transient failure
-	replications   atomic.Int64 // successful analyze-body replications
-	batchFailovers atomic.Int64 // batches continued on a successor mid-stream
-	linesStreamed  atomic.Int64 // batch result lines forwarded to clients
-	shed           atomic.Int64 // 429/503 verdicts passed through
-	noShard        atomic.Int64 // requests that exhausted every replica
+	vars           expvar.Map
+	forwarded      expvar.Int // requests forwarded to a shard (attempts)
+	retries        expvar.Int // replica retries after a transient failure
+	replications   expvar.Int // successful analyze-body replications
+	batchFailovers expvar.Int // batches continued on a successor mid-stream
+	linesStreamed  expvar.Int // batch result lines forwarded to clients
+	shed           expvar.Int // 429/503 verdicts passed through
+	noShard        expvar.Int // requests that exhausted every replica
 }
 
 // NewRouter builds a router over cfg.Targets and, when cfg.HealthEvery > 0,
@@ -197,6 +202,15 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		t.healthy.Store(true) // optimistic: first error or probe corrects it
 		r.targets[m] = t
 	}
+	m := &r.met
+	m.vars.Set("forwarded", &m.forwarded)
+	m.vars.Set("retries", &m.retries)
+	m.vars.Set("replications", &m.replications)
+	m.vars.Set("batch_failovers", &m.batchFailovers)
+	m.vars.Set("lines_streamed", &m.linesStreamed)
+	m.vars.Set("shed", &m.shed)
+	m.vars.Set("no_shard", &m.noShard)
+	m.vars.Set("targets", expvar.Func(r.targetStates))
 	r.mux.HandleFunc("POST /v1/analyze", r.handleUnary)
 	r.mux.HandleFunc("POST /v1/reschedule", r.handleUnary)
 	r.mux.HandleFunc("POST /v1/batch", r.handleBatch)
@@ -332,7 +346,7 @@ func (r *Router) routeFingerprint(req *http.Request, body []byte) string {
 	switch {
 	case fp != "":
 	case wire.IsContentType(req.Header.Get("Content-Type")):
-		fp = blobFingerprint(body)
+		fp, _ = wire.BlobFingerprint(body)
 	case req.URL.Path == "/v1/analyze":
 		fp = graphFingerprint(body)
 	default:
@@ -370,22 +384,6 @@ func graphFingerprint(data []byte) string {
 		return ""
 	}
 	return raw.Fingerprint()
-}
-
-// blobFingerprint returns the canonical fingerprint of the wire blob that
-// starts body, or "" when there is none. Unary wire bodies are a whole
-// blob; batch wire bodies are a blob followed by the items object, and the
-// blob's header says where it ends.
-func blobFingerprint(body []byte) string {
-	n, err := wire.Size(body)
-	if err != nil || n > len(body) {
-		return ""
-	}
-	fp, err := wire.BlobFingerprint(body[:n])
-	if err != nil {
-		return ""
-	}
-	return fp
 }
 
 // forward issues one attempt of the client's request to one shard: same
@@ -670,121 +668,75 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprintf(w, `{"status":%q,"shards":%d,"healthy":%d}`, state, len(r.targets), healthy)
 }
 
-// routerSnapshot is the /metrics body.
-type routerSnapshot struct {
-	Targets []struct {
-		URL      string `json:"url"`
-		Healthy  bool   `json:"healthy"`
-		InFlight int64  `json:"in_flight"`
-	} `json:"targets"`
-	Forwarded      int64 `json:"forwarded"`
-	Retries        int64 `json:"retries"`
-	Replications   int64 `json:"replications"`
-	BatchFailovers int64 `json:"batch_failovers"`
-	LinesStreamed  int64 `json:"lines_streamed"`
-	Shed           int64 `json:"shed"`
-	NoShard        int64 `json:"no_shard"`
+// targetState is one shard's entry in the router's /metrics.
+type targetState struct {
+	Healthy  bool   `json:"healthy"`
+	InFlight int64  `json:"in_flight"`
+	URL      string `json:"url"`
+}
+
+// targetStates reports every shard's health flag and in-flight count, in
+// ring member order.
+func (r *Router) targetStates() any {
+	var out []targetState
+	for _, url := range r.ring.Members() {
+		t := r.targets[url]
+		out = append(out, targetState{Healthy: t.healthy.Load(), InFlight: t.inflight.Load(), URL: url})
+	}
+	return out
 }
 
 // handleMetrics serves the router's own counters (shards keep their own
 // /metrics; the router never aggregates them — scrape both layers).
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	var s routerSnapshot
-	for _, url := range r.ring.Members() {
-		t := r.targets[url]
-		s.Targets = append(s.Targets, struct {
-			URL      string `json:"url"`
-			Healthy  bool   `json:"healthy"`
-			InFlight int64  `json:"in_flight"`
-		}{URL: url, Healthy: t.healthy.Load(), InFlight: t.inflight.Load()})
-	}
-	s.Forwarded = r.met.forwarded.Load()
-	s.Retries = r.met.retries.Load()
-	s.Replications = r.met.replications.Load()
-	s.BatchFailovers = r.met.batchFailovers.Load()
-	s.LinesStreamed = r.met.linesStreamed.Load()
-	s.Shed = r.met.shed.Load()
-	s.NoShard = r.met.noShard.Load()
-	b, err := json.Marshal(&s)
-	if err != nil {
-		errJSON(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(b)
+	io.WriteString(w, r.met.vars.String())
 }
 
-// parsedBatch is a batch request split into its routable parts: the graph
-// part (hash, inline JSON graph, or wire blob) and the raw per-item
-// scenarios, which failover re-admission slices.
-type parsedBatch struct {
-	fp        string
-	hash      string            // set when the graph part is a hash reference
-	graphJSON json.RawMessage   // set when the graph part is an inline JSON graph
-	wireBlob  []byte            // set when the graph part is a wire blob
-	items     []json.RawMessage // raw scenario objects, in request order
-}
-
-// parseBatchBody splits a batch request for routing. It mirrors the shard's
-// own parse, but keeps items raw: the router re-serializes subsets, never
-// interprets swaps.
-func parseBatchBody(req *http.Request, body []byte) (*parsedBatch, error) {
-	pb := &parsedBatch{fp: req.Header.Get(wire.RouteHeader)}
-	if wire.IsContentType(req.Header.Get("Content-Type")) {
-		n, err := wire.Size(body)
-		if err != nil || n > len(body) {
-			return nil, errors.New("batch body must start with a wire graph blob")
-		}
-		pb.wireBlob = body[:n]
-		var rest struct {
-			Items []json.RawMessage `json:"items"`
-		}
-		if err := json.Unmarshal(body[n:], &rest); err != nil {
-			return nil, fmt.Errorf("parsing batch items after wire blob: %w", err)
-		}
-		pb.items = rest.Items
-		if pb.fp == "" {
-			pb.fp = blobFingerprint(pb.wireBlob)
-		}
-	} else {
-		var jreq struct {
-			Hash  string            `json:"hash"`
-			Graph json.RawMessage   `json:"graph"`
-			Items []json.RawMessage `json:"items"`
-		}
-		if err := json.Unmarshal(body, &jreq); err != nil {
-			return nil, fmt.Errorf("parsing batch request: %w", err)
-		}
-		pb.hash, pb.graphJSON, pb.items = jreq.Hash, jreq.Graph, jreq.Items
-		if pb.fp == "" {
-			pb.fp = refFingerprint(pb.hash, pb.graphJSON)
-		}
+// parseBatchBody splits a batch request for routing with the shard's own
+// parser, wire.ParseBatch, so a body the shard would refuse is refused here
+// with the same words. It returns the batch and its placement key.
+func parseBatchBody(req *http.Request, body []byte) (*wire.Batch, string, error) {
+	b, err := wire.ParseBatch(req.Header.Get("Content-Type"), body)
+	if err != nil {
+		return nil, "", err
 	}
-	if pb.fp == "" {
-		pb.fp = string(body)
+	// As in routeFingerprint, a graph no fingerprint can be derived from
+	// routes by the raw body, and the shard answers its error.
+	fp := req.Header.Get(wire.RouteHeader)
+	switch {
+	case fp != "":
+	case b.Blob != nil:
+		fp, _ = wire.BlobFingerprint(b.Blob)
+	default:
+		fp = refFingerprint(b.Hash, b.Graph)
 	}
-	return pb, nil
+	if fp == "" {
+		fp = string(body)
+	}
+	return b, fp, nil
 }
 
 // subBody builds the request body (and content type) for a sub-batch of the
 // original items — the whole batch on the first attempt, the un-streamed
 // remainder on failover. The graph part is always re-sent in its original
 // form, so an inline-graph batch never depends on the failover shard's
-// registry.
-func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
+// registry. Items are re-sent as they came; the router never interprets
+// swaps.
+func subBody(b *wire.Batch, indices []int) (string, []byte) {
 	var items bytes.Buffer
 	items.WriteByte('[')
 	for i, idx := range indices {
 		if i > 0 {
 			items.WriteByte(',')
 		}
-		items.Write(pb.items[idx])
+		items.Write(b.Items[idx])
 	}
 	items.WriteByte(']')
-	if pb.wireBlob != nil {
-		body := make([]byte, 0, len(pb.wireBlob)+items.Len()+16)
-		body = append(body, pb.wireBlob...)
+	if b.Blob != nil {
+		body := make([]byte, 0, len(b.Blob)+items.Len()+16)
+		body = append(body, b.Blob...)
 		body = append(body, `{"items":`...)
 		body = append(body, items.Bytes()...)
 		body = append(body, '}')
@@ -792,14 +744,15 @@ func (pb *parsedBatch) subBody(indices []int) (string, []byte) {
 	}
 	var body bytes.Buffer
 	body.WriteByte('{')
-	if pb.hash != "" {
-		fmt.Fprintf(&body, `"hash":%q,`, pb.hash)
-	} else if len(pb.graphJSON) > 0 {
+	if b.Hash != "" {
+		hash, _ := json.Marshal(b.Hash) // a string always marshals
+		body.WriteString(`"hash":`)
+		body.Write(hash)
+	} else {
 		body.WriteString(`"graph":`)
-		body.Write(pb.graphJSON)
-		body.WriteByte(',')
+		body.Write(b.Graph)
 	}
-	body.WriteString(`"items":`)
+	body.WriteString(`,"items":`)
 	body.Write(items.Bytes())
 	body.WriteByte('}')
 	return "application/json", body.Bytes()
@@ -818,19 +771,19 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	pb, err := parseBatchBody(req, body)
+	b, fp, err := parseBatchBody(req, body)
 	if err != nil {
 		errJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	st := &batchStream{r: r, w: w, total: len(pb.items), streamed: make([]bool, len(pb.items))}
-	u := r.walk(req.Context(), r.candidates(pb.fp),
+	st := &batchStream{r: r, w: w, total: len(b.Items), streamed: make([]bool, len(b.Items))}
+	u := r.walk(req.Context(), r.candidates(fp),
 		func(url string) (*http.Response, error) {
 			if st.sw != nil {
 				r.met.batchFailovers.Add(1)
 			}
 			st.sent = st.notStreamed()
-			contentType, sub := pb.subBody(st.sent)
+			contentType, sub := subBody(b, st.sent)
 			return r.forward(r.batchClient, url, req, req.URL.RequestURI(), contentType, sub)
 		},
 		func(url string, resp *http.Response) bool {

@@ -234,7 +234,7 @@ func TestRouterBatchFailoverNoDupNoLoss(t *testing.T) {
 	if fromPrimary == 0 || fromSuccessor == 0 {
 		t.Errorf("lines split primary=%d successor=%d, want both > 0 (failover did not engage)", fromPrimary, fromSuccessor)
 	}
-	if got := r.met.batchFailovers.Load(); got < 1 {
+	if got := r.met.batchFailovers.Value(); got < 1 {
 		t.Errorf("batch_failovers = %d, want >= 1", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestRouterBatchAllShardsDead(t *testing.T) {
 	if !last.Truncated || last.Reason != "shard failed" {
 		t.Errorf("trailer %+v, want truncated with reason \"shard failed\"", last)
 	}
-	if got := r.met.noShard.Load(); got != 1 {
+	if got := r.met.noShard.Value(); got != 1 {
 		t.Errorf("no_shard = %d, want 1", got)
 	}
 }
@@ -309,7 +309,7 @@ func TestRouterUnaryRetryOnDeadShard(t *testing.T) {
 	if r.targets[dead.ts.URL].healthy.Load() {
 		t.Errorf("dead shard still marked healthy after connection failures")
 	}
-	if got := r.met.retries.Load(); got < 1 {
+	if got := r.met.retries.Value(); got < 1 {
 		t.Errorf("retries = %d, want >= 1", got)
 	}
 }
@@ -420,7 +420,7 @@ func TestRouterReplicatesAnalyze(t *testing.T) {
 			t.Errorf("ring position %d received %+v, want one /v1/analyze with the client's bytes and query %v", i, got, wantQuery)
 		}
 	}
-	if got := r.met.replications.Load(); got != 1 {
+	if got := r.met.replications.Value(); got != 1 {
 		t.Errorf("replications = %d, want 1", got)
 	}
 }
@@ -459,6 +459,19 @@ func TestRouterHealthEndpoints(t *testing.T) {
 	r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"targets"`) {
 		t.Errorf("metrics: %d body %s", rr.Code, rr.Body.String())
+	}
+}
+
+// TestRouterNoDebugVars: the router keeps its counters in a private expvar
+// tree and serves them on /metrics only. Importing expvar registers
+// /debug/vars on http.DefaultServeMux, which the router never serves.
+func TestRouterNoDebugVars(t *testing.T) {
+	f := newFakeShard(t, "only", -1)
+	r := newTestRouter(t, Config{Targets: []string{f.ts.URL}})
+	rr := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	if rr.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: %d, want 404", rr.Code)
 	}
 }
 

@@ -1,6 +1,13 @@
 package wire
 
-import "strings"
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+)
 
 // ContentType is the media type of wire-format request bodies. The
 // graph-carrying endpoints accept it in place of graph JSON.
@@ -16,6 +23,79 @@ func IsContentType(v string) bool {
 		v = v[:i]
 	}
 	return strings.TrimSpace(v) == ContentType
+}
+
+// Batch is a POST /v1/batch body split into its graph part and its items.
+// Exactly one of Hash, Graph and Blob names the graph. Items stay raw: the
+// shard decodes each one, and the router re-sends them as they came.
+type Batch struct {
+	// Hash is the fingerprint of an earlier analyze.
+	Hash string `json:"hash"`
+	// Graph is the graph inline, as graph JSON.
+	Graph json.RawMessage `json:"graph"`
+	// Items are the edit scenarios, in request order.
+	Items []json.RawMessage `json:"items"`
+	// Blob is the graph as a wire blob; it aliases the body.
+	Blob []byte `json:"-"`
+}
+
+// batchItems is the JSON object that follows a wire batch's blob.
+type batchItems struct {
+	Items []json.RawMessage `json:"items"`
+}
+
+// ParseBatch splits a batch request body. The shard and the router both
+// parse with it, so a body one of them refuses, the other refuses with the
+// same words.
+//
+// A body whose Content-Type declares the wire format is a wire blob
+// immediately followed by {"items":[...]}: the blob's header states its
+// size, so the two parts need no separator. Any other body is one JSON
+// object with "hash" or "graph" plus "items". Either way the object carries
+// no other key and only whitespace may follow it, exactly one of hash and
+// graph is set, and items is not empty. The blob is sized, not decoded:
+// compiling the graph is the caller's step.
+func ParseBatch(contentType string, body []byte) (*Batch, error) {
+	var b Batch
+	if IsContentType(contentType) {
+		n, err := Size(body)
+		if err != nil || n > len(body) {
+			return nil, errors.New("batch body must start with a wire graph blob")
+		}
+		var rest batchItems
+		if err := decodeObject(body[n:], &rest); err != nil {
+			return nil, fmt.Errorf("parsing batch items after wire blob: %w", err)
+		}
+		b.Blob, b.Items = body[:n], rest.Items
+	} else {
+		if err := decodeObject(body, &b); err != nil {
+			return nil, fmt.Errorf("parsing batch request: %w", err)
+		}
+		switch {
+		case b.Hash != "" && len(b.Graph) > 0:
+			return nil, errors.New("set either hash or graph, not both")
+		case b.Hash == "" && len(b.Graph) == 0:
+			return nil, errors.New("missing graph: set hash or graph")
+		}
+	}
+	if len(b.Items) == 0 {
+		return nil, errors.New("batch has no items")
+	}
+	return &b, nil
+}
+
+// decodeObject decodes one JSON value into v, refusing keys v has no field
+// for and anything but whitespace after the value.
+func decodeObject(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON object")
+	}
+	return nil
 }
 
 // RouteHeader is the HTTP header a shard-aware client may set to the
