@@ -4,7 +4,7 @@
 GO      ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff loc ci clean
+.PHONY: all vet build test race lint lint-fixtures fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke engine-diff perfbench-check loc ci clean
 
 all: build
 
@@ -83,7 +83,8 @@ pareto-smoke:
 # The engine's safety net, runnable on its own, over the full differential
 # corpus: the digest golden pins every analysis result (cold, warm, replay,
 # edit and undo, both algorithms) to its recorded SHA-256; the adjacency
-# oracle checks every ingest path's CSR lists against the graph's own;
+# oracle checks the graph's and every ingest path's CSR lists against
+# lists it sorts from the edge list itself;
 # warm runs and replays must be bit-identical to cold runs; and the rta
 # screen must dominate the exact analysis. `make race` covers these too;
 # this target is the fast loop while working on the image or a backend.
@@ -116,12 +117,20 @@ serve-load-smoke:
 serve-shard-smoke:
 	$(GO) test -race -tags servesmoke -run TestServeShardSmoke -v ./cmd/miaload
 
+# The benchmark (perfbench/) is its own Go module, so `go vet ./...` and
+# `go test ./...` at the root never compile it: a change to the model,
+# engine, sim or wire API would break it unnoticed. Vet and test it with the
+# environment perfbench/run.sh builds it in.
+perfbench-check:
+	cd perfbench && GOFLAGS=-buildvcs=false GOWORK=off $(GO) vet ./...
+	cd perfbench && GOFLAGS=-buildvcs=false GOWORK=off $(GO) test ./...
+
 # Size of the product code: non-test Go lines outside perfbench/, the
 # measure the ROADMAP tracks from change to change.
 loc:
 	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test.go$$' | xargs cat | wc -l
 
-ci: lint build race fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
+ci: lint build race perfbench-check fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
 
 clean:
 	$(GO) clean ./...

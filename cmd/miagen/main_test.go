@@ -105,10 +105,10 @@ func TestSTGImportExport(t *testing.T) {
 	if g.NumTasks() != 4 {
 		t.Fatalf("tasks = %d", g.NumTasks())
 	}
-	if g.Task(1).WCET != 12 {
-		t.Errorf("wcet[1] = %d", g.Task(1).WCET)
+	if g.WCET[1] != 12 {
+		t.Errorf("wcet[1] = %d", g.WCET[1])
 	}
-	if g.Task(1).Local == 0 {
+	if g.Local[1] == 0 {
 		t.Error("memory annotations not synthesized")
 	}
 	round, err := os.ReadFile(stgOut)

@@ -192,7 +192,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "per-task WCET slack (0 = critical):")
 		for _, s := range slacks {
-			fmt.Fprintf(stdout, "  %-12s %8d cycles\n", g.Task(s.Task).Name, s.Slack)
+			fmt.Fprintf(stdout, "  %-12s %8d cycles\n", g.Name(s.Task), s.Slack)
 		}
 	}
 	if *chrome != "" {

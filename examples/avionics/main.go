@@ -74,6 +74,6 @@ func main() {
 		}
 	}
 	fmt.Printf("cycle-level simulation: all %d tasks within their analyzed windows\n", g.NumTasks())
-	fmt.Printf("tightest margin: %d cycles on %s (%s)\n", worstSlack, worstTask, g.Task(worstTask).Name)
+	fmt.Printf("tightest margin: %d cycles on %s (%s)\n", worstSlack, worstTask, g.Name(worstTask))
 	fmt.Printf("simulated makespan %d vs analyzed worst case %d\n", out.Makespan, rr.Makespan)
 }

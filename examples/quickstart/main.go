@@ -53,10 +53,10 @@ func main() {
 	}
 
 	fmt.Printf("schedulable: makespan %d cycles\n\n", res.Makespan)
-	for i, task := range g.Tasks() {
+	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
 		fmt.Printf("%-12s core %d  release %3d  WCET %3d  interference %2d  finish %3d\n",
-			task.Name, task.Core, res.Release[id], task.WCET, res.Interference[id], res.Finish(id))
+			g.Name(id), g.Core[id], res.Release[id], g.WCET[id], res.Interference[id], res.Finish(id))
 	}
 	fmt.Println()
 	fmt.Print(sched.Gantt(g, res, 64))

@@ -21,21 +21,20 @@ import (
 	"github.com/mia-rt/mia/internal/sched"
 )
 
-// Image is the compiled, immutable form of one analysis problem: the graph
-// flattened into dense int-indexed arrays, adjacency in CSR form, per-bank
-// demand in one flat backing array, and the analysis options normalized
-// (arbiter and deadline resolved). All exported fields and every slice
-// returned by an accessor are read-only by contract.
+// Image is the compiled, immutable form of one analysis problem: the
+// graph's flat form (dense int-indexed arrays, per-bank demand in one
+// backing array), its adjacency in CSR form, and the analysis options
+// normalized (arbiter and deadline resolved). All exported fields and
+// every slice returned by an accessor are read-only by contract.
 //
 // Invariants established by Compile and relied on by every backend:
 //
-//   - the source graph passed Validate: dense task IDs, acyclic
+//   - the flat form passed Validate: dense task IDs, acyclic
 //     dependencies, per-core orders consistent with same-core edges, all
 //     magnitudes within model.MaxInput;
-//   - Demand rows are zero-extended to exactly Banks entries, so
-//     DemandRow(id)[b] is the task's demand on bank b with no bounds
-//     checks against ragged per-task rows;
-//   - CSR neighbor lists are sorted by task ID (buildAdjacency), so
+//   - Demand rows are exactly Banks entries wide, so DemandRow(id)[b] is
+//     the task's demand on bank b with no per-row bounds checks;
+//   - CSR neighbor lists are sorted by task ID (model.NewAdjacency), so
 //     iteration order — and therefore every accumulated result — is
 //     deterministic;
 //   - Opts.Arbiter is non-nil and Opts.Deadline is positive (Infinity
@@ -53,7 +52,7 @@ type Image struct {
 
 	// Demand is the per-bank access demand of every task in one flat
 	// task-major backing array: task id's row is
-	// Demand[id*Banks : (id+1)*Banks], zero-extended to full width.
+	// Demand[id*Banks : (id+1)*Banks].
 	Demand []model.Accesses
 
 	// DemandMask is the bitset form of Demand, one bit per bank: bit b of
@@ -66,13 +65,10 @@ type Image struct {
 	// MaskWords is the per-task word count of DemandMask: ⌈Banks/64⌉.
 	MaskWords int
 
-	// CSR adjacency: task id's successors are
-	// Succ[SuccStart[id]:SuccStart[id+1]], likewise Pred for the reverse
-	// edges. Both neighbor lists are sorted by task ID.
-	SuccStart []int32
-	Succ      []model.TaskID
-	PredStart []int32
-	Pred      []model.TaskID
+	// Adjacency is the CSR successor and predecessor lists of the edges,
+	// each sorted by task ID (model.NewAdjacency): Succs, Preds and
+	// PredCount are its accessors.
+	model.Adjacency
 
 	// Baseline per-core execution orders in CSR form: core k's order is
 	// OrderIDs[OrderStart[k]:OrderStart[k+1]]. Analyses that permute
@@ -88,12 +84,9 @@ type Image struct {
 	Opts sched.Options
 
 	// raw is the flat form the image was compiled from; its arrays back
-	// the slab fields above. Edges and fingerprints are served from it,
-	// and g is materialized from it only if NewGraph is ever called,
-	// keeping graph assembly off every compile path.
-	raw   *model.RawGraph
-	g     *model.Graph
-	gOnce sync.Once
+	// the slab fields above. Edges, fingerprints and NewGraph copies are
+	// served from it.
+	raw *model.RawGraph
 
 	fpOnce sync.Once
 	fp     string
@@ -105,20 +98,21 @@ type Image struct {
 	oh     *model.OrderHasher
 }
 
-// Compile validates g and compiles its flat form (model.Graph.Raw) into an
-// immutable problem image under the given options, through the same
-// compileRaw the decoders use. The flat form is a copy, so later mutations
-// of g (order swaps, demand edits) do not reach the image; recompile to
-// pick them up. Validation errors are returned as-is from model.Validate.
+// Compile validates g and compiles a copy of its flat form (g.Raw()) into
+// an immutable problem image under the given options, through the same
+// compileRaw the decoders use. Because the image adopts a copy, later
+// edits of g (order swaps, demand or WCET edits) do not reach the image;
+// recompile to pick them up. Validation errors are returned as-is from
+// model.RawGraph.Validate.
 func Compile(g *model.Graph, opts sched.Options) (*Image, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return compileRaw(g.Raw(), opts), nil
+	return compileRaw(g.Raw().Clone(), opts), nil
 }
 
 // compileRaw builds an image around a flat graph that passed validation —
-// Compile validates the graph it flattens, both decoders validate what they
+// Compile validates the graph it copies, both decoders validate what they
 // return. The image adopts raw's backing arrays, so raw must not be mutated
 // afterwards.
 func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
@@ -146,13 +140,9 @@ func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
 		BankTable:  raw.BankTable,
 
 		DemandMask: make([]uint64, n*words),
-		SuccStart:  make([]int32, n+1),
-		PredStart:  make([]int32, n+1),
-		Succ:       make([]model.TaskID, len(raw.Edges)),
-		Pred:       make([]model.TaskID, len(raw.Edges)),
+		Adjacency:  model.NewAdjacency(n, raw.Edges),
 	}
 	fillDemandMask(img.DemandMask, raw.Demand, raw.Banks, words)
-	buildAdjacency(img, raw.Edges)
 	return img
 }
 
@@ -173,50 +163,8 @@ func fillDemandMask(mask []uint64, demand []model.Accesses, banks, words int) {
 	}
 }
 
-// buildAdjacency fills the image's CSR successor and predecessor lists from
-// the edge list, each neighbor list sorted by task ID — the determinism
-// invariant every backend iterates under. Three counting passes, linear
-// time, no comparison sort: group targets by source in edge order; walk the
-// sources in ascending order appending each to its targets' Pred lists
-// (sorted by construction); walk the targets in ascending order rewriting
-// Succ from Pred (sorted by construction).
-func buildAdjacency(img *Image, edges []model.Edge) {
-	if len(edges) == 0 {
-		return
-	}
-	n := img.NumTasks
-	for _, e := range edges {
-		img.SuccStart[e.From+1]++
-		img.PredStart[e.To+1]++
-	}
-	for i := 0; i < n; i++ {
-		img.SuccStart[i+1] += img.SuccStart[i]
-		img.PredStart[i+1] += img.PredStart[i]
-	}
-	fill := make([]int32, n)
-	copy(fill, img.SuccStart)
-	for _, e := range edges {
-		img.Succ[fill[e.From]] = e.To
-		fill[e.From]++
-	}
-	copy(fill, img.PredStart)
-	for from := 0; from < n; from++ {
-		for _, to := range img.Succs(model.TaskID(from)) {
-			img.Pred[fill[to]] = model.TaskID(from)
-			fill[to]++
-		}
-	}
-	copy(fill, img.SuccStart)
-	for to := 0; to < n; to++ {
-		for _, from := range img.Preds(model.TaskID(to)) {
-			img.Succ[fill[from]] = model.TaskID(to)
-			fill[from]++
-		}
-	}
-}
-
-// DemandRow returns task id's per-bank demand: exactly Banks entries,
-// zero-extended. Read-only.
+// DemandRow returns task id's per-bank demand: exactly Banks entries.
+// Read-only.
 //
 //mia:hotpath
 func (img *Image) DemandRow(id model.TaskID) []model.Accesses {
@@ -229,27 +177,6 @@ func (img *Image) DemandRow(id model.TaskID) []model.Accesses {
 //mia:hotpath
 func (img *Image) DemandMaskRow(id model.TaskID) []uint64 {
 	return img.DemandMask[int(id)*img.MaskWords : (int(id)+1)*img.MaskWords]
-}
-
-// Succs returns task id's successors sorted by ID. Read-only.
-//
-//mia:hotpath
-func (img *Image) Succs(id model.TaskID) []model.TaskID {
-	return img.Succ[img.SuccStart[id]:img.SuccStart[id+1]]
-}
-
-// Preds returns task id's predecessors sorted by ID. Read-only.
-//
-//mia:hotpath
-func (img *Image) Preds(id model.TaskID) []model.TaskID {
-	return img.Pred[img.PredStart[id]:img.PredStart[id+1]]
-}
-
-// PredCount returns the number of direct predecessors of task id.
-//
-//mia:hotpath
-func (img *Image) PredCount(id model.TaskID) int {
-	return int(img.PredStart[id+1] - img.PredStart[id])
 }
 
 // Order returns core k's baseline execution order. Read-only; analyses
@@ -265,7 +192,7 @@ func (img *Image) Order(k model.CoreID) []model.TaskID {
 func (img *Image) Edges() []model.Edge { return img.raw.Edges }
 
 // Fingerprint returns the canonical content hash of the compiled graph
-// with its baseline orders (see model.Graph.Fingerprint). Computed once,
+// with its baseline orders (see model.RawGraph.Fingerprint). Computed once,
 // lazily; safe for concurrent use. Every ingest path hashes the same flat
 // form, so the JSON, wire and graph paths key one graph identically.
 func (img *Image) Fingerprint() string {
@@ -293,22 +220,8 @@ func (img *Image) orderHasher() *model.OrderHasher {
 	return img.oh
 }
 
-// graph returns the image's private graph, materialized from the flat form
-// on first use. The flat form passed full validation before compileRaw, so
-// materialization cannot fail; an error here is a broken invariant, not an
-// input condition.
-func (img *Image) graph() *model.Graph {
-	img.gOnce.Do(func() {
-		g, err := img.raw.Graph()
-		if err != nil {
-			panic("engine: validated image failed graph materialization: " + err.Error())
-		}
-		img.g = g
-	})
-	return img.g
-}
-
-// NewGraph materializes a fresh mutable graph equal to the compiled one.
-// Task names are not part of the flat form, so task i comes back named
-// "n<i>"; everything the analyses and the fingerprint read is preserved.
-func (img *Image) NewGraph() *model.Graph { return img.graph().Clone() }
+// NewGraph returns a fresh mutable graph equal to the compiled one: a copy
+// of the image's flat form, so editing it never reaches the image. Task
+// names are not part of the flat form, so task i comes back named "n<i>";
+// everything the analyses and the fingerprint read is preserved.
+func (img *Image) NewGraph() *model.Graph { return model.NewGraph(img.raw.Clone(), nil) }

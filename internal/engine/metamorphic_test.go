@@ -57,13 +57,13 @@ func rebuild(t *testing.T, g *model.Graph, π []model.TaskID, σ []model.CoreID,
 	}
 	b := model.NewBuilder(g.Cores, g.Banks)
 	for j := 0; j < n; j++ {
-		old := g.Task(πinv[j])
+		old := πinv[j]
 		b.AddTask(model.TaskSpec{
-			Name:       old.Name,
-			WCET:       old.WCET,
-			Core:       σ[old.Core],
-			MinRelease: old.MinRelease,
-			Local:      old.Local * λ,
+			Name:       g.Name(old),
+			WCET:       g.WCET[old],
+			Core:       σ[g.Core[old]],
+			MinRelease: g.MinRelease[old],
+			Local:      g.Local[old] * λ,
 		})
 	}
 	for _, e := range g.Edges() {
@@ -79,7 +79,7 @@ func rebuild(t *testing.T, g *model.Graph, π []model.TaskID, σ []model.CoreID,
 	}
 	// New core σ[k] uses old core k's bank, so each task's demand vector is
 	// unchanged by the core relabeling.
-	b.SetBankPolicy(func(c model.CoreID) model.BankID { return g.BankOf(σinv[c]) })
+	b.SetBankPolicy(func(c model.CoreID) model.BankID { return g.BankTable[σinv[c]] })
 	out, err := b.Build()
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)

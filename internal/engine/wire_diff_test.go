@@ -274,8 +274,8 @@ func withOrders(t *testing.T, doc []byte, keep int) []byte {
 func rebuildWithOrders(t *testing.T, g *model.Graph, keep int) *model.Graph {
 	t.Helper()
 	b := model.NewBuilder(g.Cores, g.Banks)
-	for _, task := range g.Tasks() {
-		b.AddTask(model.TaskSpec{Name: task.Name, WCET: task.WCET, Core: task.Core, MinRelease: task.MinRelease, Local: task.Local})
+	for i := 0; i < g.NumTasks(); i++ {
+		b.AddTask(model.TaskSpec{Name: g.Name(model.TaskID(i)), WCET: g.WCET[i], Core: g.Core[i], MinRelease: g.MinRelease[i], Local: g.Local[i]})
 	}
 	for _, e := range g.Edges() {
 		b.AddEdge(e.From, e.To, e.Words)

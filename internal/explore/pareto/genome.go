@@ -43,9 +43,9 @@ func (p Policy) String() string {
 }
 
 // Table materializes an explicit policy as a core→bank table. Demands are
-// always re-derived from a table, never from a policy closure: a closure
-// reading live graph state (the g.CompileDemands(g.BankOf) trap) would
-// observe its own partial updates.
+// always re-derived from a fixed table, never from a policy closure over
+// live graph state, so a structural evaluation depends on the genome
+// alone.
 func (p Policy) Table(cores, banks int) []model.BankID {
 	tab := make([]model.BankID, cores)
 	for k := range tab {

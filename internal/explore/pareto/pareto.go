@@ -19,11 +19,11 @@
 //
 // Each evaluation worker owns a warm analyzer over the shared compiled
 // image: order-only genomes load their permutation into the worker's order
-// overlay and analyze without any recompile or graph materialization;
-// structural genomes (remapped or repolicied) materialize a graph, rebuild
-// demands from an explicit bank table, recompile, and analyze cold. Both
-// paths are pure functions of the genome, so results never depend on which
-// worker evaluated what.
+// overlay and analyze without any recompile or graph copy; structural
+// genomes (remapped or repolicied) copy the image's graph, write the
+// mapping into it, rebuild demands from an explicit bank table, recompile,
+// and analyze cold. Both paths are pure functions of the genome, so
+// results never depend on which worker evaluated what.
 package pareto
 
 import (
@@ -144,9 +144,7 @@ func (wk *worker) eval(ctx context.Context, g *Genome) evalOut {
 		return out
 	}
 	gg := wk.img.NewGraph()
-	for id, core := range g.Assign {
-		gg.Task(model.TaskID(id)).Core = core
-	}
+	copy(gg.Core, g.Assign)
 	for k := range g.Orders {
 		gg.SetOrder(model.CoreID(k), g.Orders[k])
 	}

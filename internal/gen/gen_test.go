@@ -19,15 +19,10 @@ func TestLayeredShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	depth, err := g.Depths()
-	if err != nil {
-		t.Fatalf("Depths: %v", err)
-	}
-	// Edges only connect adjacent layers, so depth(task) == its layer.
-	for i, task := range g.Tasks() {
-		wantLayer := i / p.LayerSize
-		if depth[i] != wantLayer {
-			t.Errorf("%s: depth %d, want layer %d", task.ID, depth[i], wantLayer)
+	// Edges only connect adjacent layers: layer l to layer l+1.
+	for _, e := range g.Edges() {
+		if from, to := int(e.From)/p.LayerSize, int(e.To)/p.LayerSize; to != from+1 {
+			t.Errorf("edge %s→%s goes from layer %d to layer %d", e.From, e.To, from, to)
 		}
 	}
 }
@@ -36,10 +31,10 @@ func TestLayeredCyclicCoreAssignment(t *testing.T) {
 	p := NewParams(3, 20)
 	p.Cores, p.Banks = 6, 6
 	g := MustLayered(p)
-	for i, task := range g.Tasks() {
+	for i, core := range g.Core {
 		inLayer := i % p.LayerSize
-		if want := model.CoreID(inLayer % p.Cores); task.Core != want {
-			t.Fatalf("task %d: core %d, want %d (cyclic rule)", i, task.Core, want)
+		if want := model.CoreID(inLayer % p.Cores); core != want {
+			t.Fatalf("task %d: core %d, want %d (cyclic rule)", i, core, want)
 		}
 	}
 }
@@ -70,12 +65,13 @@ func TestLayeredEveryTaskHasPredecessor(t *testing.T) {
 func TestLayeredRangesRespected(t *testing.T) {
 	p := NewParams(6, 10)
 	g := MustLayered(p)
-	for _, task := range g.Tasks() {
-		if task.WCET < p.WCETMin || task.WCET > p.WCETMax {
-			t.Errorf("%s: WCET %d outside [%d, %d]", task.ID, task.WCET, p.WCETMin, p.WCETMax)
+	for i := 0; i < g.NumTasks(); i++ {
+		id := model.TaskID(i)
+		if g.WCET[i] < p.WCETMin || g.WCET[i] > p.WCETMax {
+			t.Errorf("%s: WCET %d outside [%d, %d]", id, g.WCET[i], p.WCETMin, p.WCETMax)
 		}
-		if task.Local < p.AccMin || task.Local > p.AccMax {
-			t.Errorf("%s: local %d outside [%d, %d]", task.ID, task.Local, p.AccMin, p.AccMax)
+		if g.Local[i] < p.AccMin || g.Local[i] > p.AccMax {
+			t.Errorf("%s: local %d outside [%d, %d]", id, g.Local[i], p.AccMin, p.AccMax)
 		}
 	}
 	for _, e := range g.Edges() {
@@ -97,8 +93,8 @@ func TestLayeredDeterminism(t *testing.T) {
 			t.Fatal("same seed produced different edges")
 		}
 	}
-	for i := range a.Tasks() {
-		if a.Task(model.TaskID(i)).WCET != b.Task(model.TaskID(i)).WCET {
+	for i := range a.WCET {
+		if a.WCET[i] != b.WCET[i] {
 			t.Fatal("same seed produced different WCETs")
 		}
 	}
@@ -122,10 +118,11 @@ func TestLayeredSharedBank(t *testing.T) {
 	p := NewParams(3, 4)
 	p.SharedBank = true
 	g := MustLayered(p)
-	for _, task := range g.Tasks() {
+	for i := 0; i < g.NumTasks(); i++ {
+		id := model.TaskID(i)
 		for b := 1; b < g.Banks; b++ {
-			if task.Demand[b] != 0 {
-				t.Fatalf("%s has demand on bank %d in shared mode", task.ID, b)
+			if g.DemandRow(id)[b] != 0 {
+				t.Fatalf("%s has demand on bank %d in shared mode", id, b)
 			}
 		}
 	}
@@ -137,9 +134,9 @@ func TestLayeredPerCoreBanksDefault(t *testing.T) {
 	// Demands must not all sit on bank 0: communication spreads across
 	// consumer banks.
 	spread := false
-	for _, task := range g.Tasks() {
+	for i := 0; i < g.NumTasks(); i++ {
 		for b := 1; b < g.Banks; b++ {
-			if task.Demand[b] > 0 {
+			if g.DemandRow(model.TaskID(i))[b] > 0 {
 				spread = true
 			}
 		}
@@ -187,13 +184,9 @@ func TestFigure1Shape(t *testing.T) {
 	wantCore := []model.CoreID{0, 1, 1, 2, 3}
 	wantMinRel := []model.Cycles{0, 2, 4, 0, 4}
 	for i := range wantWCET {
-		task := g.Task(model.TaskID(i))
-		if task.WCET != wantWCET[i] || task.Core != wantCore[i] || task.MinRelease != wantMinRel[i] {
-			t.Errorf("n%d = %+v", i, task)
+		if g.WCET[i] != wantWCET[i] || g.Core[i] != wantCore[i] || g.MinRelease[i] != wantMinRel[i] {
+			t.Errorf("n%d: WCET %d, core %d, min release %d", i, g.WCET[i], g.Core[i], g.MinRelease[i])
 		}
-	}
-	if cp, _ := g.CriticalPath(); cp != 6 { // n4 waits for its min release 4, then runs 2
-		t.Errorf("critical path = %d, want 6", cp)
 	}
 }
 
@@ -203,8 +196,8 @@ func TestFigure2Shape(t *testing.T) {
 		t.Fatalf("figure 2: %d tasks on %d cores", g.NumTasks(), g.Cores)
 	}
 	perCore := map[model.CoreID]int{}
-	for _, task := range g.Tasks() {
-		perCore[task.Core]++
+	for _, core := range g.Core {
+		perCore[core]++
 	}
 	want := map[model.CoreID]int{0: 3, 1: 2, 2: 3, 3: 3}
 	for k, n := range want {
@@ -212,8 +205,8 @@ func TestFigure2Shape(t *testing.T) {
 			t.Errorf("core %d has %d tasks, want %d", k, perCore[k], n)
 		}
 	}
-	if g.Task(10).Name != "n10" {
-		t.Errorf("task 10 name = %q", g.Task(10).Name)
+	if g.Name(10) != "n10" {
+		t.Errorf("task 10 name = %q", g.Name(10))
 	}
 }
 
@@ -226,15 +219,15 @@ func TestAvionicsShape(t *testing.T) {
 		t.Fatalf("avionics: %d tasks", g.NumTasks())
 	}
 	names := map[string]bool{}
-	for _, task := range g.Tasks() {
-		names[task.Name] = true
+	for i := 0; i < g.NumTasks(); i++ {
+		names[g.Name(model.TaskID(i))] = true
 	}
 	for _, want := range []string{"aircraft_dyn", "altitude_hold", "vz_control", "engine'"} {
 		if !names[want] {
 			t.Errorf("missing task %q", want)
 		}
 	}
-	if !strings.HasPrefix(g.Task(0).Name, "engine") {
-		t.Errorf("task 0 = %q", g.Task(0).Name)
+	if !strings.HasPrefix(g.Name(0), "engine") {
+		t.Errorf("task 0 = %q", g.Name(0))
 	}
 }

@@ -88,43 +88,38 @@ func Map(p *Problem, s Strategy) (*model.Graph, error) {
 	return b.Build()
 }
 
+// problemDAG checks the problem's edges — endpoints in range, no cycle —
+// and returns their sorted adjacency and a topological order.
+func problemDAG(p *Problem) (model.Adjacency, []model.TaskID, error) {
+	n := len(p.Specs)
+	r := model.RawGraph{WCET: make([]model.Cycles, n), Edges: make([]model.Edge, len(p.Edges))}
+	for i, e := range p.Edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return model.Adjacency{}, nil, fmt.Errorf("mapper: edge %d→%d out of range", e.From, e.To)
+		}
+		r.Edges[i] = model.Edge{From: model.TaskID(e.From), To: model.TaskID(e.To)}
+	}
+	order, err := r.TopoSort()
+	if err != nil {
+		return model.Adjacency{}, nil, fmt.Errorf("mapper: %w", err)
+	}
+	return model.NewAdjacency(n, r.Edges), order, nil
+}
+
 // layersOf computes each task's DAG depth (layer index) from the problem's
 // edges, or an error on cycles.
 func layersOf(p *Problem) ([]int, error) {
-	n := len(p.Specs)
-	indeg := make([]int, n)
-	succs := make([][]int, n)
-	for _, e := range p.Edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return nil, fmt.Errorf("mapper: edge %d→%d out of range", e.From, e.To)
-		}
-		indeg[e.To]++
-		succs[e.From] = append(succs[e.From], e.To)
+	adj, order, err := problemDAG(p)
+	if err != nil {
+		return nil, err
 	}
-	layer := make([]int, n)
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, s := range succs[id] {
-			if layer[id]+1 > layer[s] {
-				layer[s] = layer[id] + 1
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+	layer := make([]int, len(p.Specs))
+	for _, id := range order {
+		for _, pr := range adj.Preds(id) {
+			if layer[pr]+1 > layer[id] {
+				layer[id] = layer[pr] + 1
 			}
 		}
-	}
-	if seen != n {
-		return nil, fmt.Errorf("mapper: dependency cycle in problem")
 	}
 	return layer, nil
 }
@@ -210,14 +205,9 @@ func (ListScheduling) Name() string { return "list-scheduling" }
 // Assign implements Strategy.
 func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 	n := len(p.Specs)
-	if _, err := layersOf(p); err != nil {
-		return nil, err // cycle check
-	}
-	succs := make([][]int, n)
-	preds := make([][]int, n)
-	for _, e := range p.Edges {
-		succs[e.From] = append(succs[e.From], e.To)
-		preds[e.To] = append(preds[e.To], e.From)
+	adj, _, err := problemDAG(p)
+	if err != nil {
+		return nil, err
 	}
 	// Upward rank: WCET + max over successors (memoized reverse-topological
 	// walk; the DAG is already verified acyclic).
@@ -229,8 +219,8 @@ func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 		}
 		r := p.Specs[id].WCET
 		var tail model.Cycles
-		for _, s := range succs[id] {
-			if v := computeRank(s); v > tail {
+		for _, s := range adj.Succs(model.TaskID(id)) {
+			if v := computeRank(int(s)); v > tail {
 				tail = v
 			}
 		}
@@ -259,7 +249,7 @@ func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 		pick := -1
 		for i, id := range order {
 			ready := true
-			for _, pr := range preds[id] {
+			for _, pr := range adj.Preds(model.TaskID(id)) {
 				if !placed[pr] {
 					ready = false
 					break
@@ -276,7 +266,7 @@ func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 		id := order[pick]
 		order = append(order[:pick], order[pick+1:]...)
 		var depsReady model.Cycles = p.Specs[id].MinRelease
-		for _, pr := range preds[id] {
+		for _, pr := range adj.Preds(model.TaskID(id)) {
 			if finish[pr] > depsReady {
 				depsReady = finish[pr]
 			}

@@ -120,8 +120,8 @@ func TestListSchedulingPrefersCriticalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainCore := g.Task(0).Core
-	if g.Task(3).Core == chainCore {
+	chainCore := g.Core[0]
+	if g.Core[3] == chainCore {
 		t.Errorf("independent task mapped onto the critical-path core")
 	}
 	res, err := schedule(g, sched.Options{})

@@ -3,8 +3,9 @@ package model
 import "fmt"
 
 // Builder assembles a Graph incrementally. It is the programmatic entry
-// point used by the examples and tests; the random generators in
-// internal/gen and the JSON loader are built on top of it.
+// point used by the examples, the tests and the random generators in
+// internal/gen; the JSON loader (DecodeJSON) fills the same flat form
+// directly and shares Builder's demand compiler and default orders.
 //
 // Usage:
 //
@@ -14,10 +15,11 @@ import "fmt"
 //	b.AddEdge(n0, n1, 1)
 //	g, err := b.Build()
 //
-// Build validates the graph, computes the default per-core execution order
-// (topological) unless orders were set explicitly, and compiles per-bank
-// demands under the builder's bank policy (per-core banks when the platform
-// has at least one bank per core, a single shared bank otherwise).
+// Build compiles per-bank demands under the builder's bank policy (per-core
+// banks when the platform has at least one bank per core, a single shared
+// bank otherwise), computes the default per-core execution order (the
+// smallest-ID-first topological order) for every core whose order was not
+// set explicitly, and validates the result.
 type Builder struct {
 	cores int
 	banks int
@@ -28,6 +30,16 @@ type Builder struct {
 	bankOf func(CoreID) BankID
 
 	err error // first structural error, reported by Build
+}
+
+// TaskSpec is the user-facing description of a task, consumed by Builder.
+// The zero value of optional fields means "default".
+type TaskSpec struct {
+	Name       string // "n<id>" when empty
+	WCET       Cycles
+	Core       CoreID
+	MinRelease Cycles
+	Local      Accesses
 }
 
 // NewBuilder returns a Builder for a platform with the given number of cores
@@ -102,44 +114,39 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{Cores: b.cores, Banks: b.banks, edges: append([]Edge(nil), b.edges...)}
-	g.tasks = make([]*Task, len(b.specs))
+	n := len(b.specs)
+	r := RawGraph{
+		Cores:      b.cores,
+		Banks:      b.banks,
+		WCET:       make([]Cycles, n),
+		MinRelease: make([]Cycles, n),
+		Core:       make([]CoreID, n),
+		Local:      make([]Accesses, n),
+		Edges:      append([]Edge(nil), b.edges...),
+	}
+	names := make([]string, n)
 	for i, spec := range b.specs {
-		g.tasks[i] = &Task{
-			ID:         TaskID(i),
-			Name:       spec.Name,
-			WCET:       spec.WCET,
-			Core:       spec.Core,
-			MinRelease: spec.MinRelease,
-			Local:      spec.Local,
-		}
-	}
-	g.rebuildAdjacency()
-	if err := g.defaultOrder(); err != nil {
-		return nil, err
-	}
-	// Apply explicit orders core by core rather than ranging over the map:
-	// SetOrder calls are independent per core, but iterating cores in index
-	// order keeps Build's entire effect sequence deterministic (and keeps
-	// the determinism analyzer's map-range ban hit-free in this package).
-	for k := CoreID(0); int(k) < b.cores; k++ {
-		if order, ok := b.orders[k]; ok {
-			g.SetOrder(k, order)
-		}
+		names[i] = spec.Name
+		r.WCET[i], r.MinRelease[i] = spec.WCET, spec.MinRelease
+		r.Core[i], r.Local[i] = spec.Core, spec.Local
 	}
 	policy := b.bankOf
 	if policy == nil {
-		if b.banks >= b.cores {
-			policy = BankPerCore
-		} else {
-			policy = SharedBank
-		}
+		policy = defaultPolicy(b.cores, b.banks)
 	}
-	g.CompileDemands(policy)
-	if err := g.Validate(); err != nil {
+	if err := r.compileDemands(policy); err != nil {
 		return nil, err
 	}
-	return g, nil
+	if err := r.fillOrders(func(k CoreID) ([]TaskID, bool) {
+		order, ok := b.orders[k]
+		return order, ok
+	}); err != nil {
+		return nil, err
+	}
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	return NewGraph(&r, names), nil
 }
 
 // MustBuild is Build for tests and examples with known-good inputs; it

@@ -17,10 +17,10 @@ func TestBuilderBasic(t *testing.T) {
 	if g.NumTasks() != 2 {
 		t.Fatalf("NumTasks = %d, want 2", g.NumTasks())
 	}
-	if got := g.Task(a).Name; got != "a" {
+	if got := g.Name(a); got != "a" {
 		t.Errorf("task a name = %q", got)
 	}
-	if got := g.Task(c).MinRelease; got != 3 {
+	if got := g.MinRelease[c]; got != 3 {
 		t.Errorf("minRelease = %d, want 3", got)
 	}
 	if succs := g.Successors(a); len(succs) != 1 || succs[0] != c {
@@ -35,7 +35,7 @@ func TestBuilderDefaultNames(t *testing.T) {
 	b := NewBuilder(1, 1)
 	id := b.AddTask(TaskSpec{WCET: 1})
 	g := b.MustBuild()
-	if got := g.Task(id).Name; got != "n0" {
+	if got := g.Name(id); got != "n0" {
 		t.Errorf("default name = %q, want n0", got)
 	}
 }

@@ -1,5 +1,7 @@
 package model
 
+import "fmt"
+
 // Bank-assignment policies map cores to the memory bank holding their
 // reserved data. The paper (Section IV.A) notes that the shared memory "may
 // have distinct arbitrated banks reserved for each core to minimize
@@ -14,15 +16,19 @@ func SharedBank(CoreID) BankID { return 0 }
 // demand compiler wraps around otherwise.
 func BankPerCore(k CoreID) BankID { return BankID(k) }
 
-// StripedBanks returns a policy mapping core k to bank k mod banks, the
-// generalization of BankPerCore to platforms with fewer banks than cores.
-func StripedBanks(banks int) func(CoreID) BankID {
-	return func(k CoreID) BankID { return BankID(int(k) % banks) }
+// defaultPolicy is the policy Builder and DecodeJSON use when none is
+// given: a bank per core when the platform has at least one bank per core,
+// a single shared bank otherwise.
+func defaultPolicy(cores, banks int) func(CoreID) BankID {
+	if banks >= cores {
+		return BankPerCore
+	}
+	return SharedBank
 }
 
-// CompileDemands fills every task's per-bank demand vector from the graph's
-// local access counts and communication edges, under the given
-// bank-assignment policy:
+// CompileDemands re-derives every task's per-bank demand row from the
+// graph's local access counts and communication edges, under the given
+// bank-assignment policy (SharedBank when nil):
 //
 //   - a task's Local accesses are charged to the bank of its own core
 //     (its code and private data live there);
@@ -31,23 +37,43 @@ func StripedBanks(banks int) func(CoreID) BankID {
 //     output into the consumer's reserved bank (the write counts shown on
 //     the DAG edges of the paper's Figure 1).
 //
-// The policy's results are folded modulo the graph's bank count so that any
-// policy is safe on any platform. CompileDemands may be called again to
-// re-derive demands under a different policy.
+// The policy's results are folded modulo the graph's bank count into
+// BankTable, so any policy is safe on any platform. A core or edge
+// endpoint out of range stops the compilation; Validate reports it.
 func (g *Graph) CompileDemands(bankOf func(CoreID) BankID) {
 	if bankOf == nil {
 		bankOf = SharedBank
 	}
-	g.bankOf = func(k CoreID) BankID {
-		return BankID(int(bankOf(k)) % g.Banks)
+	_ = g.compileDemands(bankOf) // an index out of range is Validate's to report
+}
+
+// compileDemands is the demand compiler behind CompileDemands, Builder and
+// DecodeJSON: it sets BankTable from the policy and fills the demand
+// matrix, accumulating locals first and then edges in source order. Cores
+// and edge endpoints are range-checked first, since the compilation
+// indexes by them; every other value is left to Validate.
+func (r *RawGraph) compileDemands(bankOf func(CoreID) BankID) error {
+	table := make([]BankID, r.Cores) // a policy reading BankTable sees the old one
+	for k := range table {
+		table[k] = BankID(int(bankOf(CoreID(k))) % r.Banks)
 	}
-	for _, t := range g.tasks {
-		t.Demand = make([]Accesses, g.Banks)
-		t.Demand[g.bankOf(t.Core)] += t.Local
+	r.BankTable = table
+	n, banks := r.NumTasks(), r.Banks
+	r.Demand = make([]Accesses, n*banks)
+	for i, c := range r.Core {
+		if c < 0 || int(c) >= r.Cores {
+			return fmt.Errorf("model: %s mapped to core %d, platform has %d cores", TaskID(i), c, r.Cores)
+		}
+		r.Demand[i*banks+int(r.BankTable[c])] += r.Local[i]
 	}
-	for _, e := range g.edges {
-		src := g.tasks[e.From]
-		dstBank := g.bankOf(g.tasks[e.To].Core)
-		src.Demand[dstBank] += e.Words
+	for _, e := range r.Edges {
+		switch {
+		case e.From < 0 || int(e.From) >= n:
+			return fmt.Errorf("model: edge source %d out of range", e.From)
+		case e.To < 0 || int(e.To) >= n:
+			return fmt.Errorf("model: edge target %d out of range", e.To)
+		}
+		r.Demand[int(e.From)*banks+int(r.BankTable[r.Core[e.To]])] += e.Words
 	}
+	return nil
 }

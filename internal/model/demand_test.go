@@ -21,71 +21,62 @@ func twoCoreGraph(t testing.TB, banks int, policy func(CoreID) BankID) *Graph {
 
 func TestCompileDemandsPerCore(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
-	p, c := g.Task(0), g.Task(1)
+	p, c := g.DemandRow(0), g.DemandRow(1)
 	// Producer: 5 local on bank 0, 7 written into consumer's bank 1.
-	if p.Demand[0] != 5 || p.Demand[1] != 7 {
-		t.Errorf("producer demand = %v, want [5 7]", p.Demand)
+	if p[0] != 5 || p[1] != 7 {
+		t.Errorf("producer demand = %v, want [5 7]", p)
 	}
 	// Consumer: 3 local on bank 1 only.
-	if c.Demand[0] != 0 || c.Demand[1] != 3 {
-		t.Errorf("consumer demand = %v, want [0 3]", c.Demand)
+	if c[0] != 0 || c[1] != 3 {
+		t.Errorf("consumer demand = %v, want [0 3]", c)
 	}
 }
 
 func TestCompileDemandsShared(t *testing.T) {
 	g := twoCoreGraph(t, 1, nil) // one bank forces SharedBank default
-	p, c := g.Task(0), g.Task(1)
-	if p.Demand[0] != 12 { // 5 local + 7 written
-		t.Errorf("producer demand = %v, want [12]", p.Demand)
+	p, c := g.DemandRow(0), g.DemandRow(1)
+	if p[0] != 12 { // 5 local + 7 written
+		t.Errorf("producer demand = %v, want [12]", p)
 	}
-	if c.Demand[0] != 3 {
-		t.Errorf("consumer demand = %v, want [3]", c.Demand)
+	if c[0] != 3 {
+		t.Errorf("consumer demand = %v, want [3]", c)
 	}
 }
 
 func TestCompileDemandsPolicyWraparound(t *testing.T) {
 	// A policy returning out-of-range banks must be folded modulo Banks.
 	g := twoCoreGraph(t, 2, func(k CoreID) BankID { return BankID(int(k) + 10) })
-	p := g.Task(0)
+	p := g.DemandRow(0)
 	// Core 0 -> bank 10 mod 2 = 0; core 1 -> bank 11 mod 2 = 1.
-	if p.Demand[0] != 5 || p.Demand[1] != 7 {
-		t.Errorf("producer demand = %v, want [5 7]", p.Demand)
+	if p[0] != 5 || p[1] != 7 {
+		t.Errorf("producer demand = %v, want [5 7]", p)
 	}
 }
 
 func TestRecompileDemands(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
 	g.CompileDemands(SharedBank)
-	p := g.Task(0)
-	if p.Demand[0] != 12 || p.Demand[1] != 0 {
-		t.Errorf("recompiled demand = %v, want [12 0]", p.Demand)
+	p := g.DemandRow(0)
+	if p[0] != 12 || p[1] != 0 {
+		t.Errorf("recompiled demand = %v, want [12 0]", p)
 	}
-	if g.BankOf(1) != 0 {
-		t.Errorf("BankOf(1) = %v after recompilation, want bank0", g.BankOf(1))
-	}
-}
-
-func TestStripedBanks(t *testing.T) {
-	policy := StripedBanks(3)
-	for k, want := range map[CoreID]BankID{0: 0, 1: 1, 2: 2, 3: 0, 4: 1} {
-		if got := policy(k); got != want {
-			t.Errorf("striped(%d) = %d, want %d", k, got, want)
-		}
+	if g.BankTable[1] != 0 {
+		t.Errorf("BankTable[1] = %v after recompilation, want bank0", g.BankTable[1])
 	}
 }
 
 func TestTotalDemand(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
-	if got := g.Task(0).TotalDemand(); got != 12 {
-		t.Errorf("TotalDemand = %d, want 12", got)
+	if got := g.TotalDemand(0); got != 12 {
+		t.Errorf("TotalDemand(0) = %d, want 12", got)
 	}
-	var empty Task
-	if empty.TotalDemand() != 0 {
-		t.Error("TotalDemand of demandless task must be 0")
+	if got := g.TotalDemand(1); got != 3 {
+		t.Errorf("TotalDemand(1) = %d, want 3", got)
 	}
-	short := &Task{ID: 1, Core: 1, Demand: []Accesses{1, 5}}
-	if !short.AccessesBank(1) || empty.AccessesBank(1) || short.AccessesBank(2) {
-		t.Error("AccessesBank out-of-range handling wrong")
+	b := NewBuilder(1, 2)
+	b.AddTask(TaskSpec{WCET: 1})
+	if got := b.MustBuild().TotalDemand(0); got != 0 {
+		t.Errorf("TotalDemand of a demandless task = %d, want 0", got)
 	}
 }
 
@@ -114,8 +105,8 @@ func TestDemandConservationProperty(t *testing.T) {
 			return false
 		}
 		var got Accesses
-		for _, task := range g.Tasks() {
-			got += task.TotalDemand()
+		for i := 0; i < g.NumTasks(); i++ {
+			got += g.TotalDemand(TaskID(i))
 		}
 		return got == wantTotal
 	}

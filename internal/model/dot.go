@@ -16,18 +16,18 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	fmt.Fprintln(w, "  rankdir=TB;")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
 	for k := 0; k < g.Cores; k++ {
-		if len(g.order[k]) == 0 {
+		order := g.Order(CoreID(k))
+		if len(order) == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "  subgraph cluster_core%d {\n", k)
 		fmt.Fprintf(w, "    label=\"%s\";\n", CoreID(k))
-		for _, id := range g.order[k] {
-			t := g.tasks[id]
-			fmt.Fprintf(w, "    t%d [label=\"%s\\nC=%d\"];\n", id, t.Name, t.WCET)
+		for _, id := range order {
+			fmt.Fprintf(w, "    t%d [label=\"%s\\nC=%d\"];\n", id, g.Name(id), g.WCET[id])
 		}
 		fmt.Fprintln(w, "  }")
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		fmt.Fprintf(w, "  t%d -> t%d [label=\"%d\"];\n", e.From, e.To, e.Words)
 	}
 	_, err := fmt.Fprintln(w, "}")

@@ -8,15 +8,19 @@ import (
 func TestCloneIsDeep(t *testing.T) {
 	g := twoCoreGraph(t, 2, BankPerCore)
 	c := g.Clone()
-	c.Task(0).WCET = 999
-	c.Task(0).Demand[0] = 999
-	c.SetOrder(0, []TaskID{0})
-	if g.Task(0).WCET == 999 {
-		t.Error("Clone shares task structs")
+	c.WCET[0] = 999
+	c.Demand[0] = 999
+	c.OrderIDs[0] = 1
+	if g.WCET[0] == 999 {
+		t.Error("Clone shares the WCET array")
 	}
-	if g.Task(0).Demand[0] == 999 {
-		t.Error("Clone shares demand slices")
+	if g.Demand[0] == 999 {
+		t.Error("Clone shares the demand matrix")
 	}
+	if g.OrderIDs[0] != 0 {
+		t.Error("Clone shares the order CSR")
+	}
+	c.OrderIDs[0] = 0
 	if c.NumTasks() != g.NumTasks() || len(c.Edges()) != len(g.Edges()) {
 		t.Error("Clone lost structure")
 	}
@@ -44,8 +48,8 @@ func TestStringers(t *testing.T) {
 	if s := g.String(); !strings.Contains(s, "tasks=2") {
 		t.Errorf("Graph.String = %q", s)
 	}
-	if s := g.Task(0).String(); !strings.Contains(s, "τ0") || !strings.Contains(s, `"p"`) {
-		t.Errorf("Task.String = %q", s)
+	if unnamed := NewGraph(g.Raw().Clone(), nil); g.Name(0) != "p" || unnamed.Name(1) != "n1" {
+		t.Errorf("Name = %q, %q; want p and the default n1", g.Name(0), unnamed.Name(1))
 	}
 	if TaskID(3).String() != "τ3" || NoTask.String() != "τ?" {
 		t.Error("TaskID.String wrong")
@@ -62,37 +66,39 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	fresh := func(t *testing.T) *Graph { return twoCoreGraph(t, 2, BankPerCore) }
 
 	t.Run("id mismatch", func(t *testing.T) {
+		// Task IDs are array positions; the order CSR is where an ID is
+		// stored, so that is where one can be corrupted.
 		g := fresh(t)
-		g.tasks[0].ID = 5
-		if err := g.Validate(); err == nil {
-			t.Fatal("corrupted ID not detected")
+		g.OrderIDs[0] = 5
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "unknown task 5") {
+			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("order missing task", func(t *testing.T) {
 		g := fresh(t)
-		g.order[0] = nil
-		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cover") {
+		g.SetOrder(0, nil)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "execution orders list 1 tasks") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("order duplicate", func(t *testing.T) {
-		g := fresh(t)
-		g.order[0] = []TaskID{0, 0}
+		g := chainGraph(t, 3)
+		g.SetOrder(0, []TaskID{0, 0, 2})
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("order wrong core", func(t *testing.T) {
 		g := fresh(t)
-		g.order[0] = []TaskID{1}
-		g.order[1] = []TaskID{0}
+		g.SetOrder(0, []TaskID{1})
+		g.SetOrder(1, []TaskID{0})
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "mapped to core") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("negative demand", func(t *testing.T) {
 		g := fresh(t)
-		g.tasks[0].Demand[0] = -1
+		g.Demand[0] = -1
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "negative demand") {
 			t.Fatalf("err = %v", err)
 		}
@@ -109,45 +115,38 @@ func TestValidateRejectsOverflowMagnitudes(t *testing.T) {
 
 	t.Run("wcet", func(t *testing.T) {
 		g := fresh(t)
-		g.tasks[0].WCET = over
+		g.WCET[0] = over
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "MaxInput") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("min release", func(t *testing.T) {
 		g := fresh(t)
-		g.tasks[0].MinRelease = over
+		g.MinRelease[0] = over
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "MaxInput") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("demand", func(t *testing.T) {
 		g := fresh(t)
-		g.tasks[0].Demand[0] = Accesses(MaxInput) + 1
+		g.Demand[0] = Accesses(MaxInput) + 1
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "MaxInput") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("edge volume", func(t *testing.T) {
 		g := fresh(t)
-		g.edges[0].Words = Accesses(MaxInput) + 1
+		g.RawGraph.Edges[0].Words = Accesses(MaxInput) + 1
 		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "MaxInput") {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("at the bound is legal", func(t *testing.T) {
 		g := fresh(t)
-		g.tasks[0].WCET = MaxInput
-		g.tasks[0].MinRelease = MaxInput
+		g.WCET[0] = MaxInput
+		g.MinRelease[0] = MaxInput
 		if err := g.Validate(); err != nil {
 			t.Fatalf("MaxInput itself must validate: %v", err)
 		}
 	})
-}
-
-func TestBankOfDefault(t *testing.T) {
-	g := &Graph{Cores: 2, Banks: 2}
-	if g.BankOf(1) != 0 {
-		t.Error("BankOf before demand compilation must default to bank 0")
-	}
 }

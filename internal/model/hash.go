@@ -9,52 +9,9 @@ import (
 )
 
 // fingerprintVersion is folded into every fingerprint so the hash changes
-// whenever the canonical serialization below changes shape. Bump it when
-// adding or reordering fields.
+// whenever the canonical serialization (RawGraph.Fingerprint) changes
+// shape. Bump it when adding or reordering fields.
 const fingerprintVersion = 1
-
-// Fingerprint returns the canonical content hash of the graph: a hex-encoded
-// SHA-256 over the platform shape, every task's scheduling-relevant fields
-// (WCET, core, minimal release, compiled per-bank demand), the dependency
-// edges with their volumes, the per-core execution orders, and the core→bank
-// assignment. Two graphs with equal fingerprints are indistinguishable to
-// every scheduler in this repository — same inputs, same analysis, same
-// Result — which is what lets the analysis service key warm scheduler
-// checkpoints and cached parsed graphs by fingerprint alone.
-//
-// Task names are deliberately excluded (they are diagnostics, not inputs),
-// as is everything derivable from the hashed fields (adjacency, stats).
-func (g *Graph) Fingerprint() string {
-	w := &digestWriter{h: sha256.New()}
-	w.int(fingerprintVersion)
-	w.int(int64(g.Cores))
-	w.int(int64(g.Banks))
-
-	w.int(int64(len(g.tasks)))
-	for _, t := range g.tasks {
-		w.int(int64(t.WCET))
-		w.int(int64(t.Core))
-		w.int(int64(t.MinRelease))
-		w.int(int64(t.Local))
-		w.int(int64(len(t.Demand)))
-		for _, d := range t.Demand {
-			w.int(int64(d))
-		}
-	}
-
-	w.int(int64(len(g.edges)))
-	for _, e := range g.edges {
-		w.int(int64(e.From))
-		w.int(int64(e.To))
-		w.int(int64(e.Words))
-	}
-
-	hashOrders(w, g.order)
-	for k := 0; k < g.Cores; k++ {
-		w.int(int64(g.BankOf(CoreID(k))))
-	}
-	return w.sum()
-}
 
 // hashOrders feeds the orders section of the canonical serialization.
 func hashOrders(w *digestWriter, orders [][]TaskID) {
@@ -72,8 +29,8 @@ func hashOrders(w *digestWriter, orders [][]TaskID) {
 // sections (platform shape, tasks, edges) once, so each Sum hashes only the
 // orders section and the bank table — the per-scenario cost of
 // fingerprinting an edit drops from O(graph) to O(tasks). Sum(orders) is
-// byte-identical to Fingerprint of the graph with its orders replaced by
-// orders; the differential suites pin this.
+// byte-identical to RawGraph.Fingerprint of the graph with its orders
+// replaced by orders; the differential suites pin this.
 //
 // An OrderHasher is immutable after construction and safe for concurrent
 // Sum calls.

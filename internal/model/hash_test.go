@@ -106,14 +106,8 @@ func TestFingerprintAllocsConstant(t *testing.T) {
 			}
 		}
 		g := b.MustBuild()
-		raw := g.Raw()
-		for _, c := range []struct {
-			name string
-			fp   func() string
-		}{{"Graph", g.Fingerprint}, {"RawGraph", raw.Fingerprint}} {
-			if avg := testing.AllocsPerRun(10, func() { c.fp() }); avg > maxAllocs {
-				t.Errorf("%s.Fingerprint at %d tasks allocates %.0f objects, want ≤ %d", c.name, n, avg, maxAllocs)
-			}
+		if avg := testing.AllocsPerRun(10, func() { g.Fingerprint() }); avg > maxAllocs {
+			t.Errorf("Fingerprint at %d tasks allocates %.0f objects, want ≤ %d", n, avg, maxAllocs)
 		}
 	}
 }

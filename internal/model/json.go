@@ -38,16 +38,23 @@ type edgeJSON struct {
 	Words Accesses `json:"words"`
 }
 
-// WriteJSON serializes the graph to w in the documented JSON format.
+// WriteJSON serializes the graph to w in the documented JSON format. An
+// idle core's order is written as null.
 func (g *Graph) WriteJSON(w io.Writer) error {
-	out := graphJSON{Cores: g.Cores, Banks: g.Banks, Order: g.order}
-	for _, t := range g.tasks {
+	out := graphJSON{Cores: g.Cores, Banks: g.Banks, Order: make([][]TaskID, g.Cores)}
+	for k := range out.Order {
+		if order := g.Order(CoreID(k)); len(order) > 0 {
+			out.Order[k] = order
+		}
+	}
+	for i := 0; i < g.NumTasks(); i++ {
+		id := TaskID(i)
 		out.Tasks = append(out.Tasks, taskJSON{
-			ID: t.ID, Name: t.Name, WCET: t.WCET, Core: t.Core,
-			MinRelease: t.MinRelease, Local: t.Local,
+			ID: id, Name: g.Name(id), WCET: g.WCET[i], Core: g.Core[i],
+			MinRelease: g.MinRelease[i], Local: g.Local[i],
 		})
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		out.Edges = append(out.Edges, edgeJSON{From: e.From, To: e.To, Words: e.Words})
 	}
 	enc := json.NewEncoder(w)
@@ -71,5 +78,5 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return raw.graph(d.names)
+	return NewGraph(raw, d.names), nil
 }

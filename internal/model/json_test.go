@@ -27,14 +27,16 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost structure: %v vs %v", g2, g)
 	}
 	for i := 0; i < g.NumTasks(); i++ {
-		a, b := g.Task(TaskID(i)), g2.Task(TaskID(i))
-		if a.Name != b.Name || a.WCET != b.WCET || a.Core != b.Core ||
-			a.MinRelease != b.MinRelease || a.Local != b.Local {
-			t.Errorf("task %d mismatch: %+v vs %+v", i, a, b)
+		id := TaskID(i)
+		if g.Name(id) != g2.Name(id) || g.WCET[i] != g2.WCET[i] || g.Core[i] != g2.Core[i] ||
+			g.MinRelease[i] != g2.MinRelease[i] || g.Local[i] != g2.Local[i] {
+			t.Errorf("task %d mismatch: %q %d %d %d %d vs %q %d %d %d %d", i,
+				g.Name(id), g.WCET[i], g.Core[i], g.MinRelease[i], g.Local[i],
+				g2.Name(id), g2.WCET[i], g2.Core[i], g2.MinRelease[i], g2.Local[i])
 		}
-		for bank := range a.Demand {
-			if a.Demand[bank] != b.Demand[bank] {
-				t.Errorf("task %d demand[%d]: %d vs %d", i, bank, a.Demand[bank], b.Demand[bank])
+		for bank, d := range g.DemandRow(id) {
+			if d2 := g2.DemandRow(id)[bank]; d != d2 {
+				t.Errorf("task %d demand[%d]: %d vs %d", i, bank, d, d2)
 			}
 		}
 	}
@@ -65,8 +67,8 @@ func TestReadJSONPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSON: %v", err)
 	}
-	if g.Task(0).Demand[0] != 10 { // 4 local + 6 written, all on bank 0
-		t.Errorf("shared policy demand = %v, want [10 0]", g.Task(0).Demand)
+	if g.DemandRow(0)[0] != 10 { // 4 local + 6 written, all on bank 0
+		t.Errorf("shared policy demand = %v, want [10 0]", g.DemandRow(0))
 	}
 }
 

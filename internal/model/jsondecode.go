@@ -439,8 +439,9 @@ func (d *jsonDecoder) order(dst *[]TaskID) error {
 	return nil
 }
 
-// build checks the platform shape, places tasks by ID, compiles demands and
-// orders, and validates the result.
+// build checks the platform shape, places tasks by ID, compiles demands
+// and orders with Builder's compiler and defaults, and validates the
+// result.
 func (d *jsonDecoder) build() (*RawGraph, error) {
 	n, cores, banks := d.ntasks, d.cores, d.banks
 	switch {
@@ -453,14 +454,14 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 	case d.norders > cores:
 		return nil, fmt.Errorf("model: %d order lists for %d cores", d.norders, cores)
 	}
-	shared := false
+	var policy func(CoreID) BankID
 	switch d.policy {
 	case "", "default":
-		shared = banks < cores
+		policy = defaultPolicy(cores, banks)
 	case "shared":
-		shared = true
+		policy = SharedBank
 	case "perCore", "striped":
-		// Both fold to core k → bank k mod banks.
+		policy = BankPerCore // both fold to core k → bank k mod banks
 	default:
 		return nil, fmt.Errorf("model: unknown bank policy %q (want shared, perCore or striped)", d.policy)
 	}
@@ -468,16 +469,15 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 	if err := d.placeTasks(r); err != nil {
 		return nil, err
 	}
-	r.BankTable = make([]BankID, cores)
-	if !shared {
-		for k := range r.BankTable {
-			r.BankTable[k] = BankID(k % banks)
-		}
-	}
-	if err := r.compileDemand(); err != nil {
+	if err := r.compileDemands(policy); err != nil {
 		return nil, err
 	}
-	if err := d.compileOrders(r); err != nil {
+	if err := r.fillOrders(func(k CoreID) ([]TaskID, bool) {
+		if int(k) < d.norders {
+			return d.orders[k], true
+		}
+		return nil, false
+	}); err != nil {
 		return nil, err
 	}
 	if err := r.Validate(); err != nil {
@@ -533,107 +533,6 @@ func (d *jsonDecoder) placeTasks(r *RawGraph) error {
 	}
 	d.names = names
 	return nil
-}
-
-// compileDemand fills the demand matrix from the local access counts and
-// edge volumes under BankTable: Graph.CompileDemands on the flat form,
-// accumulating in the same order. Cores and edge endpoints are
-// range-checked first, since the compilation indexes by them; every other
-// value is left to Validate.
-func (r *RawGraph) compileDemand() error {
-	n, banks := r.NumTasks(), r.Banks
-	r.Demand = make([]Accesses, n*banks)
-	for i, c := range r.Core {
-		if c < 0 || int(c) >= r.Cores {
-			return fmt.Errorf("model: %s mapped to core %d, platform has %d cores", TaskID(i), c, r.Cores)
-		}
-		r.Demand[i*banks+int(r.BankTable[c])] += r.Local[i]
-	}
-	for _, e := range r.Edges {
-		switch {
-		case e.From < 0 || int(e.From) >= n:
-			return fmt.Errorf("model: edge source %d out of range", e.From)
-		case e.To < 0 || int(e.To) >= n:
-			return fmt.Errorf("model: edge target %d out of range", e.To)
-		}
-		r.Demand[int(e.From)*banks+int(r.BankTable[r.Core[e.To]])] += e.Words
-	}
-	return nil
-}
-
-// compileOrders builds the order CSR: the document's order for the cores
-// it lists, the default topological order for the rest.
-func (d *jsonDecoder) compileOrders(r *RawGraph) error {
-	n, cores := r.NumTasks(), r.Cores
-	var byCore []TaskID
-	var start []int32
-	if d.norders < cores {
-		topo, err := topoOrder(n, r.Edges)
-		if err != nil {
-			return err
-		}
-		// Bucket the topological order by core, stably: each core's
-		// default order is its tasks' subsequence of topo.
-		start = make([]int32, cores+1)
-		for _, c := range r.Core {
-			start[c+1]++
-		}
-		for k := 0; k < cores; k++ {
-			start[k+1] += start[k]
-		}
-		fill := append([]int32(nil), start[:cores]...)
-		byCore = make([]TaskID, n)
-		for _, id := range topo {
-			c := r.Core[id]
-			byCore[fill[c]] = id
-			fill[c]++
-		}
-	}
-	r.OrderStart = make([]int32, cores+1)
-	r.OrderIDs = make([]TaskID, 0, n)
-	for k := 0; k < cores; k++ {
-		var order []TaskID
-		if k < d.norders {
-			order = d.orders[k]
-		} else {
-			order = byCore[start[k]:start[k+1]]
-		}
-		if len(r.OrderIDs)+len(order) > n {
-			return fmt.Errorf("model: execution orders list more than the %d tasks", n)
-		}
-		r.OrderIDs = append(r.OrderIDs, order...)
-		r.OrderStart[k+1] = int32(len(r.OrderIDs))
-	}
-	if len(r.OrderIDs) != n {
-		return fmt.Errorf("model: execution orders cover %d of %d tasks", len(r.OrderIDs), n)
-	}
-	return nil
-}
-
-// topoOrder returns the smallest-ID-first topological order of n tasks
-// under edges — TopoSort's order, computed on the flat form.
-func topoOrder(n int, edges []Edge) ([]TaskID, error) {
-	start, succ, indeg := successorLists(n, edges)
-	ready := make(taskIDHeap, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready.push(TaskID(i))
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for len(ready) > 0 {
-		id := ready.pop()
-		order = append(order, id)
-		for _, s := range succ[start[id]:start[id+1]] {
-			if indeg[s]--; indeg[s] == 0 {
-				ready.push(s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("model: dependency graph has a cycle (%d of %d tasks unreachable from sources)", n-len(order), n)
-	}
-	return order, nil
 }
 
 // --- scanner primitives ---

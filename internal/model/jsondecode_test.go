@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,7 +63,7 @@ func referenceReadJSON(data []byte) (*Graph, error) {
 	case "perCore":
 		b.SetBankPolicy(BankPerCore)
 	case "striped":
-		b.SetBankPolicy(StripedBanks(in.Banks))
+		b.SetBankPolicy(func(k CoreID) BankID { return BankID(int(k) % in.Banks) })
 	default:
 		return nil, fmt.Errorf("unknown bank policy %q", in.BankPolicy)
 	}
@@ -166,20 +167,24 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	if got.NumTasks() != want.NumTasks() || got.Cores != want.Cores || got.Banks != want.Banks {
 		t.Fatalf("shape differs on %q: %v vs %v", data, got, want)
 	}
+	task := func(g *Graph, i int) string {
+		return fmt.Sprint(g.Name(TaskID(i)), g.WCET[i], g.Core[i], g.MinRelease[i], g.Local[i], g.DemandRow(TaskID(i)))
+	}
 	for i := 0; i < want.NumTasks(); i++ {
-		a, b := got.Task(TaskID(i)), want.Task(TaskID(i))
-		if a.ID != b.ID || a.Name != b.Name || a.WCET != b.WCET || a.Core != b.Core ||
-			a.MinRelease != b.MinRelease || a.Local != b.Local || fmt.Sprint(a.Demand) != fmt.Sprint(b.Demand) {
-			t.Fatalf("task %d differs on %q: %+v vs %+v", i, data, a, b)
+		id := TaskID(i)
+		if got.Name(id) != want.Name(id) || got.WCET[i] != want.WCET[i] || got.Core[i] != want.Core[i] ||
+			got.MinRelease[i] != want.MinRelease[i] || got.Local[i] != want.Local[i] ||
+			!slices.Equal(got.DemandRow(id), want.DemandRow(id)) {
+			t.Fatalf("task %d differs on %q: %s vs %s", i, data, task(got, i), task(want, i))
 		}
 	}
 	if fmt.Sprint(got.Edges()) != fmt.Sprint(want.Edges()) {
 		t.Fatalf("edges differ on %q: %v vs %v", data, got.Edges(), want.Edges())
 	}
 	for k := 0; k < want.Cores; k++ {
-		if fmt.Sprint(got.Order(CoreID(k))) != fmt.Sprint(want.Order(CoreID(k))) || got.BankOf(CoreID(k)) != want.BankOf(CoreID(k)) {
+		if fmt.Sprint(got.Order(CoreID(k))) != fmt.Sprint(want.Order(CoreID(k))) || got.BankTable[k] != want.BankTable[k] {
 			t.Fatalf("core %d differs on %q: order %v bank %d vs order %v bank %d", k, data,
-				got.Order(CoreID(k)), got.BankOf(CoreID(k)), want.Order(CoreID(k)), want.BankOf(CoreID(k)))
+				got.Order(CoreID(k)), got.BankTable[k], want.Order(CoreID(k)), want.BankTable[k])
 		}
 	}
 }

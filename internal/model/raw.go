@@ -3,28 +3,32 @@ package model
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 )
 
-// RawGraph is the flattened, demand-compiled form of a Graph: every
+// RawGraph is the flat form of a task graph, and the only one: every
 // scheduling-relevant quantity in dense, task-indexed arrays, per-core
 // execution orders in CSR form, and the core→bank assignment as an explicit
-// table instead of a function. It is the exchange format between the graph
-// layer and the flat consumers of the repository — the binary wire codec
-// (internal/wire) and the compiled engine image, whose slab layout it
-// mirrors field for field — so a decoded RawGraph can be adopted by an
-// image with plain copies, no per-task object graph in between.
+// table. Graph embeds it, and it is what the binary wire codec
+// (internal/wire) carries and what the compiled engine image adopts as its
+// slab, field for field.
 //
-// Invariants (established by (*Graph).Raw and by wire.Decode, checked by
-// Validate): dense arrays all len == NumTasks, Demand is task-major with
+// Invariants (established by Builder, DecodeJSON and wire.Decode, checked
+// by Validate): dense arrays all len == NumTasks, Demand is task-major with
 // exactly Banks entries per row, OrderStart is a monotone CSR index with
 // OrderStart[Cores] == NumTasks, and BankTable has one entry per core.
 // Edges preserve their source order — the canonical fingerprint hashes them
 // in sequence, so reordering them would change the graph's identity.
 type RawGraph struct {
-	Cores int
-	Banks int
+	Cores int // number of processing elements
+	Banks int // number of arbitrated memory banks
 
-	// Per-task scalars, indexed by TaskID.
+	// Per-task scalars, indexed by TaskID. WCET is the worst-case
+	// execution time in isolation; MinRelease the minimal release date
+	// (Section II.B of the paper: the task never starts earlier, even if
+	// its dependencies complete); Core the processing element the task is
+	// mapped to; Local the shared-memory accesses it performs on its own
+	// behalf, charged to its core's bank.
 	WCET       []Cycles
 	MinRelease []Cycles
 	Core       []CoreID
@@ -37,8 +41,8 @@ type RawGraph struct {
 	// Edges in source order (fingerprint-relevant; see above).
 	Edges []Edge
 
-	// Per-core execution orders in CSR form: core k's order is
-	// OrderIDs[OrderStart[k]:OrderStart[k+1]].
+	// Per-core execution orders in CSR form: core k's order, the "stack"
+	// S_k of Algorithm 1, is OrderIDs[OrderStart[k]:OrderStart[k+1]].
 	OrderStart []int32
 	OrderIDs   []TaskID
 
@@ -56,20 +60,53 @@ func (r *RawGraph) DemandRow(id TaskID) []Accesses {
 	return r.Demand[int(id)*r.Banks : (int(id)+1)*r.Banks]
 }
 
-// Order returns core k's execution order.
+// TotalDemand returns task id's shared-memory accesses summed over all
+// banks.
+func (r *RawGraph) TotalDemand(id TaskID) Accesses {
+	var sum Accesses
+	for _, d := range r.DemandRow(id) {
+		sum += d
+	}
+	return sum
+}
+
+// Order returns core k's execution order. The slice aliases the order CSR:
+// SwapOrder shows through it, and callers must not otherwise mutate it.
 //
 //mia:hotpath
 func (r *RawGraph) Order(k CoreID) []TaskID {
 	return r.OrderIDs[r.OrderStart[k]:r.OrderStart[k+1]]
 }
 
-// Fingerprint returns the canonical content hash of the flattened graph,
-// byte-identical to Graph.Fingerprint on the graph it was flattened from
-// (provided that graph's demand rows were compiled to full Banks width, as
-// every ingestion path in this repository guarantees). The serialization is
-// the one documented on Graph.Fingerprint; keeping the two in lockstep is
-// what lets a wire-ingested image share warm-analyzer cache keys with a
-// JSON-ingested one.
+// Clone returns a deep copy: no array of the copy aliases r's.
+func (r *RawGraph) Clone() *RawGraph {
+	return &RawGraph{
+		Cores:      r.Cores,
+		Banks:      r.Banks,
+		WCET:       slices.Clone(r.WCET),
+		MinRelease: slices.Clone(r.MinRelease),
+		Core:       slices.Clone(r.Core),
+		Local:      slices.Clone(r.Local),
+		Demand:     slices.Clone(r.Demand),
+		Edges:      slices.Clone(r.Edges),
+		OrderStart: slices.Clone(r.OrderStart),
+		OrderIDs:   slices.Clone(r.OrderIDs),
+		BankTable:  slices.Clone(r.BankTable),
+	}
+}
+
+// Fingerprint returns the canonical content hash of the graph: a
+// hex-encoded SHA-256 over the platform shape, every task's
+// scheduling-relevant fields (WCET, core, minimal release, local accesses,
+// compiled per-bank demand), the dependency edges with their volumes, the
+// per-core execution orders, and the core→bank assignment. Two graphs with
+// equal fingerprints are indistinguishable to every scheduler in this
+// repository — same inputs, same analysis, same Result — which is what
+// lets the analysis service key warm scheduler checkpoints and cached
+// parsed graphs by fingerprint alone, whichever way a graph was ingested.
+//
+// Task names are deliberately excluded (they are diagnostics, not inputs),
+// as is everything derivable from the hashed fields (adjacency, stats).
 func (r *RawGraph) Fingerprint() string {
 	w := &digestWriter{h: sha256.New()}
 	r.hashStatic(w)
@@ -87,9 +124,9 @@ func (r *RawGraph) Fingerprint() string {
 	return w.sum()
 }
 
-// hashStatic feeds the order-independent prefix — version, platform shape,
-// tasks, edges — matching the same sections of Graph.Fingerprint byte for
-// byte. The orders section and the bank table follow it, in that order.
+// hashStatic feeds the order-independent prefix of the serialization —
+// version, platform shape, tasks, edges. The orders section and the bank
+// table follow it, in that order.
 func (r *RawGraph) hashStatic(w *digestWriter) {
 	w.int(fingerprintVersion)
 	w.int(int64(r.Cores))
@@ -130,100 +167,6 @@ func (r *RawGraph) OrderHasher() *OrderHasher {
 	return newOrderHasher(w, bank)
 }
 
-// Raw flattens the graph into its RawGraph form. Demand rows are
-// zero-extended to exactly Banks entries; every ingestion path in this
-// repository compiles demands to full width before a RawGraph is taken, so
-// the extension is a no-op there and the flattened fingerprint matches the
-// graph's.
-func (g *Graph) Raw() *RawGraph {
-	n := len(g.tasks)
-	r := &RawGraph{
-		Cores:      g.Cores,
-		Banks:      g.Banks,
-		WCET:       make([]Cycles, n),
-		MinRelease: make([]Cycles, n),
-		Core:       make([]CoreID, n),
-		Local:      make([]Accesses, n),
-		Demand:     make([]Accesses, n*g.Banks),
-		Edges:      append([]Edge(nil), g.edges...),
-		OrderStart: make([]int32, g.Cores+1),
-		OrderIDs:   make([]TaskID, 0, n),
-		BankTable:  make([]BankID, g.Cores),
-	}
-	for i, t := range g.tasks {
-		r.WCET[i] = t.WCET
-		r.MinRelease[i] = t.MinRelease
-		r.Core[i] = t.Core
-		r.Local[i] = t.Local
-		copy(r.Demand[i*g.Banks:(i+1)*g.Banks], t.Demand)
-	}
-	for k := 0; k < g.Cores; k++ {
-		r.OrderIDs = append(r.OrderIDs, g.Order(CoreID(k))...)
-		r.OrderStart[k+1] = int32(len(r.OrderIDs))
-		r.BankTable[k] = g.BankOf(CoreID(k))
-	}
-	return r
-}
-
-// Graph materializes a full task graph from the flattened form: tasks with
-// synthesized names (names are diagnostics, deliberately not carried by the
-// flat form), demand rows installed as compiled (no re-derivation from a
-// bank policy — the BankTable is the policy, already folded), adjacency
-// rebuilt, and the result validated. Every slice is copied, so later
-// mutation of the returned graph never reaches the RawGraph's backing
-// arrays (which an engine image may have adopted).
-func (r *RawGraph) Graph() (*Graph, error) { return r.graph(nil) }
-
-// graph is Graph with task names: task i is named names[i], or "n<i>" when
-// names is nil or the entry is empty (Builder's default).
-func (r *RawGraph) graph(names []string) (*Graph, error) {
-	if err := r.shapeError(); err != nil {
-		return nil, err
-	}
-	n := r.NumTasks()
-	g := &Graph{Cores: r.Cores, Banks: r.Banks, edges: append([]Edge(nil), r.Edges...)}
-	slab := make([]Task, n)
-	dem := make([]Accesses, n*r.Banks)
-	copy(dem, r.Demand)
-	g.tasks = make([]*Task, n)
-	for i := 0; i < n; i++ {
-		name := ""
-		if names != nil {
-			name = names[i]
-		}
-		if name == "" {
-			name = fmt.Sprintf("n%d", i)
-		}
-		slab[i] = Task{
-			ID:         TaskID(i),
-			Name:       name,
-			WCET:       r.WCET[i],
-			Core:       r.Core[i],
-			MinRelease: r.MinRelease[i],
-			Local:      r.Local[i],
-			Demand:     dem[i*r.Banks : (i+1)*r.Banks : (i+1)*r.Banks],
-		}
-		g.tasks[i] = &slab[i]
-	}
-	g.rebuildAdjacency()
-	g.order = make([][]TaskID, r.Cores)
-	for k := 0; k < r.Cores; k++ {
-		g.order[k] = append([]TaskID(nil), r.Order(CoreID(k))...)
-	}
-	table := append([]BankID(nil), r.BankTable...)
-	banks := r.Banks
-	g.bankOf = func(k CoreID) BankID {
-		if int(k) < len(table) {
-			return table[k]
-		}
-		return BankID(int(k) % banks)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // shapeError checks the structural container invariants — array lengths
 // agree with Cores/Banks/NumTasks and the order CSR is well formed — before
 // anything indexes by them. Value-level checks live in Validate.
@@ -241,8 +184,11 @@ func (r *RawGraph) shapeError() error {
 	if len(r.Demand) != n*r.Banks {
 		return fmt.Errorf("model: raw graph demand has %d entries, want %d tasks × %d banks", len(r.Demand), n, r.Banks)
 	}
-	if len(r.OrderStart) != r.Cores+1 || len(r.OrderIDs) != n {
-		return fmt.Errorf("model: raw graph order CSR sized %d/%d, want %d/%d", len(r.OrderStart), len(r.OrderIDs), r.Cores+1, n)
+	if len(r.OrderStart) != r.Cores+1 {
+		return fmt.Errorf("model: raw graph order CSR has %d offsets for %d cores", len(r.OrderStart), r.Cores)
+	}
+	if len(r.OrderIDs) != n {
+		return fmt.Errorf("model: execution orders list %d tasks, graph has %d", len(r.OrderIDs), n)
 	}
 	if r.OrderStart[0] != 0 || r.OrderStart[r.Cores] != int32(n) {
 		return fmt.Errorf("model: raw graph order CSR does not span 0..%d", n)
@@ -258,11 +204,27 @@ func (r *RawGraph) shapeError() error {
 	return nil
 }
 
-// Validate checks the flattened form against every invariant Graph.Validate
-// enforces on the assembled form — magnitude bounds (MaxInput, the overflow
-// guard), index ranges, acyclicity, and order/mapping consistency — without
-// materializing a Graph. wire.Decode runs this on every decoded blob, so a
-// wire-ingested image is exactly as vetted as a JSON-ingested one.
+// Validate checks every structural invariant the schedulers rely on:
+//
+//   - shape: at least one core and one bank, array lengths agreeing with
+//     the task and core counts, a well-formed order CSR;
+//   - values: non-negative WCETs, minimal releases, local accesses,
+//     demands and edge volumes, none past MaxInput, so accumulated
+//     release dates and interference terms cannot overflow int64
+//     arithmetic (see MaxInput);
+//   - indices: cores, edge endpoints and bank-table entries in range, no
+//     self-loops;
+//   - the dependency graph is acyclic (TopoSort);
+//   - every core's execution order lists exactly the tasks mapped to it,
+//     each exactly once, and never orders a task before one of its
+//     same-core predecessors (a certain deadlock, rejected here rather
+//     than at scheduling time).
+//
+// Cross-core order/dependency deadlocks (a cycle alternating DAG edges and
+// order edges across cores) are NOT rejected here — detecting them is
+// exactly what the schedulers' deadlock checks do, and both report
+// ErrDeadlock with a diagnostic. Every ingest path (Builder, DecodeJSON,
+// ReadJSON, wire.Decode, engine.Compile) runs this one validator.
 func (r *RawGraph) Validate() error {
 	if err := r.shapeError(); err != nil {
 		return err
@@ -314,73 +276,22 @@ func (r *RawGraph) Validate() error {
 			return fmt.Errorf("model: core %d assigned bank %d, platform has %d banks", k, r.BankTable[k], r.Banks)
 		}
 	}
-	if err := r.validateAcyclic(); err != nil {
+	if _, err := r.TopoSort(); err != nil {
 		return err
 	}
 	return r.validateOrders()
 }
 
-// validateAcyclic runs Kahn's algorithm over the edge list. The Graph form
-// delegates this to TopoSort; the flattened form rebuilds the minimal
-// adjacency it needs, once, at validation time.
-func (r *RawGraph) validateAcyclic() error {
-	n := r.NumTasks()
-	succStart, succ, indeg := successorLists(n, r.Edges)
-	queue := make([]TaskID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, TaskID(i))
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, s := range succ[succStart[id]:succStart[id+1]] {
-			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if seen != n {
-		return fmt.Errorf("model: dependency graph has a cycle (%d of %d tasks unreachable from sources)", n-seen, seen)
-	}
-	return nil
-}
-
-// successorLists builds the CSR successor lists of n tasks under edges —
-// task id's successors are succ[start[id]:start[id+1]], in edge order —
-// and every task's in-degree. Edge endpoints must be in range.
-func successorLists(n int, edges []Edge) (start []int32, succ []TaskID, indeg []int32) {
-	indeg = make([]int32, n)
-	start = make([]int32, n+1)
-	for _, e := range edges {
-		indeg[e.To]++
-		start[e.From+1]++
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	succ = make([]TaskID, len(edges))
-	fill := append([]int32(nil), start[:n]...)
-	for _, e := range edges {
-		succ[fill[e.From]] = e.To
-		fill[e.From]++
-	}
-	return start, succ, indeg
-}
-
-// validateOrders mirrors Graph.validateOrders on the CSR form: every core's
-// order lists exactly the tasks mapped to it, each exactly once, and never
-// contradicts a same-core dependency.
+// validateOrders checks that every core's order lists only tasks mapped to
+// it, none twice, and never contradicts a same-core dependency. With the
+// order CSR holding exactly NumTasks entries (shapeError), that makes the
+// orders a partition of the tasks by core.
 func (r *RawGraph) validateOrders() error {
 	n := r.NumTasks()
 	position := make([]int, n)
 	for i := range position {
 		position[i] = -1
 	}
-	total := 0
 	for k := 0; k < r.Cores; k++ {
 		for pos, id := range r.Order(CoreID(k)) {
 			if id < 0 || int(id) >= n {
@@ -393,11 +304,7 @@ func (r *RawGraph) validateOrders() error {
 				return fmt.Errorf("model: %s appears twice in execution orders", id)
 			}
 			position[id] = pos
-			total++
 		}
-	}
-	if total != n {
-		return fmt.Errorf("model: execution orders cover %d of %d tasks", total, n)
 	}
 	for _, e := range r.Edges {
 		if r.Core[e.From] == r.Core[e.To] && position[e.To] < position[e.From] {

@@ -1,11 +1,15 @@
 package model_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
+	"github.com/mia-rt/mia/internal/sched"
+	_ "github.com/mia-rt/mia/internal/sched/incremental" // registers the "incremental" engine backend
 )
 
 // rawTestGraphs returns a labeled spread of graphs covering both bank
@@ -37,38 +41,6 @@ func rawTestGraphs(t *testing.T) map[string]*model.Graph {
 		graphs[s.name] = gen.MustLayered(p)
 	}
 	return graphs
-}
-
-func TestRawFingerprintMatchesGraph(t *testing.T) {
-	for name, g := range rawTestGraphs(t) {
-		r := g.Raw()
-		if got, want := r.Fingerprint(), g.Fingerprint(); got != want {
-			t.Errorf("%s: raw fingerprint %s, graph fingerprint %s", name, got, want)
-		}
-		if err := r.Validate(); err != nil {
-			t.Errorf("%s: raw of valid graph fails Validate: %v", name, err)
-		}
-	}
-}
-
-func TestRawGraphRoundTrip(t *testing.T) {
-	for name, g := range rawTestGraphs(t) {
-		back, err := g.Raw().Graph()
-		if err != nil {
-			t.Fatalf("%s: Raw().Graph(): %v", name, err)
-		}
-		if got, want := back.Fingerprint(), g.Fingerprint(); got != want {
-			t.Errorf("%s: round-tripped fingerprint %s, want %s", name, got, want)
-		}
-		if got, want := back.NumTasks(), g.NumTasks(); got != want {
-			t.Errorf("%s: round-tripped %d tasks, want %d", name, got, want)
-		}
-		for k := 0; k < g.Cores; k++ {
-			if got, want := back.BankOf(model.CoreID(k)), g.BankOf(model.CoreID(k)); got != want {
-				t.Errorf("%s: core %d bank %d after round trip, want %d", name, k, got, want)
-			}
-		}
-	}
 }
 
 // TestRawFingerprintWithMatchesGraphOrders pins the flat overlay hash to
@@ -141,34 +113,72 @@ func TestOrderHasherMatchesFingerprint(t *testing.T) {
 	}
 }
 
-// TestRawGraphCopies verifies mutation isolation in both directions: Raw()
-// does not alias the graph, and Graph() does not alias the RawGraph.
+// TestRawGraphCopies pins the isolation rule between graphs and images:
+// engine.Compile adopts a copy of the graph's flat form, and NewGraph
+// returns a copy of the image's. Editing a graph after compiling it —
+// through Raw(), SetOrder and CompileDemands — and editing a NewGraph must
+// leave the image's fingerprint and analysis unchanged.
 func TestRawGraphCopies(t *testing.T) {
-	g := gen.Figure1()
-	r := g.Raw()
-	fp := g.Fingerprint()
-
-	r.WCET[0] += 17
-	r.OrderIDs[0], r.OrderIDs[1] = r.OrderIDs[1], r.OrderIDs[0]
-	if g.Fingerprint() != fp {
-		t.Fatalf("mutating RawGraph changed the source graph")
-	}
-
-	r2 := g.Raw()
-	back, err := r2.Graph()
+	ctx := context.Background()
+	eng := engine.MustNew(engine.Incremental)
+	p := gen.NewParams(6, 4)
+	p.Cores, p.Banks, p.Seed = 4, 4, 7
+	g := gen.MustLayered(p)
+	img, err := engine.Compile(g, sched.Options{})
 	if err != nil {
-		t.Fatalf("Graph(): %v", err)
+		t.Fatal(err)
 	}
-	back.Task(0).WCET += 29
-	for k := 0; k < back.Cores; k++ {
-		if len(back.Order(model.CoreID(k))) >= 2 {
-			back.SwapOrder(model.CoreID(k), 0)
-			break
+	fp := img.Fingerprint()
+	want, err := eng.Analyze(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(after string) {
+		t.Helper()
+		// NewGraph re-hashes the image's flat arrays; Fingerprint is cached.
+		if got := img.NewGraph().Fingerprint(); got != fp {
+			t.Fatalf("after %s: image fingerprint %s, want %s", after, got, fp)
+		}
+		got, err := eng.Analyze(ctx, img)
+		if err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		if d := got.Diff(want); d != "" {
+			t.Fatalf("after %s: analysis changed: %s", after, d)
 		}
 	}
-	if got := r2.Fingerprint(); got != fp {
-		t.Fatalf("mutating materialized graph changed the RawGraph: %s != %s", got, fp)
+
+	r := g.Raw()
+	r.WCET[0] += 17
+	r.MinRelease[1] += 3
+	r.Local[2] += 5
+	r.Demand[0] += 9
+	r.Edges[0].Words += 4
+	r.BankTable[0] = model.BankID(r.Banks - 1)
+	unchanged("editing Raw()")
+	for k := 0; k < g.Cores; k++ {
+		if o := g.Order(model.CoreID(k)); len(o) >= 2 {
+			g.SetOrder(model.CoreID(k), append([]model.TaskID{o[len(o)-1]}, o[:len(o)-1]...))
+		}
 	}
+	unchanged("SetOrder")
+	g.CompileDemands(model.SharedBank)
+	unchanged("CompileDemands")
+	if g.Fingerprint() == fp {
+		t.Fatal("the edits did not change the graph itself")
+	}
+
+	ng := img.NewGraph()
+	ng.WCET[1] += 11
+	ng.Demand[1] += 2
+	ng.RawGraph.Edges[0].Words += 1
+	for k := 0; k < ng.Cores; k++ {
+		if len(ng.Order(model.CoreID(k))) >= 2 {
+			ng.SwapOrder(model.CoreID(k), 0)
+		}
+	}
+	ng.CompileDemands(model.BankPerCore)
+	unchanged("editing a NewGraph")
 }
 
 func TestRawValidateRejects(t *testing.T) {
@@ -216,24 +226,5 @@ func TestRawValidateRejects(t *testing.T) {
 				t.Fatalf("Validate error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestRawValidateAgreesWithGraphValidate feeds the same broken value through
-// both validators: whatever RawGraph.Validate rejects on the flat form,
-// Graph.Validate must also reject after materialization (and vice versa for
-// the accepted baseline) — the wire decoder's vetting must be exactly as
-// strict as the JSON path's.
-func TestRawValidateAgreesWithGraphValidate(t *testing.T) {
-	r := gen.Figure2().Raw()
-	if err := r.Validate(); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	r.WCET[2] = model.MaxInput + 1
-	if err := r.Validate(); err == nil {
-		t.Fatal("raw Validate accepted past-MaxInput WCET")
-	}
-	if _, err := r.Graph(); err == nil {
-		t.Fatal("Graph() materialized a graph with past-MaxInput WCET")
 	}
 }

@@ -2,20 +2,20 @@ package model
 
 import "fmt"
 
-// TopoSort returns the task IDs in a deterministic topological order of the
-// dependency DAG (Kahn's algorithm, ties broken by smallest ID). It returns
-// an error naming a task on a cycle if the graph is not acyclic.
-func (g *Graph) TopoSort() ([]TaskID, error) {
-	n := len(g.tasks)
-	indeg := make([]int, n)
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	// ready is a binary min-heap of task IDs, so the produced order is the
-	// unique smallest-ID-first topological order.
+// TopoSort returns the task IDs in the unique smallest-ID-first
+// topological order of the dependency DAG (Kahn's algorithm with a min-heap
+// of ready tasks). It is also the acyclicity check: on a cycle it returns
+// an error counting the tasks no source reaches. Edge endpoints must be in
+// range, as on any graph that passed Validate.
+func (r *RawGraph) TopoSort() ([]TaskID, error) {
+	n := r.NumTasks()
+	// The heap makes the order independent of the order successors are
+	// visited in, so the first, unsorted pass of NewAdjacency suffices;
+	// its scratch buffer holds the in-degrees.
+	adj, indeg := groupBySource(n, r.Edges)
 	ready := make(taskIDHeap, 0, n)
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
+		if indeg[i] = int32(adj.PredCount(TaskID(i))); indeg[i] == 0 {
 			ready.push(TaskID(i))
 		}
 	}
@@ -23,66 +23,64 @@ func (g *Graph) TopoSort() ([]TaskID, error) {
 	for len(ready) > 0 {
 		id := ready.pop()
 		order = append(order, id)
-		for _, s := range g.succs[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
+		for _, s := range adj.Succs(id) {
+			if indeg[s]--; indeg[s] == 0 {
 				ready.push(s)
 			}
 		}
 	}
 	if len(order) != n {
-		for i := 0; i < n; i++ {
-			if indeg[i] > 0 {
-				return nil, fmt.Errorf("model: dependency cycle through %s (%q)", TaskID(i), g.tasks[i].Name)
-			}
-		}
+		return nil, fmt.Errorf("model: dependency graph has a cycle (%d of %d tasks unreachable from sources)", n-len(order), n)
 	}
 	return order, nil
 }
 
-// Depths returns, for every task, its depth in the DAG: 0 for sources, and
-// 1 + max depth of predecessors otherwise. This is the layer index used by
-// the layer-by-layer generator's inverse and by the Gantt renderer.
-func (g *Graph) Depths() ([]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
+// fillOrders builds the order CSR: core k runs the order explicit(k)
+// reports, or, when it reports none, its tasks in the smallest-ID-first
+// topological order, which never contradicts a dependency. Builder and
+// DecodeJSON fill orders through it; the result is left to Validate.
+func (r *RawGraph) fillOrders(explicit func(CoreID) ([]TaskID, bool)) error {
+	n, cores := r.NumTasks(), r.Cores
+	needDefault := false
+	for k := 0; k < cores && !needDefault; k++ {
+		_, ok := explicit(CoreID(k))
+		needDefault = !ok
 	}
-	depth := make([]int, len(g.tasks))
-	for _, id := range order {
-		for _, p := range g.preds[id] {
-			if depth[p]+1 > depth[id] {
-				depth[id] = depth[p] + 1
-			}
+	var byCore []TaskID
+	var start []int32
+	if needDefault {
+		topo, err := r.TopoSort()
+		if err != nil {
+			return err
+		}
+		// Bucket the topological order by core, stably: each core's
+		// default order is its tasks' subsequence of topo.
+		start = make([]int32, cores+1)
+		for _, c := range r.Core {
+			start[c+1]++
+		}
+		for c := 0; c < cores; c++ {
+			start[c+1] += start[c]
+		}
+		fill := append([]int32(nil), start[:cores]...)
+		byCore = make([]TaskID, n)
+		for _, id := range topo {
+			c := r.Core[id]
+			byCore[fill[c]] = id
+			fill[c]++
 		}
 	}
-	return depth, nil
-}
-
-// CriticalPath returns the length of the longest WCET-weighted path through
-// the DAG, honoring minimal release dates but ignoring interference and core
-// contention: a lower bound on any schedule's makespan.
-func (g *Graph) CriticalPath() (Cycles, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	finish := make([]Cycles, len(g.tasks))
-	var longest Cycles
-	for _, id := range order {
-		t := g.tasks[id]
-		start := t.MinRelease
-		for _, p := range g.preds[id] {
-			if finish[p] > start {
-				start = finish[p]
-			}
+	r.OrderStart = make([]int32, cores+1)
+	r.OrderIDs = make([]TaskID, 0, n)
+	for k := 0; k < cores; k++ {
+		order, ok := explicit(CoreID(k))
+		if !ok {
+			order = byCore[start[k]:start[k+1]]
 		}
-		finish[id] = start + t.WCET
-		if finish[id] > longest {
-			longest = finish[id]
-		}
+		r.OrderIDs = append(r.OrderIDs, order...)
+		r.OrderStart[k+1] = int32(len(r.OrderIDs))
 	}
-	return longest, nil
+	return nil
 }
 
 // taskIDHeap is a minimal binary min-heap of TaskIDs. It avoids the

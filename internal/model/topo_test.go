@@ -93,60 +93,6 @@ func TestTopoSortPropertyRandomDAGs(t *testing.T) {
 	}
 }
 
-func TestDepths(t *testing.T) {
-	// Diamond: s -> {a, b} -> e
-	b := NewBuilder(2, 2)
-	s := b.AddTask(TaskSpec{WCET: 1, Core: 0})
-	a := b.AddTask(TaskSpec{WCET: 1, Core: 0})
-	bb := b.AddTask(TaskSpec{WCET: 1, Core: 1})
-	e := b.AddTask(TaskSpec{WCET: 1, Core: 1})
-	b.AddEdge(s, a, 0)
-	b.AddEdge(s, bb, 0)
-	b.AddEdge(a, e, 0)
-	b.AddEdge(bb, e, 0)
-	g := b.MustBuild()
-	depth, err := g.Depths()
-	if err != nil {
-		t.Fatalf("Depths: %v", err)
-	}
-	want := []int{0, 1, 1, 2}
-	for i, d := range depth {
-		if d != want[i] {
-			t.Errorf("depth[%d] = %d, want %d", i, d, want[i])
-		}
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	b := NewBuilder(2, 2)
-	s := b.AddTask(TaskSpec{WCET: 3, Core: 0})
-	a := b.AddTask(TaskSpec{WCET: 5, Core: 1})
-	c := b.AddTask(TaskSpec{WCET: 2, Core: 0})
-	b.AddEdge(s, a, 0)
-	b.AddEdge(s, c, 0)
-	g := b.MustBuild()
-	cp, err := g.CriticalPath()
-	if err != nil {
-		t.Fatalf("CriticalPath: %v", err)
-	}
-	if cp != 8 { // 3 + max(5, 2)
-		t.Fatalf("CriticalPath = %d, want 8", cp)
-	}
-}
-
-func TestCriticalPathHonorsMinRelease(t *testing.T) {
-	b := NewBuilder(1, 1)
-	b.AddTask(TaskSpec{WCET: 2, MinRelease: 10})
-	g := b.MustBuild()
-	cp, err := g.CriticalPath()
-	if err != nil {
-		t.Fatalf("CriticalPath: %v", err)
-	}
-	if cp != 12 {
-		t.Fatalf("CriticalPath = %d, want 12", cp)
-	}
-}
-
 func TestTaskIDHeapOrdering(t *testing.T) {
 	var h taskIDHeap
 	for _, id := range []TaskID{5, 3, 9, 1, 7, 0, 2} {

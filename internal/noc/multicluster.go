@@ -136,9 +136,8 @@ func (s *System) Analyze(ctx context.Context, opts sched.Options) (*Result, erro
 		for i, e := range s.Edges {
 			producerFinish := res.Schedules[e.FromCluster].Finish(e.FromTask)
 			arrival := producerFinish + res.EdgeLatency[i]
-			consumer := graphs[e.ToCluster].Task(e.ToTask)
-			if consumer.MinRelease < arrival {
-				consumer.MinRelease = arrival
+			if rel := graphs[e.ToCluster].MinRelease; rel[e.ToTask] < arrival {
+				rel[e.ToTask] = arrival
 				changed = true
 			}
 		}

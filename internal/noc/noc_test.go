@@ -200,11 +200,11 @@ func TestMultiClusterAnalysis(t *testing.T) {
 
 func TestMultiClusterInputUntouched(t *testing.T) {
 	s := twoClusterSystem(t)
-	before := s.Graphs[1].Task(0).MinRelease
+	before := s.Graphs[1].MinRelease[0]
 	if _, err := s.Analyze(context.Background(), sched.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Graphs[1].Task(0).MinRelease != before {
+	if s.Graphs[1].MinRelease[0] != before {
 		t.Fatal("Analyze mutated the input graph")
 	}
 }

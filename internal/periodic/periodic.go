@@ -37,17 +37,16 @@ func Unroll(g *model.Graph, period model.Cycles, iterations int) (*model.Graph, 
 	b := model.NewBuilder(g.Cores, g.Banks)
 	for k := 0; k < iterations; k++ {
 		for i := 0; i < n; i++ {
-			t := g.Task(model.TaskID(i))
-			name := t.Name
+			name := g.Name(model.TaskID(i))
 			if iterations > 1 {
-				name = fmt.Sprintf("%s@%d", t.Name, k)
+				name = fmt.Sprintf("%s@%d", name, k)
 			}
 			b.AddTask(model.TaskSpec{
 				Name:       name,
-				WCET:       t.WCET,
-				Core:       t.Core,
-				MinRelease: t.MinRelease + model.SatMulCycles(model.Cycles(k), period),
-				Local:      t.Local,
+				WCET:       g.WCET[i],
+				Core:       g.Core[i],
+				MinRelease: g.MinRelease[i] + model.SatMulCycles(model.Cycles(k), period),
+				Local:      g.Local[i],
 			})
 		}
 	}

@@ -37,10 +37,10 @@ func TestUnrollShape(t *testing.T) {
 		t.Fatalf("edges = %d, want 25", len(u.Edges()))
 	}
 	// Iteration 2's n0 (ID 10) has min release 0 + 2·10.
-	if got := u.Task(10).MinRelease; got != 20 {
+	if got := u.MinRelease[10]; got != 20 {
 		t.Errorf("minRelease@2 = %d, want 20", got)
 	}
-	if name := u.Task(10).Name; name != "n0@2" {
+	if name := u.Name(10); name != "n0@2" {
 		t.Errorf("name = %q", name)
 	}
 	if err := u.Validate(); err != nil {
@@ -57,8 +57,8 @@ func TestUnrollSingleIterationIsIdentity(t *testing.T) {
 	if u.NumTasks() != g.NumTasks() || len(u.Edges()) != len(g.Edges()) {
 		t.Fatal("single-iteration unroll changed the graph")
 	}
-	if u.Task(0).Name != "n0" {
-		t.Errorf("name = %q, want unsuffixed", u.Task(0).Name)
+	if u.Name(0) != "n0" {
+		t.Errorf("name = %q, want unsuffixed", u.Name(0))
 	}
 	opts := sched.Options{Arbiter: arbiter.NewRoundRobin(1)}
 	a, err := schedule(g, opts)

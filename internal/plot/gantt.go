@@ -53,7 +53,7 @@ func GanttSVG(w io.Writer, g *model.Graph, res *sched.Result, width int) error {
 			}
 			fmt.Fprintf(&sb, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="#333"/>`+"\n",
 				x0, laneY, x1-x0, laneH, color)
-			label := g.Task(id).Name
+			label := g.Name(id)
 			if inter := res.Interference[id]; inter > 0 {
 				label += fmt.Sprintf(" I:%d", inter)
 			}

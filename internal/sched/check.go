@@ -37,13 +37,12 @@ func Check(g *model.Graph, opts Options, r *Result) error {
 	// (1) shape.
 	for i := 0; i < n; i++ {
 		id := model.TaskID(i)
-		t := g.Task(id)
 		if r.Interference[i] < 0 {
 			return fmt.Errorf("sched: %s has negative interference %d", id, r.Interference[i])
 		}
-		if r.Response[i] != t.WCET+r.Interference[i] {
+		if r.Response[i] != g.WCET[i]+r.Interference[i] {
 			return fmt.Errorf("sched: %s response %d ≠ WCET %d + interference %d",
-				id, r.Response[i], t.WCET, r.Interference[i])
+				id, r.Response[i], g.WCET[i], r.Interference[i])
 		}
 		if r.PerBank != nil {
 			var sum model.Cycles
@@ -66,10 +65,10 @@ func Check(g *model.Graph, opts Options, r *Result) error {
 	}
 
 	// (2) minimal releases.
-	for i, t := range g.Tasks() {
-		if r.Release[i] < t.MinRelease {
+	for i, minRel := range g.MinRelease {
+		if r.Release[i] < minRel {
 			return fmt.Errorf("sched: %s released at %d before its minimal release %d",
-				t.ID, r.Release[i], t.MinRelease)
+				model.TaskID(i), r.Release[i], minRel)
 		}
 	}
 
@@ -98,9 +97,9 @@ func Check(g *model.Graph, opts Options, r *Result) error {
 			}
 		}
 	}
-	for i, t := range g.Tasks() {
+	for i, minRel := range g.MinRelease {
 		id := model.TaskID(i)
-		want := t.MinRelease
+		want := minRel
 		for _, p := range g.Predecessors(id) {
 			if fin[p] > want {
 				want = fin[p]

@@ -222,8 +222,8 @@ func TestConsistentWithMinReleases(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p.Seed = seed
 		g := gen.MustLayered(p)
-		for i, task := range g.Tasks() {
-			task.MinRelease = model.Cycles((i % 7) * 400)
+		for i := range g.MinRelease {
+			g.MinRelease[i] = model.Cycles((i % 7) * 400)
 		}
 		opts := sched.Options{}
 		slow, err := schedule(engine.Fixpoint, g, opts)

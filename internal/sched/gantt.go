@@ -46,7 +46,7 @@ func Gantt(g *model.Graph, r *Result, width int) string {
 			if c1 > cols {
 				c1 = cols
 			}
-			label := g.Task(id).Name
+			label := g.Name(id)
 			if inter := r.Interference[id]; inter > 0 {
 				label += fmt.Sprintf(" I:%d", inter)
 			}

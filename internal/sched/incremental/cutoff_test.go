@@ -41,7 +41,7 @@ func handGraph(t *testing.T, cores, banks int, tasks []handTask, edges [][2]mode
 	}
 	for i, ht := range tasks {
 		if ht.demand != nil {
-			copy(g.Task(model.TaskID(i)).Demand, ht.demand)
+			copy(g.DemandRow(model.TaskID(i)), ht.demand)
 		}
 	}
 	return g

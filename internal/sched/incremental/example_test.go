@@ -30,7 +30,7 @@ func Example() {
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
 		fmt.Printf("%s rel=%d I=%d R=%d\n",
-			g.Task(id).Name, res.Release[id], res.Interference[id], res.Response[id])
+			g.Name(id), res.Release[id], res.Interference[id], res.Response[id])
 	}
 	fmt.Println("makespan:", res.Makespan)
 	// Output:

@@ -77,8 +77,8 @@ func TestFigure1NoInterference(t *testing.T) {
 func TestFigure2Partition(t *testing.T) {
 	g := gen.Figure2()
 	byName := make(map[string]model.TaskID)
-	for _, task := range g.Tasks() {
-		byName[task.Name] = task.ID
+	for i := 0; i < g.NumTasks(); i++ {
+		byName[g.Name(model.TaskID(i))] = model.TaskID(i)
 	}
 
 	var closedAt5, openedAt5 []model.TaskID
@@ -401,14 +401,13 @@ func TestGraphNotMutated(t *testing.T) {
 	if _, err := schedule(g, sched.Options{}); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	for i := range g.Tasks() {
+	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
-		a, b := g.Task(id), before.Task(id)
-		if a.WCET != b.WCET || a.MinRelease != b.MinRelease || a.Local != b.Local {
+		if g.WCET[i] != before.WCET[i] || g.MinRelease[i] != before.MinRelease[i] || g.Local[i] != before.Local[i] {
 			t.Fatalf("task %s mutated by scheduling", id)
 		}
-		for bank := range a.Demand {
-			if a.Demand[bank] != b.Demand[bank] {
+		for bank, d := range g.DemandRow(id) {
+			if d != before.DemandRow(id)[bank] {
 				t.Fatalf("task %s demand mutated", id)
 			}
 		}

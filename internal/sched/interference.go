@@ -26,65 +26,61 @@ func WindowInterference(
 	dst model.TaskID,
 	perBank []model.Cycles,
 ) model.Cycles {
-	d := g.Task(dst)
+	dcore, ddem := g.Core[dst], g.DemandRow(dst)
 	var total model.Cycles
 	if perBank != nil {
 		for b := range perBank {
 			perBank[b] = 0
 		}
 	}
-	if d.TotalDemand() == 0 {
+	if g.TotalDemand(dst) == 0 {
 		return 0
 	}
 	// Gather overlapping interferers once, then split by bank.
-	var overlapping []*model.Task
-	for i, t := range g.Tasks() {
+	var overlapping []model.TaskID
+	for i, core := range g.Core {
 		id := model.TaskID(i)
-		if id == dst || t.Core == d.Core {
+		if id == dst || core == dcore {
 			continue
 		}
 		if rel[dst] < fin[id] && rel[id] < fin[dst] {
-			overlapping = append(overlapping, t)
+			overlapping = append(overlapping, id)
 		}
 	}
 	if len(overlapping) == 0 {
 		return 0
 	}
 	comps := make([]arbiter.Request, 0, len(overlapping))
-	for b := 0; b < g.Banks; b++ {
-		demand := model.Accesses(0)
-		if b < len(d.Demand) {
-			demand = d.Demand[b]
-		}
+	for b, demand := range ddem {
 		if demand == 0 {
 			continue
 		}
 		comps = comps[:0]
 		for _, src := range overlapping {
-			if !src.AccessesBank(model.BankID(b)) {
+			w := g.DemandRow(src)[b]
+			if w <= 0 {
 				continue
 			}
-			w := src.Demand[b]
 			if separate {
-				comps = append(comps, arbiter.Request{Core: src.Core, Demand: w})
+				comps = append(comps, arbiter.Request{Core: g.Core[src], Demand: w})
 				continue
 			}
 			merged := false
 			for j := range comps {
-				if comps[j].Core == src.Core {
+				if comps[j].Core == g.Core[src] {
 					comps[j].Demand += w
 					merged = true
 					break
 				}
 			}
 			if !merged {
-				comps = append(comps, arbiter.Request{Core: src.Core, Demand: w})
+				comps = append(comps, arbiter.Request{Core: g.Core[src], Demand: w})
 			}
 		}
 		if len(comps) == 0 {
 			continue
 		}
-		bound := arb.Bound(arbiter.Request{Core: d.Core, Demand: demand}, comps, model.BankID(b))
+		bound := arb.Bound(arbiter.Request{Core: dcore, Demand: demand}, comps, model.BankID(b))
 		if perBank != nil {
 			perBank[b] = bound
 		}

@@ -111,18 +111,16 @@ func maxScale(ctx context.Context, g *model.Graph, opts sched.Options, deadline 
 
 // scaleWCETs multiplies every WCET by p/1000, rounding up.
 func scaleWCETs(g *model.Graph, p int64) {
-	for _, t := range g.Tasks() {
-		t.WCET = model.Cycles((int64(t.WCET)*p + 999) / 1000)
+	for i, c := range g.WCET {
+		g.WCET[i] = model.Cycles((int64(c)*p + 999) / 1000)
 	}
 }
 
 // scaleDemands multiplies every per-bank demand by p/1000, rounding up.
 func scaleDemands(g *model.Graph, p int64) {
-	for _, t := range g.Tasks() {
-		for b := range t.Demand {
-			if t.Demand[b] > 0 {
-				t.Demand[b] = model.Accesses((int64(t.Demand[b])*p + 999) / 1000)
-			}
+	for i, d := range g.Demand {
+		if d > 0 {
+			g.Demand[i] = model.Accesses((int64(d)*p + 999) / 1000)
 		}
 	}
 }
@@ -168,7 +166,7 @@ func Criticality(ctx context.Context, g *model.Graph, opts sched.Options, deadli
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
 		grow := func(c *model.Graph, extra int64) {
-			c.Task(id).WCET += model.Cycles(extra)
+			c.WCET[id] += model.Cycles(extra)
 		}
 		ok := func(extra int64) bool {
 			return feasible(ctx, g, opts, deadline, grow, extra)

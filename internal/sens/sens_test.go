@@ -117,12 +117,12 @@ func TestCriticality(t *testing.T) {
 	// (unless capped).
 	for _, s := range slacks {
 		c := g.Clone()
-		c.Task(s.Task).WCET += s.Slack
+		c.WCET[s.Task] += s.Slack
 		if _, err := schedule(c, sched.Options{Deadline: 10}); err != nil {
 			t.Errorf("%s: slack %d infeasible", s.Task, s.Slack)
 		}
 		c = g.Clone()
-		c.Task(s.Task).WCET += s.Slack + 1
+		c.WCET[s.Task] += s.Slack + 1
 		if _, err := schedule(c, sched.Options{Deadline: 10}); err == nil {
 			t.Errorf("%s: slack %d not maximal", s.Task, s.Slack)
 		}

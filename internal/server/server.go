@@ -16,7 +16,7 @@
 //
 // Requests pass a bounded admission queue onto a fixed pool of workers.
 // Each graph is compiled once into an immutable engine.Image registered by
-// canonical fingerprint (model.Graph.Fingerprint); every worker's warm
+// canonical fingerprint (model.RawGraph.Fingerprint); every worker's warm
 // analyzer for that fingerprint shares the one image, and only the
 // analyzer's order overlay and checkpoints are per-worker, held in a plain
 // LRU only that worker touches. Analyze, reschedule and every batch item

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
+	"github.com/mia-rt/mia/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -418,6 +420,69 @@ func TestBadInputs(t *testing.T) {
 			t.Errorf("no-op reschedule hash = %s, want %s", got, hash)
 		}
 	})
+}
+
+// TestCycleErrorAgreesAcrossPaths sends one cyclic graph — tasks 0 and 1
+// depend on each other, task 2 is a source — through every ingest path.
+// All of them run the same acyclicity check, so all answer with the same
+// model error and its true count, 2 of 3 tasks; the wire codec prefixes
+// its errors with "wire: ", and a shard answers 400 with the text as is.
+func TestCycleErrorAgreesAcrossPaths(t *testing.T) {
+	const want = "model: dependency graph has a cycle (2 of 3 tasks unreachable from sources)"
+	const doc = `{"cores":1,"banks":1,"tasks":[{"id":0,"wcet":1,"core":0},{"id":1,"wcet":1,"core":0},{"id":2,"wcet":1,"core":0}],` +
+		`"edges":[{"from":0,"to":1,"words":1},{"from":1,"to":0,"words":1}]`
+	noOrder, withOrder := doc+`}`, doc+`,"order":[[2,0,1]]}`
+	blob := wire.Encode(&model.RawGraph{
+		Cores: 1, Banks: 1,
+		WCET: []model.Cycles{1, 1, 1}, MinRelease: make([]model.Cycles, 3),
+		Core: make([]model.CoreID, 3), Local: make([]model.Accesses, 3),
+		Demand:     []model.Accesses{1, 1, 0},
+		Edges:      []model.Edge{{From: 0, To: 1, Words: 1}, {From: 1, To: 0, Words: 1}},
+		OrderStart: []int32{0, 3}, OrderIDs: []model.TaskID{2, 0, 1},
+		BankTable: []model.BankID{0},
+	})
+	s := newTestServer(t, Config{Workers: 1})
+	served := func(contentType, body string) error {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, req)
+		var resp struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil || rr.Code != http.StatusBadRequest {
+			return fmt.Errorf("status %d, body %s", rr.Code, rr.Body.String())
+		}
+		return errors.New(resp.Error)
+	}
+	cases := []struct {
+		path   string
+		prefix string
+		err    func() error
+	}{
+		{"Builder.Build", "", func() error {
+			b := model.NewBuilder(1, 1)
+			for i := 0; i < 3; i++ {
+				b.AddTask(model.TaskSpec{WCET: 1})
+			}
+			b.AddEdge(0, 1, 1)
+			b.AddEdge(1, 0, 1)
+			_, err := b.Build()
+			return err
+		}},
+		{"DecodeJSON without order", "", func() error { _, err := model.DecodeJSON([]byte(noOrder)); return err }},
+		{"DecodeJSON with order", "", func() error { _, err := model.DecodeJSON([]byte(withOrder)); return err }},
+		{"ReadJSON", "", func() error { _, err := model.ReadJSON(strings.NewReader(noOrder)); return err }},
+		{"wire.Decode", "wire: ", func() error { _, err := wire.Decode(blob); return err }},
+		{"shard JSON", "", func() error { return served("application/json", withOrder) }},
+		{"shard wire", "wire: ", func() error { return served(wire.ContentType, string(blob)) }},
+	}
+	for _, tc := range cases {
+		err := tc.err()
+		if err == nil || err.Error() != tc.prefix+want {
+			t.Errorf("%s: error %v, want %q", tc.path, err, tc.prefix+want)
+		}
+	}
 }
 
 func TestUnschedulableAnswers422(t *testing.T) {

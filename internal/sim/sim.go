@@ -152,10 +152,10 @@ func Run(g *model.Graph, release []model.Cycles, cfg Config) (*Outcome, error) {
 	horizon := cfg.Horizon
 	if horizon <= 0 {
 		var work model.Cycles
-		for _, task := range g.Tasks() {
-			work += task.WCET + model.ScaleAccesses(task.TotalDemand(), latency)
-			if task.MinRelease > horizon {
-				horizon = task.MinRelease
+		for i, wcet := range g.WCET {
+			work += wcet + model.ScaleAccesses(g.TotalDemand(model.TaskID(i)), latency)
+			if g.MinRelease[i] > horizon {
+				horizon = g.MinRelease[i]
 			}
 		}
 		for _, r := range release {
@@ -217,7 +217,7 @@ func Run(g *model.Graph, release []model.Cycles, cfg Config) (*Outcome, error) {
 						k, release[id], id)
 				}
 				core.idx = next
-				core.ops = buildOps(g.Task(id), cfg, latency, rng)
+				core.ops = buildOps(g.WCET[id], g.DemandRow(id), cfg, latency, rng)
 				core.opPos = 0
 				core.start = t
 				core.stall = 0
@@ -293,16 +293,16 @@ func Run(g *model.Graph, release []model.Cycles, cfg Config) (*Outcome, error) {
 	return out, nil
 }
 
-// buildOps expands a task into its operation sequence under the config.
-func buildOps(task *model.Task, cfg Config, latency model.Cycles, rng *rand.Rand) []op {
-	wcet := task.WCET
+// buildOps expands a task, given its WCET and per-bank demand row, into
+// its operation sequence under the config.
+func buildOps(wcet model.Cycles, demand []model.Accesses, cfg Config, latency model.Cycles, rng *rand.Rand) []op {
 	if cfg.ExecDenominator > 0 {
 		wcet = model.Cycles(int64(wcet) * cfg.ExecNumerator / cfg.ExecDenominator)
 	}
 	// Accesses the task can physically issue within its execution time.
 	budget := model.Accesses(int64(wcet) / int64(latency))
 	var accesses []op
-	for b, d := range task.Demand {
+	for b, d := range demand {
 		for j := model.Accesses(0); j < d && model.Accesses(len(accesses)) < budget; j++ {
 			accesses = append(accesses, op{bank: model.BankID(b)})
 		}

@@ -257,11 +257,10 @@ func TestStallAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i, task := range g.Tasks() {
+	for i, wcet := range g.WCET {
 		got := out.Finish[i] - out.Start[i]
-		want := task.WCET + out.Stall[i]
-		if got != want {
-			t.Errorf("%s: duration %d ≠ WCET %d + stall %d", task.ID, got, task.WCET, out.Stall[i])
+		if want := wcet + out.Stall[i]; got != want {
+			t.Errorf("%s: duration %d ≠ WCET %d + stall %d", model.TaskID(i), got, wcet, out.Stall[i])
 		}
 	}
 }

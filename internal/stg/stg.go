@@ -196,7 +196,7 @@ func Write(w io.Writer, g *model.Graph) error {
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
 		preds := g.Predecessors(id)
-		if _, err := fmt.Fprintf(w, "%d %d %d", i, g.Task(id).WCET, len(preds)); err != nil {
+		if _, err := fmt.Fprintf(w, "%d %d %d", i, g.WCET[id], len(preds)); err != nil {
 			return err
 		}
 		for _, p := range preds {

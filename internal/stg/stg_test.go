@@ -176,7 +176,7 @@ func TestWriteRoundTrip(t *testing.T) {
 		t.Fatalf("tasks = %d", parsed.Tasks())
 	}
 	for i := 0; i < orig.NumTasks(); i++ {
-		if parsed.ProcTimes[i] != orig.Task(model.TaskID(i)).WCET {
+		if parsed.ProcTimes[i] != orig.WCET[i] {
 			t.Errorf("proc[%d] = %d", i, parsed.ProcTimes[i])
 		}
 	}

@@ -40,18 +40,17 @@ func WriteChromeTrace(w io.Writer, g *model.Graph, res *sched.Result) error {
 	}
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
-		t := g.Task(id)
 		events = append(events, chromeEvent{
-			Name:     t.Name,
+			Name:     g.Name(id),
 			Phase:    "X",
 			Time:     res.Release[i],
 			Duration: res.Response[i],
 			PID:      1,
-			TID:      int(t.Core),
+			TID:      int(g.Core[i]),
 			Args: map[string]any{
-				"wcet":         t.WCET,
+				"wcet":         g.WCET[i],
 				"interference": res.Interference[i],
-				"demand":       t.TotalDemand(),
+				"demand":       g.TotalDemand(id),
 			},
 		})
 	}

@@ -87,9 +87,8 @@ func WriteScheduleCSV(w io.Writer, g *model.Graph, res *sched.Result) error {
 	}
 	for i := 0; i < g.NumTasks(); i++ {
 		id := model.TaskID(i)
-		t := g.Task(id)
 		_, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%d,%d,%d\n",
-			i, t.Name, t.Core, res.Release[i], t.WCET, res.Interference[i], res.Response[i], res.Finish(id))
+			i, g.Name(id), g.Core[i], res.Release[i], g.WCET[i], res.Interference[i], res.Response[i], res.Finish(id))
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func TestPartitionAtFigure2(t *testing.T) {
 	p := rec.PartitionAt(g, 5)
 	aliveNames := map[string]bool{}
 	for _, id := range p.Alive {
-		aliveNames[g.Task(id).Name] = true
+		aliveNames[g.Name(id)] = true
 	}
 	for _, want := range []string{"n0", "n4", "n7", "n9"} {
 		if !aliveNames[want] {
@@ -54,7 +54,7 @@ func TestPartitionAtFigure2(t *testing.T) {
 	}
 	closedNames := map[string]bool{}
 	for _, id := range p.Closed {
-		closedNames[g.Task(id).Name] = true
+		closedNames[g.Name(id)] = true
 	}
 	if !closedNames["n6"] {
 		t.Errorf("n6 not closed at t=5: %v", p.Closed)

@@ -46,7 +46,7 @@ func maxBlobSize() uint64 {
 // is freshly allocated and does not alias data; it has passed
 // model.RawGraph.Validate, so it is exactly as vetted as a graph built by
 // the JSON path — in particular, any magnitude past model.MaxInput is
-// rejected here, matching stg.Read and model.Validate.
+// rejected here, matching stg.Read and every other ingest path.
 func Decode(data []byte) (*model.RawGraph, error) {
 	total, err := Size(data)
 	if err != nil {
@@ -131,8 +131,7 @@ func Decode(data []byte) (*model.RawGraph, error) {
 	decodeBankIDs(r.BankTable, sections[secBankTable])
 
 	// Value-level vetting: magnitudes (MaxInput), index ranges, acyclicity,
-	// order/mapping consistency — the same rules Graph.Validate enforces on
-	// the JSON path.
+	// order/mapping consistency — the one validator the JSON path runs too.
 	if err := r.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}

