@@ -48,14 +48,17 @@ race:
 # One bounded fuzzing pass per target. Short by design: this is a smoke
 # check that the harnesses still run and the seed corpora still pass, not a
 # bug hunt. Override with e.g. `make fuzz-smoke FUZZTIME=5m` to dig.
+# -fuzzminimizetime 1x keeps one new interesting input from spending the
+# budget on minimization (Go's default allows 60 s per input); a failing
+# input still fails the run and is still written to testdata/fuzz.
 fuzz-smoke:
-	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/model -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stg -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sched/incremental -run '^$$' -fuzz FuzzScheduleInvariants -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJobBody -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/model -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/stg -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/sched/incremental -run '^$$' -fuzz FuzzScheduleInvariants -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJobBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # Short benchmark pass compared against the committed baseline. Warn-only by
 # design: shared runners are noisy, so regressions annotate the run instead

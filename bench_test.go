@@ -19,7 +19,6 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/gen"
 	"github.com/mia-rt/mia/internal/model"
-	"github.com/mia-rt/mia/internal/noc"
 	"github.com/mia-rt/mia/internal/sched"
 	"github.com/mia-rt/mia/internal/sim"
 )
@@ -187,35 +186,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(g, res.Release, sim.Config{Pattern: sim.Front}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Multi-cluster composition: per-cluster analyses + NoC bounds to a global
-// fixed point.
-func BenchmarkMultiCluster(b *testing.B) {
-	mk := func(seed int64) *model.Graph {
-		p := gen.NewParams(4, 8)
-		p.Seed = seed
-		p.Cores, p.Banks = 8, 8
-		return gen.MustLayered(p)
-	}
-	system := &noc.System{
-		Topology: noc.MPPA256(),
-		Graphs: map[noc.ClusterID]*model.Graph{
-			0: mk(1), 1: mk(2), 4: mk(3), 5: mk(4),
-		},
-		Edges: []noc.InterEdge{
-			{FromCluster: 0, FromTask: 31, ToCluster: 1, ToTask: 0, Flow: noc.Flow{Burst: 8, Rate: 0.2, PacketFlits: 32}},
-			{FromCluster: 1, FromTask: 31, ToCluster: 5, ToTask: 0, Flow: noc.Flow{Burst: 8, Rate: 0.2, PacketFlits: 32}},
-			{FromCluster: 4, FromTask: 31, ToCluster: 5, ToTask: 1, Flow: noc.Flow{Burst: 8, Rate: 0.2, PacketFlits: 32}},
-		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := system.Analyze(context.Background(), sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

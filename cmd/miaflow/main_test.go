@@ -80,15 +80,22 @@ func TestStrategies(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	cases := [][]string{
-		{},                    // no input
-		{"-example", "bogus"}, // unknown example
-		{"-strategy", "bogus", "-example", "src-fir-dec"}, // unknown strategy
-		{"/nonexistent.json"},                             // missing file
+	cases := []struct {
+		args []string
+		want string // text the error must contain
+	}{
+		{nil, "need exactly one"},
+		{[]string{"-example", "bogus"}, "unknown example"},
+		{[]string{"-strategy", "bogus", "-example", "src-fir-dec"}, "unknown strategy"},
+		{[]string{"/nonexistent.json"}, "/nonexistent.json"},
+		// A bad platform is reported as itself, not as a dataflow deadlock.
+		{[]string{"-example", "src-fir-dec", "-cores", "0"}, "mapper: 0 cores"},
+		{[]string{"-example", "src-fir-dec", "-banks", "0"}, "at least 1 core and 1 bank"},
 	}
-	for _, args := range cases {
-		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
-			t.Errorf("args %v accepted", args)
+	for _, tc := range cases {
+		err := run(context.Background(), tc.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("args %v: err = %v, want %q", tc.args, err, tc.want)
 		}
 	}
 	// Inconsistent SDF from file.
@@ -101,5 +108,39 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{path}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "inconsistent") {
 		t.Errorf("inconsistent SDF: err = %v", err)
+	}
+}
+
+// TestGolden pins the full stdout of the documented miaflow paths against
+// testdata/<name>.golden: the built-in example under every mapping
+// strategy, alone, with a Gantt chart, and unrolled over three periods.
+func TestGolden(t *testing.T) {
+	variants := []struct {
+		suffix string
+		args   []string
+	}{
+		{"", nil},
+		{"_gantt80", []string{"-gantt", "80"}},
+		{"_period800_iter3", []string{"-period", "800", "-iterations", "3"}},
+	}
+	for _, strategy := range []string{"cyclic", "balance", "list"} {
+		for _, v := range variants {
+			name := strategy + v.suffix
+			args := append([]string{"-example", "src-fir-dec", "-strategy", strategy}, v.args...)
+			t.Run(name, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := run(context.Background(), args, &buf); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := buf.String(); got != string(want) {
+					t.Errorf("miaflow %s: stdout differs from testdata/%s.golden\ngot:\n%swant:\n%s",
+						strings.Join(args, " "), name, got, want)
+				}
+			})
+		}
 	}
 }

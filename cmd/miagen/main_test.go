@@ -116,3 +116,33 @@ func TestSTGImportExport(t *testing.T) {
 		t.Errorf("stg export bad: %v", err)
 	}
 }
+
+// TestGoldenSTGImport pins the -fromstg path byte for byte: the JSON miagen
+// writes for testdata/import.stg (TestSTGImportExport's graph) and the STG
+// it exports back.
+func TestGoldenSTGImport(t *testing.T) {
+	stgOut := filepath.Join(t.TempDir(), "export.stg")
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-fromstg", filepath.Join("testdata", "import.stg"), "-cores", "2", "-banks", "2", "-stg", stgOut}, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	exported, err := os.ReadFile(stgOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		golden string
+		got    []byte
+	}{
+		{"import.json.golden", buf.Bytes()},
+		{"export.stg.golden", exported},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.got, want) {
+			t.Errorf("output differs from testdata/%s\ngot:\n%swant:\n%s", c.golden, c.got, want)
+		}
+	}
+}

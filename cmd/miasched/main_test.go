@@ -162,3 +162,38 @@ func TestProfileFlagBadPath(t *testing.T) {
 		t.Fatal("expected error for unwritable profile path")
 	}
 }
+
+// TestGolden pins the full stdout of the documented miasched paths against
+// testdata/<name>.golden: Figure 1 with and without interference, the
+// Figure 2 cursor trace, the avionics DAG under three arbiters, and the
+// criticality report.
+func TestGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"figure1_gantt60", []string{"-example", "figure1", "-gantt", "60"}},
+		{"figure1_none_gantt60", []string{"-example", "figure1", "-arbiter", "none", "-gantt", "60"}},
+		{"figure2_events_partition5_gantt68", []string{"-example", "figure2", "-events", "-partition", "5", "-gantt", "68"}},
+		{"avionics_none_gantt76", []string{"-example", "avionics", "-arbiter", "none", "-gantt", "76"}},
+		{"avionics_rr_gantt76", []string{"-example", "avionics", "-arbiter", "rr", "-gantt", "76"}},
+		{"avionics_tdm_gantt76", []string{"-example", "avionics", "-arbiter", "tdm", "-gantt", "76"}},
+		{"figure1_deadline10_criticality", []string{"-example", "figure1", "-deadline", "10", "-criticality"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(context.Background(), tc.args, &buf); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("miasched %s: stdout differs from testdata/%s.golden\ngot:\n%swant:\n%s",
+					strings.Join(tc.args, " "), tc.name, got, want)
+			}
+		})
+	}
+}

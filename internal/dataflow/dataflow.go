@@ -25,7 +25,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/mia-rt/mia/internal/mapper"
 	"github.com/mia-rt/mia/internal/model"
@@ -232,10 +234,14 @@ func (g *Graph) Expand(cores, banks int) (*mapper.Problem, error) {
 	for key, words := range volume {
 		p.Edges = append(p.Edges, mapper.Edge{From: key.from, To: key.to, Words: words})
 	}
-	sortEdges(p.Edges)
+	// Keys are unique, so the order is total.
+	slices.SortFunc(p.Edges, func(a, b mapper.Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	// A cyclic expansion (insufficient initial tokens on a loop) is a
-	// deadlock: detect via the mapper's layering.
-	if _, err := mapper.Map(p, mapper.RoundRobinLayers{}); err != nil {
+	// deadlock. The edges are in range by construction, so a cycle is the
+	// only error the check can report.
+	if _, _, err := p.DAG(); err != nil {
 		return nil, fmt.Errorf("dataflow: expansion deadlocks: %w", err)
 	}
 	return p, nil
@@ -249,18 +255,6 @@ func (g *Graph) Compile(cores, banks int, s mapper.Strategy) (*model.Graph, erro
 		return nil, err
 	}
 	return mapper.Map(p, s)
-}
-
-func sortEdges(edges []mapper.Edge) {
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0; j-- {
-			a, b := edges[j-1], edges[j]
-			if a.From < b.From || (a.From == b.From && a.To <= b.To) {
-				break
-			}
-			edges[j-1], edges[j] = b, a
-		}
-	}
 }
 
 func gcd(a, b int64) int64 {

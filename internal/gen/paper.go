@@ -61,8 +61,8 @@ func Figure2() *model.Graph {
 // analysis framework: sensor filters feeding control laws feeding actuator
 // commands, iterated over two control periods, mapped on four cores with
 // per-core memory banks. It is the "domain" example exercised by
-// examples/avionics and the integration tests; WCETs and access counts are
-// representative, not measured.
+// `miasched -example avionics` and the integration tests; WCETs and access
+// counts are representative, not measured.
 func Avionics() *model.Graph {
 	b := model.NewBuilder(4, 4)
 

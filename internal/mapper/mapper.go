@@ -88,9 +88,9 @@ func Map(p *Problem, s Strategy) (*model.Graph, error) {
 	return b.Build()
 }
 
-// problemDAG checks the problem's edges — endpoints in range, no cycle —
-// and returns their sorted adjacency and a topological order.
-func problemDAG(p *Problem) (model.Adjacency, []model.TaskID, error) {
+// DAG checks the problem's edges — endpoints in range, no cycle — and
+// returns their sorted adjacency and a topological order.
+func (p *Problem) DAG() (model.Adjacency, []model.TaskID, error) {
 	n := len(p.Specs)
 	r := model.RawGraph{WCET: make([]model.Cycles, n), Edges: make([]model.Edge, len(p.Edges))}
 	for i, e := range p.Edges {
@@ -109,7 +109,7 @@ func problemDAG(p *Problem) (model.Adjacency, []model.TaskID, error) {
 // layersOf computes each task's DAG depth (layer index) from the problem's
 // edges, or an error on cycles.
 func layersOf(p *Problem) ([]int, error) {
-	adj, order, err := problemDAG(p)
+	adj, order, err := p.DAG()
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func (ListScheduling) Name() string { return "list-scheduling" }
 // Assign implements Strategy.
 func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 	n := len(p.Specs)
-	adj, _, err := problemDAG(p)
+	adj, _, err := p.DAG()
 	if err != nil {
 		return nil, err
 	}

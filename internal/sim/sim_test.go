@@ -333,3 +333,40 @@ func TestGrantsServiceOneWordPerCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperGraphsBoundAttained backs E9's tightness claim. On the paper's
+// Figure 1 under RR(1) and the Front pattern, n0's analyzed interference
+// of one cycle is really suffered: it stalls one cycle and finishes exactly
+// at its bound, cycle 3. On Figure 1 and on the avionics DAG, under every
+// access pattern, every task finishes within its bound.
+func TestPaperGraphsBoundAttained(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *model.Graph
+	}{{"figure1", gen.Figure1()}, {"avionics", gen.Avionics()}}
+	for _, tc := range graphs {
+		res, err := schedule(engine.Incremental, tc.g, sched.Options{Arbiter: arbiter.NewRoundRobin(1)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, pat := range allPatterns() {
+			out, err := Run(tc.g, res.Release, Config{Pattern: pat, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, pat, err)
+			}
+			for i := range out.Finish {
+				if id := model.TaskID(i); out.Finish[i] > res.Finish(id) {
+					t.Errorf("%s %v: %s finished at %d, past its bound %d", tc.name, pat, tc.g.Name(id), out.Finish[i], res.Finish(id))
+				}
+			}
+			if tc.name != "figure1" || pat != Front {
+				continue
+			}
+			const n0 = model.TaskID(0)
+			if res.Interference[n0] != 1 || out.Stall[n0] != 1 || res.Finish(n0) != 3 || out.Finish[n0] != 3 {
+				t.Errorf("figure1 front: n0 interference %d, stall %d, bound %d, finish %d; want 1, 1, 3, 3",
+					res.Interference[n0], out.Stall[n0], res.Finish(n0), out.Finish[n0])
+			}
+		}
+	}
+}
