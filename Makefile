@@ -79,9 +79,13 @@ bench-smoke:
 # hold under the race detector. An intentional change to the search (new
 # mutation weights, different crowding tie-break, …) re-pins the golden by
 # running the test once and copying the fingerprint from the failure.
+# TestCommittedFronts then reruns the two documented miaopt searches and
+# requires the committed results/pareto_*.json bytes; an intentional change
+# regenerates them with the commands in results/README.md.
 pareto-smoke:
 	$(GO) test -race ./internal/explore/pareto -run \
 	  'TestSmokeGoldenFingerprint|TestByteIdenticalAcrossJobs|TestRepeatedSeededRunsIdentical' -v
+	$(GO) test ./cmd/miaopt -run TestCommittedFronts -v
 
 # The engine's safety net, runnable on its own, over the full differential
 # corpus: the digest golden pins every analysis result (cold, warm, replay,

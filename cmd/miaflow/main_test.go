@@ -114,6 +114,7 @@ func TestErrors(t *testing.T) {
 // TestGolden pins the full stdout of the documented miaflow paths against
 // testdata/<name>.golden: the built-in example under every mapping
 // strategy, alone, with a Gantt chart, and unrolled over three periods.
+// The list variants omit -strategy, so they also pin the default.
 func TestGolden(t *testing.T) {
 	variants := []struct {
 		suffix string
@@ -126,7 +127,11 @@ func TestGolden(t *testing.T) {
 	for _, strategy := range []string{"cyclic", "balance", "list"} {
 		for _, v := range variants {
 			name := strategy + v.suffix
-			args := append([]string{"-example", "src-fir-dec", "-strategy", strategy}, v.args...)
+			args := []string{"-example", "src-fir-dec"}
+			if strategy != "list" {
+				args = append(args, "-strategy", strategy)
+			}
+			args = append(args, v.args...)
 			t.Run(name, func(t *testing.T) {
 				var buf bytes.Buffer
 				if err := run(context.Background(), args, &buf); err != nil {

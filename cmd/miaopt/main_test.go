@@ -76,3 +76,37 @@ func TestOptBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedFronts reruns the two searches results/README.md documents
+// and requires their -o artifacts to equal the committed fronts byte for
+// byte: a change to the search, the analysis or the instance generator
+// that moves either front fails here, not in a later regeneration.
+func TestCommittedFronts(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		args []string
+	}{
+		{"pareto_paper.json", []string{"-gen", "24x16", "-cores", "16", "-banks", "16",
+			"-graph-seed", "1", "-pop", "24", "-gens", "30", "-seed", "42", "-jobs", "4"}},
+		{"pareto_10x.json", []string{"-gen", "240x16", "-cores", "16", "-banks", "16",
+			"-graph-seed", "1", "-pop", "12", "-gens", "8", "-seed", "42", "-jobs", "4"}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), tc.file)
+			if err := run(context.Background(), append(tc.args, "-o", out), &bytes.Buffer{}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("miaopt %s -o: output differs from results/%s", strings.Join(tc.args, " "), tc.file)
+			}
+		})
+	}
+}

@@ -25,7 +25,7 @@ func allocImage(t testing.TB) *engine.Image {
 	return img
 }
 
-// TestWarmAnalyzeSteadyStateAllocationFree pins the façade's allocation
+// TestWarmAnalyzeSteadyStateAllocationFree pins the warm analyzer's allocation
 // contract: once a warm analyzer's pooled buffers have grown to their
 // high-water mark, repeated Analyze calls through the engine interface —
 // adapter, context plumbing and all — perform zero heap allocations.
@@ -51,7 +51,7 @@ func TestWarmAnalyzeSteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestWarmRescheduleSteadyStateAllocationFree pins the same contract for
-// the neighborhood-evaluation cycle through the façade: overlay swap, warm
+// the neighborhood-evaluation cycle through the engine interface: overlay swap, warm
 // Reschedule, swap back — exactly how the serving layer drives it.
 func TestWarmRescheduleSteadyStateAllocationFree(t *testing.T) {
 	img := allocImage(t)

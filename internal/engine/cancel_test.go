@@ -11,7 +11,7 @@ import (
 )
 
 // TestCancellationAcrossBackends pins the cancellation contract of every
-// backend: an already-canceled ctx makes Engine.Analyze and each Warm
+// backend: an already-canceled ctx makes Backend.Analyze and each Warm
 // method return sched.ErrCanceled, and the analyzer recovers. A canceled
 // Analyze leaves no baseline; a canceled Reschedule leaves the committed
 // one intact, so the next Reschedule of the edit and of its undo match cold
@@ -52,7 +52,7 @@ func TestCancellationAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := eng.Analyze(canceled, img); !errors.Is(err, sched.ErrCanceled) {
-				t.Fatalf("Engine.Analyze: got %v, want ErrCanceled", err)
+				t.Fatalf("Backend.Analyze: got %v, want ErrCanceled", err)
 			}
 
 			w := eng.NewWarm(img)

@@ -94,25 +94,25 @@ func Register(name string, b Backend) {
 	registry[name] = b
 }
 
-// New resolves a registered backend into an Engine façade.
-func New(name string) (*Engine, error) {
+// New resolves a registered backend by name.
+func New(name string) (Backend, error) {
 	regMu.Lock()
 	b, ok := registry[name]
 	regMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown backend %q (registered: %s)", name, strings.Join(Backends(), ", "))
 	}
-	return &Engine{name: name, b: b}, nil
+	return b, nil
 }
 
 // MustNew is New for statically-known backend names; it panics when the
 // backend package was not linked in.
-func MustNew(name string) *Engine {
-	e, err := New(name)
+func MustNew(name string) Backend {
+	b, err := New(name)
 	if err != nil {
 		panic(err)
 	}
-	return e
+	return b
 }
 
 // Backends returns the registered backend names, sorted.
@@ -127,20 +127,3 @@ func Backends() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Engine is the façade consumers hold: a named, resolved backend.
-type Engine struct {
-	name string
-	b    Backend
-}
-
-// Name returns the backend name the engine was resolved from.
-func (e *Engine) Name() string { return e.name }
-
-// Analyze runs one cold analysis of the image's baseline orders.
-func (e *Engine) Analyze(ctx context.Context, img *Image) (*sched.Result, error) {
-	return e.b.Analyze(ctx, img)
-}
-
-// NewWarm creates a reusable single-goroutine analyzer over img.
-func (e *Engine) NewWarm(img *Image) Warm { return e.b.NewWarm(img) }

@@ -1,11 +1,11 @@
 // Package engine turns a validated task graph into an immutable,
-// struct-of-arrays problem image and fronts the analysis algorithms with a
-// single façade. Compile once, analyze many times: the image is the
+// struct-of-arrays problem image and resolves the analysis algorithms
+// (Backends) by name. Compile once, analyze many times: the image is the
 // compile-once/run-many contract that lets sweep workers, search
 // evaluators, and server-side warm schedulers share one problem instance
 // per graph fingerprint instead of defensively deep-cloning graphs.
 //
-// An Image is immutable after Compile returns. Nothing in this repository
+// An Image is immutable once compiled. Nothing in this repository
 // writes to its arrays, every accessor returns either a value or a slice
 // view the caller must treat as read-only, and the mutable piece of an
 // analysis — the per-core execution orders a search permutes — lives in a
@@ -22,12 +22,13 @@ import (
 )
 
 // Image is the compiled, immutable form of one analysis problem: the
-// graph's flat form (dense int-indexed arrays, per-bank demand in one
-// backing array), its adjacency in CSR form, and the analysis options
-// normalized (arbiter and deadline resolved). All exported fields and
-// every slice returned by an accessor are read-only by contract.
+// graph's flat form (model.RawGraph, embedded by value, so WCET, Core,
+// Demand, Edges, DemandRow and Order are its own), the adjacency of its
+// edges in CSR form, the per-bank demand bitsets, and the analysis options
+// normalized (arbiter and deadline resolved). All exported fields and every
+// slice returned by an accessor are read-only by contract.
 //
-// Invariants established by Compile and relied on by every backend:
+// Invariants every compile path establishes and every backend relies on:
 //
 //   - the flat form passed Validate: dense task IDs, acyclic
 //     dependencies, per-core orders consistent with same-core edges, all
@@ -40,20 +41,12 @@ import (
 //   - Opts.Arbiter is non-nil and Opts.Deadline is positive (Infinity
 //     when the caller set none).
 type Image struct {
+	// RawGraph is the flat form the image was compiled from, adopted
+	// without copying: its arrays are the image's slab.
+	model.RawGraph
+
+	// NumTasks is the task count, len(WCET).
 	NumTasks int
-	Cores    int
-	Banks    int
-
-	// Per-task scalars, indexed by model.TaskID.
-	WCET       []model.Cycles
-	MinRelease []model.Cycles
-	CoreOf     []model.CoreID
-	Local      []model.Accesses
-
-	// Demand is the per-bank access demand of every task in one flat
-	// task-major backing array: task id's row is
-	// Demand[id*Banks : (id+1)*Banks].
-	Demand []model.Accesses
 
 	// DemandMask is the bitset form of Demand, one bit per bank: bit b of
 	// task id's MaskWords-word row is set iff Demand[id*Banks+b] > 0. Two
@@ -70,23 +63,9 @@ type Image struct {
 	// PredCount are its accessors.
 	model.Adjacency
 
-	// Baseline per-core execution orders in CSR form: core k's order is
-	// OrderIDs[OrderStart[k]:OrderStart[k+1]]. Analyses that permute
-	// orders work on a mutable copy — see NewOrders.
-	OrderStart []int32
-	OrderIDs   []model.TaskID
-
-	// BankTable maps each core to its private bank.
-	BankTable []model.BankID
-
 	// Opts are the compiled analysis options with Arbiter and Deadline
 	// resolved to their effective values.
 	Opts sched.Options
-
-	// raw is the flat form the image was compiled from; its arrays back
-	// the slab fields above. Edges, fingerprints and NewGraph copies are
-	// served from it.
-	raw *model.RawGraph
 
 	fpOnce sync.Once
 	fp     string
@@ -99,22 +78,27 @@ type Image struct {
 }
 
 // Compile validates g and compiles a copy of its flat form (g.Raw()) into
-// an immutable problem image under the given options, through the same
-// compileRaw the decoders use. Because the image adopts a copy, later
-// edits of g (order swaps, demand or WCET edits) do not reach the image;
-// recompile to pick them up. Validation errors are returned as-is from
-// model.RawGraph.Validate.
+// an immutable problem image under the given options. Because the image
+// adopts a copy, later edits of g (order swaps, demand or WCET edits) do
+// not reach the image; recompile to pick them up.
 func Compile(g *model.Graph, opts sched.Options) (*Image, error) {
-	if err := g.Validate(); err != nil {
+	return CompileRaw(g.Raw().Clone(), opts)
+}
+
+// CompileRaw validates raw and compiles it into an immutable problem image
+// under the given options. The image adopts raw's arrays without copying
+// them, so raw must not be mutated afterwards. Validation errors are
+// returned as-is from model.RawGraph.Validate.
+func CompileRaw(raw *model.RawGraph, opts sched.Options) (*Image, error) {
+	if err := raw.Validate(); err != nil {
 		return nil, err
 	}
-	return compileRaw(g.Raw().Clone(), opts), nil
+	return compileRaw(raw, opts), nil
 }
 
 // compileRaw builds an image around a flat graph that passed validation —
-// Compile validates the graph it copies, both decoders validate what they
-// return. The image adopts raw's backing arrays, so raw must not be mutated
-// afterwards.
+// CompileRaw validates it, both decoders validate what they return. The
+// image adopts raw's backing arrays, so raw must not be mutated afterwards.
 func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
 	opts.Arbiter = opts.EffectiveArbiter()
 	opts.Deadline = opts.EffectiveDeadline()
@@ -122,23 +106,10 @@ func compileRaw(raw *model.RawGraph, opts sched.Options) *Image {
 	n := raw.NumTasks()
 	words := (raw.Banks + 63) / 64
 	img := &Image{
-		NumTasks:  n,
-		Cores:     raw.Cores,
-		Banks:     raw.Banks,
-		MaskWords: words,
-		Opts:      opts,
-		raw:       raw,
-
-		// Adopted wholesale: the flat layout is the slab layout.
-		WCET:       raw.WCET,
-		MinRelease: raw.MinRelease,
-		CoreOf:     raw.Core,
-		Local:      raw.Local,
-		Demand:     raw.Demand,
-		OrderStart: raw.OrderStart,
-		OrderIDs:   raw.OrderIDs,
-		BankTable:  raw.BankTable,
-
+		RawGraph:   *raw,
+		NumTasks:   n,
+		MaskWords:  words,
+		Opts:       opts,
 		DemandMask: make([]uint64, n*words),
 		Adjacency:  model.NewAdjacency(n, raw.Edges),
 	}
@@ -163,14 +134,6 @@ func fillDemandMask(mask []uint64, demand []model.Accesses, banks, words int) {
 	}
 }
 
-// DemandRow returns task id's per-bank demand: exactly Banks entries.
-// Read-only.
-//
-//mia:hotpath
-func (img *Image) DemandRow(id model.TaskID) []model.Accesses {
-	return img.Demand[int(id)*img.Banks : (int(id)+1)*img.Banks]
-}
-
 // DemandMaskRow returns task id's per-bank demand bitset: MaskWords words,
 // bit b set iff the task demands bank b. Read-only.
 //
@@ -179,24 +142,12 @@ func (img *Image) DemandMaskRow(id model.TaskID) []uint64 {
 	return img.DemandMask[int(id)*img.MaskWords : (int(id)+1)*img.MaskWords]
 }
 
-// Order returns core k's baseline execution order. Read-only; analyses
-// that permute orders use a NewOrders overlay instead.
-//
-//mia:hotpath
-func (img *Image) Order(k model.CoreID) []model.TaskID {
-	return img.OrderIDs[img.OrderStart[k]:img.OrderStart[k+1]]
-}
-
-// Edges returns the dependency edges of the compiled graph in source
-// order. Read-only.
-func (img *Image) Edges() []model.Edge { return img.raw.Edges }
-
 // Fingerprint returns the canonical content hash of the compiled graph
 // with its baseline orders (see model.RawGraph.Fingerprint). Computed once,
 // lazily; safe for concurrent use. Every ingest path hashes the same flat
 // form, so the JSON, wire and graph paths key one graph identically.
 func (img *Image) Fingerprint() string {
-	img.fpOnce.Do(func() { img.fp = img.raw.Fingerprint() })
+	img.fpOnce.Do(func() { img.fp = img.RawGraph.Fingerprint() })
 	return img.fp
 }
 
@@ -216,7 +167,7 @@ func (img *Image) FingerprintOrders(o *Orders) string {
 // its closure does not escape, so steady-state calls stay allocation-free.
 func (img *Image) orderHasher() *model.OrderHasher {
 	//mialint:ignore hotpathalloc -- once-guard: the fast path is one atomic load and the non-escaping closure runs at most once per image
-	img.ohOnce.Do(func() { img.oh = img.raw.OrderHasher() })
+	img.ohOnce.Do(func() { img.oh = img.RawGraph.OrderHasher() })
 	return img.oh
 }
 
@@ -224,4 +175,4 @@ func (img *Image) orderHasher() *model.OrderHasher {
 // of the image's flat form, so editing it never reaches the image. Task
 // names are not part of the flat form, so task i comes back named "n<i>";
 // everything the analyses and the fingerprint read is preserved.
-func (img *Image) NewGraph() *model.Graph { return model.NewGraph(img.raw.Clone(), nil) }
+func (img *Image) NewGraph() *model.Graph { return model.NewGraph(img.RawGraph.Clone(), nil) }

@@ -137,9 +137,9 @@ func (CommAffinity) Name() string { return "comm-affinity" }
 // Score implements Objective.
 func (CommAffinity) Score(e Eval) float64 {
 	var cost float64
-	for _, edge := range e.Img.Edges() {
-		from := e.Img.CoreOf[edge.From]
-		to := e.Img.CoreOf[edge.To]
+	for _, edge := range e.Img.Edges {
+		from := e.Img.Core[edge.From]
+		to := e.Img.Core[edge.To]
 		if from == to {
 			continue
 		}

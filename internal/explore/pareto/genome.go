@@ -75,7 +75,7 @@ type Genome struct {
 // baselineGenome snapshots the compiled image's configuration.
 func baselineGenome(img *engine.Image) *Genome {
 	g := &Genome{
-		Assign: append([]model.CoreID(nil), img.CoreOf...),
+		Assign: append([]model.CoreID(nil), img.Core...),
 		Orders: make([][]model.TaskID, img.Cores),
 		Policy: PolicyBaseline,
 	}
@@ -108,8 +108,8 @@ type mutator struct {
 }
 
 func newMutator(img *engine.Image) *mutator {
-	m := &mutator{img: img, dep: make(map[[2]model.TaskID]bool, len(img.Edges()))}
-	for _, e := range img.Edges() {
+	m := &mutator{img: img, dep: make(map[[2]model.TaskID]bool, len(img.Edges))}
+	for _, e := range img.Edges {
 		m.dep[[2]model.TaskID{e.From, e.To}] = true
 	}
 	return m

@@ -20,10 +20,12 @@
 // Each evaluation worker owns a warm analyzer over the shared compiled
 // image: order-only genomes load their permutation into the worker's order
 // overlay and analyze without any recompile or graph copy; structural
-// genomes (remapped or repolicied) copy the image's graph, write the
-// mapping into it, rebuild demands from an explicit bank table, recompile,
-// and analyze cold. Both paths are pure functions of the genome, so
-// results never depend on which worker evaluated what.
+// genomes (remapped or repolicied) copy the worker's base graph (built
+// once per worker from the image), write the mapping and the order CSR
+// into the copy, rebuild demands from an explicit bank table, compile the
+// copy without a second copy (engine.CompileRaw adopts it), and analyze
+// cold. Both paths are pure functions of the genome, so results never
+// depend on which worker evaluated what.
 package pareto
 
 import (
@@ -101,11 +103,12 @@ type Result struct {
 }
 
 // worker is one evaluation slot: a warm analyzer over the shared image for
-// order-only genomes, and the engine façade for cold analyses of
-// recompiled structural genomes.
+// order-only genomes, and for structural genomes a base graph to copy plus
+// the backend that analyzes the recompiled copy cold.
 type worker struct {
 	img  *engine.Image
-	eng  *engine.Engine
+	base *model.Graph // img.NewGraph(), copied once per structural evaluation
+	eng  engine.Backend
 	w    engine.Warm
 	objs []objective.Objective
 }
@@ -143,17 +146,19 @@ func (wk *worker) eval(ctx context.Context, g *Genome) evalOut {
 		out.values = scores(wk.objs, objective.Eval{Img: wk.img, Res: res})
 		return out
 	}
-	gg := wk.img.NewGraph()
+	gg := wk.base.Clone()
 	copy(gg.Core, g.Assign)
-	for k := range g.Orders {
-		gg.SetOrder(model.CoreID(k), g.Orders[k])
+	gg.OrderIDs = gg.OrderIDs[:0]
+	for k, ord := range g.Orders {
+		gg.OrderIDs = append(gg.OrderIDs, ord...)
+		gg.OrderStart[k+1] = int32(len(gg.OrderIDs))
 	}
-	tab := append([]model.BankID(nil), wk.img.BankTable...)
+	tab := wk.img.BankTable
 	if g.Policy != PolicyBaseline {
 		tab = g.Policy.Table(gg.Cores, gg.Banks)
 	}
 	gg.CompileDemands(func(k model.CoreID) model.BankID { return tab[k] })
-	img, err := engine.Compile(gg, wk.img.Opts)
+	img, err := engine.CompileRaw(gg.Raw(), wk.img.Opts)
 	if err != nil {
 		return evalOut{values: infValues(len(wk.objs)), fp: gg.Fingerprint(), policy: policy}
 	}
@@ -206,7 +211,7 @@ func Search(ctx context.Context, img *engine.Image, opts Options) (*Result, erro
 	eng := engine.MustNew(engine.Incremental)
 	workers := make([]*worker, jobs)
 	for i := range workers {
-		workers[i] = &worker{img: img, eng: eng, w: eng.NewWarm(img), objs: objs}
+		workers[i] = &worker{img: img, base: img.NewGraph(), eng: eng, w: eng.NewWarm(img), objs: objs}
 	}
 	evaluate := func(gs []*Genome) ([]evalOut, error) {
 		return pool.MapWith(ctx, workers, len(gs),

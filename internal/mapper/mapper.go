@@ -205,32 +205,26 @@ func (ListScheduling) Name() string { return "list-scheduling" }
 // Assign implements Strategy.
 func (ListScheduling) Assign(p *Problem) ([]model.CoreID, error) {
 	n := len(p.Specs)
-	adj, _, err := p.DAG()
+	adj, topo, err := p.DAG()
 	if err != nil {
 		return nil, err
 	}
-	// Upward rank: WCET + max over successors (memoized reverse-topological
-	// walk; the DAG is already verified acyclic).
+	// Upward rank: WCET + max over successors, filled in reverse
+	// topological order so every successor's rank is final when read.
 	rank := make([]model.Cycles, n)
-	var computeRank func(int) model.Cycles
-	computeRank = func(id int) model.Cycles {
-		if rank[id] != 0 {
-			return rank[id]
-		}
-		r := p.Specs[id].WCET
+	for i := len(topo) - 1; i >= 0; i-- {
+		id := topo[i]
 		var tail model.Cycles
-		for _, s := range adj.Succs(model.TaskID(id)) {
-			if v := computeRank(int(s)); v > tail {
-				tail = v
+		for _, s := range adj.Succs(id) {
+			if rank[s] > tail {
+				tail = rank[s]
 			}
 		}
-		rank[id] = r + tail
-		return rank[id]
+		rank[id] = p.Specs[id].WCET + tail
 	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
-		computeRank(i)
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if rank[order[a]] != rank[order[b]] {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
@@ -191,6 +192,39 @@ func TestListSchedulingBeatsNaiveOnImbalance(t *testing.T) {
 	cpList, _ := scheduleMakespan(t, gList)
 	if cpList > cpCyclic {
 		t.Errorf("list scheduling makespan %d > cyclic %d", cpList, cpCyclic)
+	}
+}
+
+// TestListSchedulingZeroRanksLinear ranks a DAG whose every upward rank is
+// 0: 200 layers of two zero-WCET tasks, each feeding both tasks of the next
+// layer, so 2^200 source-to-sink paths. Ranks computed once per task return
+// at once; a walk that revisits rank-0 tasks never does.
+func TestListSchedulingZeroRanksLinear(t *testing.T) {
+	const layers, width = 200, 2
+	p := &Problem{Cores: 2, Banks: 2}
+	for l := 0; l < layers; l++ {
+		for w := 0; w < width; w++ {
+			p.Specs = append(p.Specs, Spec{})
+			if l == 0 {
+				continue
+			}
+			for v := 0; v < width; v++ {
+				p.Edges = append(p.Edges, Edge{From: (l-1)*width + v, To: l*width + w})
+			}
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ListScheduling{}.Assign(p)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ListScheduling.Assign did not return within 10 s on a zero-WCET DAG")
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 // RawGraph is the flat form of a task graph, and the only one: every
 // scheduling-relevant quantity in dense, task-indexed arrays, per-core
 // execution orders in CSR form, and the core→bank assignment as an explicit
-// table. Graph embeds it, and it is what the binary wire codec
-// (internal/wire) carries and what the compiled engine image adopts as its
-// slab, field for field.
+// table. Graph embeds it, the compiled engine image embeds it, and it is
+// what the binary wire codec (internal/wire) carries.
 //
 // Invariants (established by Builder, DecodeJSON and wire.Decode, checked
 // by Validate): dense arrays all len == NumTasks, Demand is task-major with

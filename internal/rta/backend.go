@@ -70,7 +70,7 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 	perCore := make([]model.Accesses, img.Cores*img.Banks)
 	for i := 0; i < n; i++ {
 		row := img.DemandRow(model.TaskID(i))
-		base := int(img.CoreOf[i]) * img.Banks
+		base := int(img.Core[i]) * img.Banks
 		for b, d := range row {
 			perCore[base+b] += d
 		}
@@ -82,7 +82,7 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 			return nil, sched.ErrCanceled
 		}
 		id := model.TaskID(i)
-		dstCore := img.CoreOf[i]
+		dstCore := img.Core[i]
 		row := img.DemandRow(id)
 		var inter model.Cycles
 		for b, d := range row {
@@ -94,11 +94,11 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 				// One entry per other-core task with demand on the bank,
 				// in ascending task-ID order.
 				for j := 0; j < n; j++ {
-					if img.CoreOf[j] == dstCore {
+					if img.Core[j] == dstCore {
 						continue
 					}
 					if w := img.DemandRow(model.TaskID(j))[b]; w > 0 {
-						comps = append(comps, arbiter.Request{Core: img.CoreOf[j], Demand: w})
+						comps = append(comps, arbiter.Request{Core: img.Core[j], Demand: w})
 					}
 				}
 			} else {

@@ -44,7 +44,7 @@
 // twin of sched.WindowInterference, kept bit-identical to it (the checker
 // keeps using the graph-based original, so a port bug cannot hide in both).
 // The package registers the engine backend "fixpoint": callers
-// engine.Compile a graph once and run it through Engine.Analyze.
+// engine.Compile a graph once and run it through Backend.Analyze.
 package fixpoint
 
 import (
@@ -212,11 +212,11 @@ func (w *windower) interference(rel, fin []model.Cycles, dst model.TaskID, perBa
 	if w.totalDemand[dst] == 0 {
 		return 0
 	}
-	dstCore := img.CoreOf[dst]
+	dstCore := img.Core[dst]
 	w.overlapping = w.overlapping[:0]
 	for i := 0; i < img.NumTasks; i++ {
 		id := model.TaskID(i)
-		if id == dst || img.CoreOf[id] == dstCore {
+		if id == dst || img.Core[id] == dstCore {
 			continue
 		}
 		if rel[dst] < fin[id] && rel[id] < fin[dst] {
@@ -238,7 +238,7 @@ func (w *windower) interference(rel, fin []model.Cycles, dst model.TaskID, perBa
 			if wd == 0 {
 				continue
 			}
-			srcCore := img.CoreOf[src]
+			srcCore := img.Core[src]
 			if w.separate {
 				comps = append(comps, arbiter.Request{Core: srcCore, Demand: wd})
 				continue

@@ -84,7 +84,7 @@ func TestRescheduleSteadyStateAllocationFree(t *testing.T) {
 // TestFreshAnalyzerAllocations bounds what a warm analyzer costs on top of
 // a one-shot analysis: building a Scheduler and running its first,
 // checkpoint-recording Analyze at the paper's scale (6×64 tasks, 16 cores ×
-// 16 banks) must allocate fewer than twice the objects of Engine.Analyze
+// 16 banks) must allocate fewer than twice the objects of Backend.Analyze
 // on the same image. Checkpoints allocate one buffer each; the bound catches
 // a checkpoint layout that allocates per slot and bank, which puts the
 // ratio near 16.
@@ -105,8 +105,8 @@ func TestFreshAnalyzerAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("fresh analyzer %.0f allocations, Engine.Analyze %.0f", fresh, cold)
+	t.Logf("fresh analyzer %.0f allocations, Backend.Analyze %.0f", fresh, cold)
 	if fresh >= 2*cold {
-		t.Fatalf("fresh analyzer allocates %.0f objects, want fewer than 2 × %.0f (Engine.Analyze)", fresh, cold)
+		t.Fatalf("fresh analyzer allocates %.0f objects, want fewer than 2 × %.0f (Backend.Analyze)", fresh, cold)
 	}
 }

@@ -34,7 +34,7 @@
 // adjacency, one flat demand backing array — rather than the pointer-rich
 // model.Graph, and runs the per-core orders from a mutable engine.Orders
 // overlay. The package registers the engine backend "incremental": callers
-// engine.Compile a graph once and run it through Engine.Analyze, or through
+// engine.Compile a graph once and run it through Backend.Analyze, or through
 // the warm-start Scheduler that NewWarm hands out.
 package incremental
 
@@ -370,8 +370,8 @@ func (s *state) addCompetitor(t model.Cycles, sl *slot, dst, src model.TaskID) {
 //
 //mia:hotpath
 func (s *state) accountOnBank(sl *slot, dst, src model.TaskID, b model.BankID, d, w model.Accesses) model.Cycles {
-	dstReq := arbiter.Request{Core: s.img.CoreOf[dst], Demand: d}
-	srcCore := s.img.CoreOf[src]
+	dstReq := arbiter.Request{Core: s.img.Core[dst], Demand: d}
+	srcCore := s.img.Core[src]
 	comps := sl.comp[b]
 
 	if s.separate {

@@ -17,10 +17,10 @@
 //     schedule.
 //
 // All three are reached the same way: engine.Compile folds a graph and its
-// Options into an image, and Engine.Analyze(ctx, img) runs a backend on
-// it, producing the same Result type. The integration tests cross-validate
-// the two schedulers, and the engine tests check that the rta bound
-// dominates the incremental one.
+// Options into an image, and engine.MustNew(name).Analyze(ctx, img) runs
+// the named backend on it, producing the same Result type. The integration
+// tests cross-validate the two schedulers, and the engine tests check that
+// the rta bound dominates the incremental one.
 package sched
 
 import (
@@ -35,7 +35,7 @@ import (
 // the image every run of that image uses. The zero value asks for a flat
 // round-robin bus with single-cycle service, no deadline, and the paper's
 // same-core competitor merging. Options carry no cancellation: a run is
-// canceled through the ctx passed to Engine.Analyze or to a Warm method.
+// canceled through the ctx passed to Backend.Analyze or to a Warm method.
 type Options struct {
 	// Arbiter is the bus-arbitration policy (IBUS). Nil selects flat
 	// round-robin with WordLatency 1. Wrapping it in arbiter.NonAdditive

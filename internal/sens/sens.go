@@ -6,8 +6,8 @@
 // graph would cost hours instead of milliseconds.
 //
 // Every probe mutates a WCET — a quantity a compiled engine.Image freezes —
-// so probes compile the grown instance and analyze it through the engine
-// façade. Cancellation flows from the caller's context into each probe's
+// so probes compile the grown instance and analyze it with an engine
+// backend. Cancellation flows from the caller's context into each probe's
 // analysis.
 package sens
 

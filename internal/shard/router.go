@@ -95,9 +95,6 @@ type Config struct {
 	// Replicas-1 successors that hold its image (default 2 — primary + one
 	// successor, the replication policy's pin width).
 	Replicas int
-	// Vnodes is the ring's virtual-node count per shard (default
-	// DefaultVnodes).
-	Vnodes int
 	// Retries bounds how many replica attempts one request makes (default:
 	// Replicas; clamped to the fleet size).
 	Retries int
@@ -116,10 +113,6 @@ type Config struct {
 	// MaxRequestBytes bounds request bodies read for routing (default 32
 	// MiB, the shard-side cap).
 	MaxRequestBytes int64
-	// LoadFactor is the bounded-load factor c: a shard already carrying
-	// more than c times the mean in-flight load is deprioritized (not
-	// excluded) in the ring walk (default 1.25).
-	LoadFactor float64
 }
 
 func (c Config) withDefaults() Config {
@@ -144,11 +137,13 @@ func (c Config) withDefaults() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 32 << 20
 	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
 	return c
 }
+
+// loadFactor is the bounded-load factor c: a shard already carrying more
+// than c times the mean in-flight load is deprioritized (not excluded) in
+// the ring walk.
+const loadFactor = 1.25
 
 // target is one shard's live state: health flag and in-flight counter (the
 // bounded-load signal).
@@ -185,7 +180,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	r := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Targets, cfg.Vnodes),
+		ring:   NewRing(cfg.Targets, DefaultVnodes),
 		client: &http.Client{Timeout: cfg.Timeout},
 		batchClient: &http.Client{Transport: &http.Transport{
 			ResponseHeaderTimeout: cfg.Timeout,
@@ -288,7 +283,7 @@ func (r *Router) candidates(fp string) []string {
 	}
 	ord := r.ring.OrderBounded(fp, func(m string) bool {
 		t := r.targets[m]
-		return t.healthy.Load() && WithinBound(int(t.inflight.Load()), total, len(r.targets), r.cfg.LoadFactor)
+		return t.healthy.Load() && WithinBound(int(t.inflight.Load()), total, len(r.targets), loadFactor)
 	})
 	if len(ord) > r.cfg.Retries {
 		ord = ord[:r.cfg.Retries]
