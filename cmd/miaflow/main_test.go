@@ -9,34 +9,6 @@ import (
 	"testing"
 )
 
-func TestBuiltinExample(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-example", "src-fir-dec"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"repetition vector [2 2 3 9]",
-		"16 tasks",
-		"schedulable",
-		"within their analyzed windows",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestPeriodicPipeline(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-example", "src-fir-dec", "-period", "800", "-iterations", "3"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(buf.String(), "steady-state slack") {
-		t.Errorf("output:\n%s", buf.String())
-	}
-}
-
 func TestPeriodOverrunReported(t *testing.T) {
 	var buf bytes.Buffer
 	// Period far below the iteration makespan (~460 cycles on 4 cores).

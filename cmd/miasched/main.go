@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"github.com/mia-rt/mia/internal/arbiter"
@@ -49,11 +50,11 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("miasched", flag.ContinueOnError)
 	var (
-		algo      = fs.String("algo", "incremental", `analysis: "incremental" (O(n²), the paper's contribution), "fixpoint" (O(n⁴) baseline) or "rta" (window-free compositional bound)`)
-		arbName   = fs.String("arbiter", "rr", `bus policy: "rr", "hier-rr", "tree-rr", "wrr", "tdm", "fp" or "none"`)
+		algo      = fs.String("algo", engine.Incremental, "analysis backend: "+strings.Join(engine.Backends(), ", "))
+		arbName   = fs.String("arbiter", "rr", "bus policy: "+strings.Join(arbiter.Known(), ", "))
 		latency   = fs.Int64("latency", 1, "bank word latency in cycles")
-		group     = fs.Int("group", 2, "hier-rr first-level group size")
-		slots     = fs.Int("slots", 0, "tdm slots (default: core count)")
+		group     = fs.Int("group", 2, "tree-rr first-level fan-in")
+		slots     = fs.Int("slots", 0, "tdm slots and tree-rr root fan-in (default: core count)")
 		slotLen   = fs.Int64("slotlen", 1, "tdm slot length in cycles")
 		deadline  = fs.Int64("deadline", 0, "global deadline in cycles (0 = none)")
 		crit      = fs.Bool("criticality", false, "print per-task WCET slack under the deadline (needs -deadline)")
@@ -71,6 +72,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *crit && *deadline <= 0 {
+		return fmt.Errorf("-criticality needs -deadline")
 	}
 	stopProf, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
@@ -183,9 +187,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if *crit {
-		if *deadline <= 0 {
-			return fmt.Errorf("-criticality needs -deadline")
-		}
 		slacks, err := sens.Criticality(ctx, g, opts, model.Cycles(*deadline))
 		if err != nil {
 			return err

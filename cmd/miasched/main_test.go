@@ -7,30 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mia-rt/mia/internal/arbiter"
+	"github.com/mia-rt/mia/internal/engine"
 )
-
-func TestScheduleFigure1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-example", "figure1", "-gantt", "60"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"makespan) = 7 cycles", "n3 I:2", "incremental"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestScheduleFixpoint(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-algo", "fixpoint", "-example", "figure1"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(buf.String(), "fixpoint") {
-		t.Errorf("output = %s", buf.String())
-	}
-}
 
 func TestScheduleFromFile(t *testing.T) {
 	dir := t.TempDir()
@@ -57,29 +37,6 @@ func TestScheduleFromFile(t *testing.T) {
 	}
 	if !strings.Contains(string(csv), "a,0,0,10,5,15,15") {
 		t.Errorf("csv content:\n%s", csv)
-	}
-}
-
-func TestScheduleEventsAndPartition(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-example", "figure2", "-events", "-partition", "5"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "t=5 C=") {
-		t.Errorf("partition line missing:\n%s", out)
-	}
-	if !strings.Contains(out, "open") {
-		t.Errorf("event log missing")
-	}
-}
-
-func TestScheduleArbiters(t *testing.T) {
-	for _, arb := range []string{"rr", "hier-rr", "tdm", "fp", "none"} {
-		var buf bytes.Buffer
-		if err := run(context.Background(), []string{"-arbiter", arb, "-example", "avionics"}, &buf); err != nil {
-			t.Errorf("%s: %v", arb, err)
-		}
 	}
 }
 
@@ -122,17 +79,16 @@ func TestScheduleSVGGantt(t *testing.T) {
 	}
 }
 
+// TestCriticalityFlag: -criticality without -deadline is refused before
+// any analysis runs, so nothing reaches stdout. The report itself is pinned
+// by the figure1_deadline10_criticality golden.
 func TestCriticalityFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-example", "figure1", "-deadline", "10", "-criticality"}, &buf); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "per-task WCET slack") || !strings.Contains(out, "n3") {
-		t.Errorf("output:\n%s", out)
-	}
-	if err := run(context.Background(), []string{"-example", "figure1", "-criticality"}, &bytes.Buffer{}); err == nil {
+	if err := run(context.Background(), []string{"-example", "figure1", "-criticality"}, &buf); err == nil {
 		t.Error("criticality without deadline accepted")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected run wrote to stdout:\n%s", buf.String())
 	}
 }
 
@@ -163,37 +119,80 @@ func TestProfileFlagBadPath(t *testing.T) {
 	}
 }
 
-// TestGolden pins the full stdout of the documented miasched paths against
-// testdata/<name>.golden: Figure 1 with and without interference, the
-// Figure 2 cursor trace, the avionics DAG under three arbiters, and the
-// criticality report.
+// goldenCases are the documented miasched paths whose full stdout
+// testdata/<golden>.golden pins: Figure 1 under every backend and with and
+// without interference, the Figure 2 cursor trace, the avionics DAG under
+// every arbiter and under the -oracle path, and the criticality report.
+// golden defaults to name.
+var goldenCases = []struct {
+	name, golden string
+	args         []string
+}{
+	{name: "figure1_gantt60", args: []string{"-example", "figure1", "-gantt", "60"}},
+	{name: "figure1_none_gantt60", args: []string{"-example", "figure1", "-arbiter", "none", "-gantt", "60"}},
+	{name: "figure1_fixpoint_gantt60", args: []string{"-example", "figure1", "-algo", "fixpoint", "-gantt", "60"}},
+	{name: "figure1_rta_gantt60", args: []string{"-example", "figure1", "-algo", "rta", "-gantt", "60"}},
+	{name: "figure2_events_partition5_gantt68", args: []string{"-example", "figure2", "-events", "-partition", "5", "-gantt", "68"}},
+	{name: "avionics_none_gantt76", args: []string{"-example", "avionics", "-arbiter", "none", "-gantt", "76"}},
+	{name: "avionics_rr_gantt76", args: []string{"-example", "avionics", "-arbiter", "rr", "-gantt", "76"}},
+	// The oracle hides additivity: another code path, the same schedule.
+	{name: "avionics_rr_oracle_gantt76", golden: "avionics_rr_gantt76", args: []string{"-example", "avionics", "-arbiter", "rr", "-oracle", "-gantt", "76"}},
+	{name: "avionics_tree-rr_gantt76", args: []string{"-example", "avionics", "-arbiter", "tree-rr", "-gantt", "76"}},
+	{name: "avionics_tdm_gantt76", args: []string{"-example", "avionics", "-arbiter", "tdm", "-gantt", "76"}},
+	{name: "avionics_fp_gantt76", args: []string{"-example", "avionics", "-arbiter", "fp", "-gantt", "76"}},
+	{name: "figure1_deadline10_criticality", args: []string{"-example", "figure1", "-deadline", "10", "-criticality"}},
+}
+
 func TestGolden(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"figure1_gantt60", []string{"-example", "figure1", "-gantt", "60"}},
-		{"figure1_none_gantt60", []string{"-example", "figure1", "-arbiter", "none", "-gantt", "60"}},
-		{"figure2_events_partition5_gantt68", []string{"-example", "figure2", "-events", "-partition", "5", "-gantt", "68"}},
-		{"avionics_none_gantt76", []string{"-example", "avionics", "-arbiter", "none", "-gantt", "76"}},
-		{"avionics_rr_gantt76", []string{"-example", "avionics", "-arbiter", "rr", "-gantt", "76"}},
-		{"avionics_tdm_gantt76", []string{"-example", "avionics", "-arbiter", "tdm", "-gantt", "76"}},
-		{"figure1_deadline10_criticality", []string{"-example", "figure1", "-deadline", "10", "-criticality"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := run(context.Background(), tc.args, &buf); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			golden := tc.golden
+			if golden == "" {
+				golden = tc.name
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := buf.String(); got != string(want) {
 				t.Errorf("miasched %s: stdout differs from testdata/%s.golden\ngot:\n%swant:\n%s",
-					strings.Join(tc.args, " "), tc.name, got, want)
+					strings.Join(tc.args, " "), golden, got, want)
 			}
 		})
+	}
+}
+
+// TestGoldenCoversOptions: every -arbiter and -algo value miasched accepts
+// has a TestGolden case, so an option cannot land without pinned output.
+func TestGoldenCoversOptions(t *testing.T) {
+	covered := map[string]bool{}
+	for _, tc := range goldenCases {
+		arb, algo := "rr", engine.Incremental // the flag defaults
+		for i := 0; i+1 < len(tc.args); i++ {
+			switch tc.args[i] {
+			case "-arbiter":
+				arb = tc.args[i+1]
+			case "-algo":
+				algo = tc.args[i+1]
+			}
+		}
+		covered["-arbiter "+arb] = true
+		covered["-algo "+algo] = true
+	}
+	var opts []string
+	for _, name := range arbiter.Known() {
+		opts = append(opts, "-arbiter "+name)
+	}
+	for _, name := range engine.Backends() {
+		opts = append(opts, "-algo "+name)
+	}
+	for _, opt := range opts {
+		if !covered[opt] {
+			t.Errorf("miasched %s has no TestGolden case", opt)
+		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		graphs  = fs.Int("graphs", 128, "compiled graph images kept for reschedule-by-hash (LRU)")
 		timeout = fs.Duration("timeout", 30*time.Second, "default per-request deadline (override per request with ?timeout_ms=)")
 		drain   = fs.Duration("drain", 15*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
-		arbName = fs.String("arbiter", "rr", `bus policy: "rr", "hier-rr", "tree-rr", "wrr", "tdm", "fp" or "none"`)
+		arbName = fs.String("arbiter", "rr", "bus policy: "+strings.Join(arbiter.Known(), ", "))
 		latency = fs.Int64("latency", 1, "bank word latency in cycles")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (loopback clients only)")
 	)

@@ -113,7 +113,7 @@ func randomGraph(seed int64) (*model.Graph, error) {
 func TestRandomGraphsInvariants(t *testing.T) {
 	arbs := []arbiter.Arbiter{
 		arbiter.NewRoundRobin(1),
-		arbiter.NewHierarchicalRR(1, 2),
+		arbiter.NewTreeRR(1, 2, 3),
 		arbiter.NewTDM(4, 2),
 		arbiter.NewFixedPriority(2),
 	}
@@ -169,8 +169,8 @@ func TestRandomGraphsSimulationSoundness(t *testing.T) {
 }
 
 // TestHierarchicalNeverWorseThanFlat: grouping competitors behind a
-// two-level tree can only reduce the analyzed interference (min(Σw, d) ≤
-// Σ min(w, d) at the top level), end-to-end through the scheduler.
+// two-level arbitration tree can only reduce the analyzed interference
+// (min(Σw, d) ≤ Σ min(w, d) at the root), end-to-end through the scheduler.
 func TestHierarchicalNeverWorseThanFlat(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := gen.NewParams(4, 8)
@@ -181,7 +181,7 @@ func TestHierarchicalNeverWorseThanFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hier, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewHierarchicalRR(1, 4)})
+		hier, err := analyze(engine.Incremental, g, sched.Options{Arbiter: arbiter.NewTreeRR(1, 4, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,7 @@
 // that claim (see the ablation benchmarks).
 package arbiter
 
-import (
-	"fmt"
-
-	"github.com/mia-rt/mia/internal/model"
-)
+import "github.com/mia-rt/mia/internal/model"
 
 // Request is the demand of one initiator on one memory bank: the initiator's
 // core and the number of accesses it performs on the bank within the
@@ -75,23 +71,6 @@ func One(a Arbiter, dst, comp Request, b model.BankID, scratch []Request) model.
 	}
 	scratch[0] = comp
 	return a.Bound(dst, scratch[:1], b)
-}
-
-// Validate sanity-checks a request set before handing it to a policy.
-// Policies themselves assume well-formed inputs.
-func Validate(dst Request, competitors []Request) error {
-	if dst.Demand < 0 {
-		return fmt.Errorf("arbiter: negative destination demand %d", dst.Demand)
-	}
-	for _, c := range competitors {
-		if c.Demand < 0 {
-			return fmt.Errorf("arbiter: negative competitor demand %d on core %d", c.Demand, c.Core)
-		}
-		if c.Core == dst.Core {
-			return fmt.Errorf("arbiter: competitor on destination core %d", c.Core)
-		}
-	}
-	return nil
 }
 
 func minAcc(a, b model.Accesses) model.Accesses {

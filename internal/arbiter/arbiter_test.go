@@ -19,8 +19,8 @@ func allArbiters() []Arbiter {
 	return []Arbiter{
 		NewRoundRobin(1),
 		NewRoundRobin(3),
-		NewHierarchicalRR(1, 2),
-		NewHierarchicalRR(2, 4),
+		NewTreeRR(1, 2, 8),
+		NewTreeRR(2, 4, 4),
 		NewTDM(16, 4),
 		NewFixedPriority(1),
 	}
@@ -72,48 +72,6 @@ func TestRoundRobinZeroCases(t *testing.T) {
 func TestNewRoundRobinClampsLatency(t *testing.T) {
 	if NewRoundRobin(0).WordLatency != 1 {
 		t.Error("latency not clamped to 1")
-	}
-}
-
-func TestHierarchicalCollapsesToFlat(t *testing.T) {
-	flat := NewRoundRobin(1)
-	hier := NewHierarchicalRR(1, 1)
-	comps := []Request{req(1, 5), req(2, 9), req(3, 2)}
-	dst := req(0, 6)
-	if f, h := flat.Bound(dst, comps, 0), hier.Bound(dst, comps, 0); f != h {
-		t.Errorf("group size 1: hier %d != flat %d", h, f)
-	}
-}
-
-func TestHierarchicalGrouping(t *testing.T) {
-	// Groups of 2: cores {0,1}, {2,3}. Destination core 0, demand 10.
-	// Core 1 (same group): min(4, 10) = 4.
-	// Cores 2 and 3 (other group, aggregated 6+7=13): min(13, 10) = 10.
-	h := NewHierarchicalRR(1, 2)
-	got := h.Bound(req(0, 10), []Request{req(1, 4), req(2, 6), req(3, 7)}, 0)
-	if got != 14 {
-		t.Fatalf("Bound = %d, want 14", got)
-	}
-}
-
-func TestHierarchicalNeverExceedsFlat(t *testing.T) {
-	// Aggregating a group can only tighten the bound:
-	// min(Σw, d) ≤ Σ min(w, d).
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dst := req(0, int64(rng.Intn(50)+1))
-		var comps []Request
-		for c := 1; c < 8; c++ {
-			if rng.Intn(2) == 0 {
-				comps = append(comps, req(c, int64(rng.Intn(50))))
-			}
-		}
-		flat := NewRoundRobin(1).Bound(dst, comps, 0)
-		hier := NewHierarchicalRR(1, 4).Bound(dst, comps, 0)
-		return hier <= flat
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -235,21 +193,6 @@ func TestAdditivityFlagMatchesBehavior(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := Validate(req(0, 5), []Request{req(1, 5)}); err != nil {
-		t.Errorf("valid request rejected: %v", err)
-	}
-	if err := Validate(req(0, -1), nil); err == nil {
-		t.Error("negative destination demand accepted")
-	}
-	if err := Validate(req(0, 1), []Request{req(1, -2)}); err == nil {
-		t.Error("negative competitor demand accepted")
-	}
-	if err := Validate(req(0, 1), []Request{req(0, 2)}); err == nil {
-		t.Error("competitor on destination core accepted")
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	for _, name := range Known() {
 		a, err := New(Spec{Policy: name, WordLatency: 1, Slots: 4, SlotLength: 1})
@@ -275,7 +218,6 @@ func TestRegistry(t *testing.T) {
 func TestNames(t *testing.T) {
 	cases := map[string]Arbiter{
 		"round-robin(L=1)":    NewRoundRobin(1),
-		"hier-rr(L=1,g=2)":    NewHierarchicalRR(1, 2),
 		"tdm(slots=4,len=2)":  NewTDM(4, 2),
 		"fixed-priority(L=1)": NewFixedPriority(1),
 	}

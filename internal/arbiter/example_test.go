@@ -24,7 +24,7 @@ func ExampleRoundRobin_Bound() {
 // ExampleTreeRR shows the MPPA-256 cluster arbitration tree: the pair
 // sibling counts individually while a whole far pair aggregates.
 func ExampleTreeRR() {
-	tree := arbiter.MPPA256Tree()
+	tree := arbiter.NewTreeRR(1, 2, 8)
 	dst := arbiter.Request{Core: 0, Demand: 10}
 	competitors := []arbiter.Request{
 		{Core: 1, Demand: 4}, // same pair as core 0

@@ -10,14 +10,15 @@ import (
 // Spec selects an arbitration policy by name with its numeric parameters; it
 // is the command-line-friendly way to construct arbiters in the cmd/ tools.
 type Spec struct {
-	// Policy is one of "rr", "hier-rr", "tdm", "fp".
+	// Policy is one of the names Known returns.
 	Policy string
 	// WordLatency is the per-access service time in cycles (default 1).
 	WordLatency int64
-	// GroupSize is the first-level group size for "hier-rr" (default 2).
+	// GroupSize is the first-level fan-in of "tree-rr" (default 2).
 	GroupSize int
-	// Slots and SlotLength configure "tdm" (defaults: cores of the target
-	// platform must be passed by the caller as Slots; SlotLength 1).
+	// Slots is the frame length of "tdm" and the root fan-in of "tree-rr"
+	// (default 8 for the tree; callers pass the platform's core count).
+	// SlotLength is the "tdm" slot length in cycles (default 1).
 	Slots      int
 	SlotLength int64
 }
@@ -26,13 +27,6 @@ type Spec struct {
 var policies = map[string]func(Spec) Arbiter{
 	"rr": func(s Spec) Arbiter {
 		return NewRoundRobin(cycles(s.WordLatency))
-	},
-	"hier-rr": func(s Spec) Arbiter {
-		g := s.GroupSize
-		if g == 0 {
-			g = 2
-		}
-		return NewHierarchicalRR(cycles(s.WordLatency), g)
 	},
 	"tdm": func(s Spec) Arbiter {
 		return NewTDM(s.Slots, cycles(s.SlotLength))
@@ -53,9 +47,6 @@ var policies = map[string]func(Spec) Arbiter{
 			slots = 8
 		}
 		return NewTreeRR(cycles(s.WordLatency), g, slots)
-	},
-	"wrr": func(s Spec) Arbiter {
-		return NewWeightedRR(cycles(s.WordLatency), nil)
 	},
 }
 

@@ -24,9 +24,10 @@ import (
 //
 //	IBUS = L · Σ_{stages s} Σ_{sibling subtrees T at s} min(W_T, d)
 //
-// A single-stage tree ([c]) degrades to flat round-robin; [g, …] with two
-// stages reproduces HierarchicalRR. Deeper trees tighten the bound further
-// because competitors merge into fewer, capped subtree terms.
+// A single-stage tree ([c]) degrades to flat round-robin; [g, n] is the
+// two-level tree of g-core groups behind one root stage. Deeper trees
+// tighten the bound further because competitors merge into fewer, capped
+// subtree terms.
 type TreeRR struct {
 	// WordLatency is the bank service time per access in cycles.
 	WordLatency model.Cycles
@@ -49,10 +50,6 @@ func NewTreeRR(wordLatency model.Cycles, levels ...int) *TreeRR {
 	}
 	return &TreeRR{WordLatency: wordLatency, Levels: cleaned}
 }
-
-// MPPA256Tree returns the 16-PE compute-cluster bank arbiter: 8 pairs of
-// processing elements behind a root round-robin stage.
-func MPPA256Tree() *TreeRR { return NewTreeRR(1, 2, 8) }
 
 // Name implements Arbiter.
 func (t *TreeRR) Name() string {

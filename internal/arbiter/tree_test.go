@@ -22,30 +22,10 @@ func TestTreeRRFlatDegenerate(t *testing.T) {
 	}
 }
 
-func TestTreeRRMatchesHierarchical(t *testing.T) {
-	// A [g, n/g] tree is exactly the two-level HierarchicalRR.
-	hier := NewHierarchicalRR(1, 2)
-	tree := NewTreeRR(1, 2, 8)
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		dst := req(rng.Intn(16), int64(rng.Intn(50)+1))
-		var comps []Request
-		for c := 0; c < 16; c++ {
-			if c != int(dst.Core) && rng.Intn(2) == 0 {
-				comps = append(comps, req(c, int64(rng.Intn(50))))
-			}
-		}
-		return hier.Bound(dst, comps, 0) == tree.Bound(dst, comps, 0)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTreeRRMPPAExample(t *testing.T) {
 	// MPPA pairing [2, 8]: dst core 0, pair sibling core 1, pair-1 cores 2
 	// and 3. Sibling charged individually; pair 1 aggregated.
-	tree := MPPA256Tree()
+	tree := NewTreeRR(1, 2, 8)
 	got := tree.Bound(req(0, 10), []Request{req(1, 4), req(2, 6), req(3, 7)}, 0)
 	// min(4,10) + min(6+7,10) = 4 + 10 = 14.
 	if got != 14 {
@@ -107,7 +87,7 @@ func TestTreeRRNeverExceedsFlat(t *testing.T) {
 }
 
 func TestTreeRRMonotone(t *testing.T) {
-	tree := MPPA256Tree()
+	tree := NewTreeRR(1, 2, 8)
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dst := req(0, int64(rng.Intn(40)+1))
@@ -127,13 +107,13 @@ func TestTreeRRMonotone(t *testing.T) {
 }
 
 func TestTreeRRName(t *testing.T) {
-	if got := MPPA256Tree().Name(); got != "tree-rr(L=1,2x8)" {
+	if got := NewTreeRR(1, 2, 8).Name(); got != "tree-rr(L=1,2x8)" {
 		t.Errorf("Name = %q", got)
 	}
 	if got := NewTreeRR(2).Name(); !strings.Contains(got, "flat") {
 		t.Errorf("Name = %q", got)
 	}
-	if MPPA256Tree().Additive() {
+	if NewTreeRR(1, 2, 8).Additive() {
 		t.Error("tree must not claim additivity")
 	}
 }

@@ -19,7 +19,9 @@ import (
 //
 //	IBUS = L · Σ_k min(w_k, ⌈d/q_dst⌉ · q_k)
 //
-// With all weights 1 this is exactly the flat round-robin bound.
+// With all weights 1 this is exactly the flat round-robin bound, which is
+// why WeightedRR is a library policy with no Spec name: a command line has
+// no way to give it per-core weights.
 type WeightedRR struct {
 	// WordLatency is the bank service time per access in cycles.
 	WordLatency model.Cycles

@@ -20,12 +20,12 @@
 // Each evaluation worker owns a warm analyzer over the shared compiled
 // image: order-only genomes load their permutation into the worker's order
 // overlay and analyze without any recompile or graph copy; structural
-// genomes (remapped or repolicied) copy the worker's base graph (built
-// once per worker from the image), write the mapping and the order CSR
-// into the copy, rebuild demands from an explicit bank table, compile the
-// copy without a second copy (engine.CompileRaw adopts it), and analyze
-// cold. Both paths are pure functions of the genome, so results never
-// depend on which worker evaluated what.
+// genomes (remapped or repolicied) get a flat form that shares the image's
+// WCET, release, local-access and edge arrays and owns only what a genome
+// changes (mapping, order CSR, bank table, demands), compiled without a
+// copy (engine.CompileRaw adopts it) and analyzed cold. Both paths are
+// pure functions of the genome, so results never depend on which worker
+// evaluated what.
 package pareto
 
 import (
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/mia-rt/mia/internal/engine"
@@ -103,11 +104,10 @@ type Result struct {
 }
 
 // worker is one evaluation slot: a warm analyzer over the shared image for
-// order-only genomes, and for structural genomes a base graph to copy plus
-// the backend that analyzes the recompiled copy cold.
+// order-only genomes, and the backend that analyzes structural genomes'
+// recompiled images cold.
 type worker struct {
 	img  *engine.Image
-	base *model.Graph // img.NewGraph(), copied once per structural evaluation
 	eng  engine.Backend
 	w    engine.Warm
 	objs []objective.Objective
@@ -146,21 +146,24 @@ func (wk *worker) eval(ctx context.Context, g *Genome) evalOut {
 		out.values = scores(wk.objs, objective.Eval{Img: wk.img, Res: res})
 		return out
 	}
-	gg := wk.base.Clone()
-	copy(gg.Core, g.Assign)
-	gg.OrderIDs = gg.OrderIDs[:0]
+	// WCET, MinRelease, Local and Edges are shared with the image, which
+	// never writes them; everything a genome changes is freshly allocated.
+	raw := wk.img.RawGraph
+	raw.Core = slices.Clone(g.Assign)
+	raw.OrderStart = make([]int32, raw.Cores+1)
+	raw.OrderIDs = make([]model.TaskID, 0, raw.NumTasks())
 	for k, ord := range g.Orders {
-		gg.OrderIDs = append(gg.OrderIDs, ord...)
-		gg.OrderStart[k+1] = int32(len(gg.OrderIDs))
+		raw.OrderIDs = append(raw.OrderIDs, ord...)
+		raw.OrderStart[k+1] = int32(len(raw.OrderIDs))
 	}
 	tab := wk.img.BankTable
 	if g.Policy != PolicyBaseline {
-		tab = g.Policy.Table(gg.Cores, gg.Banks)
+		tab = g.Policy.Table(raw.Cores, raw.Banks)
 	}
-	gg.CompileDemands(func(k model.CoreID) model.BankID { return tab[k] })
-	img, err := engine.CompileRaw(gg.Raw(), wk.img.Opts)
+	raw.CompileDemands(func(k model.CoreID) model.BankID { return tab[k] })
+	img, err := engine.CompileRaw(&raw, wk.img.Opts)
 	if err != nil {
-		return evalOut{values: infValues(len(wk.objs)), fp: gg.Fingerprint(), policy: policy}
+		return evalOut{values: infValues(len(wk.objs)), policy: policy}
 	}
 	out := evalOut{fp: img.Fingerprint(), policy: policy}
 	res, err := wk.eng.Analyze(ctx, img)
@@ -211,7 +214,7 @@ func Search(ctx context.Context, img *engine.Image, opts Options) (*Result, erro
 	eng := engine.MustNew(engine.Incremental)
 	workers := make([]*worker, jobs)
 	for i := range workers {
-		workers[i] = &worker{img: img, base: img.NewGraph(), eng: eng, w: eng.NewWarm(img), objs: objs}
+		workers[i] = &worker{img: img, eng: eng, w: eng.NewWarm(img), objs: objs}
 	}
 	evaluate := func(gs []*Genome) ([]evalOut, error) {
 		return pool.MapWith(ctx, workers, len(gs),

@@ -39,12 +39,14 @@ func defaultPolicy(cores, banks int) func(CoreID) BankID {
 //
 // The policy's results are folded modulo the graph's bank count into
 // BankTable, so any policy is safe on any platform. A core or edge
-// endpoint out of range stops the compilation; Validate reports it.
-func (g *Graph) CompileDemands(bankOf func(CoreID) BankID) {
+// endpoint out of range stops the compilation; Validate reports it. Both
+// BankTable and Demand are freshly allocated, so arrays shared with another
+// flat form are never written.
+func (r *RawGraph) CompileDemands(bankOf func(CoreID) BankID) {
 	if bankOf == nil {
 		bankOf = SharedBank
 	}
-	_ = g.compileDemands(bankOf) // an index out of range is Validate's to report
+	_ = r.compileDemands(bankOf) // an index out of range is Validate's to report
 }
 
 // compileDemands is the demand compiler behind CompileDemands, Builder and

@@ -182,7 +182,7 @@ func TestCrossValidationAgainstIncremental(t *testing.T) {
 func TestConsistentAcrossArbiters(t *testing.T) {
 	arbiters := []arbiter.Arbiter{
 		arbiter.NewRoundRobin(2),
-		arbiter.NewHierarchicalRR(1, 2),
+		arbiter.NewTreeRR(1, 2, 2),
 		arbiter.NewTDM(4, 2),
 		arbiter.NewFixedPriority(1),
 		arbiter.NewNone(),

@@ -445,7 +445,7 @@ func TestAllArbitersProduceValidSchedules(t *testing.T) {
 	arbiters := []arbiter.Arbiter{
 		arbiter.NewRoundRobin(1),
 		arbiter.NewRoundRobin(3),
-		arbiter.NewHierarchicalRR(1, 2),
+		arbiter.NewTreeRR(1, 2, 2),
 		arbiter.NewTDM(4, 2),
 		arbiter.NewFixedPriority(1),
 		arbiter.NewNone(),
