@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched/incremental -run '^$$' -fuzz FuzzScheduleInvariants -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzBatchBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzJobBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzRescheduleBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 
 # Short benchmark pass compared against the committed baseline. Warn-only by
 # design: shared runners are noisy, so regressions annotate the run instead

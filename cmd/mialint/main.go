@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mialint:", err)
 		return 2
 	}
-	diags, err := lint.RunParallel(ctx, pool.Jobs(*jobs), pkgs, analyzers)
+	diags, err := lint.Run(ctx, pool.Jobs(*jobs), pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "mialint:", err)
 		return 2

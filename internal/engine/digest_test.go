@@ -85,3 +85,35 @@ func TestCorpusDigestGolden(t *testing.T) {
 		t.Fatalf("corpus digest %s, want %s", got, corpusDigest)
 	}
 }
+
+// releaseDigest is the SHA-256 over every result TestReleaseSolverDigestGolden
+// computes, recorded while the rta bound still carried its own copy of the
+// baseline's release solver.
+const releaseDigest = "d015de21019f11f3d843b1031a2d23c1c2d1226d57bce641cb7ee8e07f9a1df0"
+
+// TestReleaseSolverDigestGolden pins the two analyses that solve the
+// release equations under frozen responses, over the whole corpus: the rta
+// bound and the fixpoint baseline, each without a deadline, then with the
+// deadline at the makespan the free run reached and at three quarters of
+// it, so the deadline checks made between rounds are pinned too.
+func TestReleaseSolverDigestGolden(t *testing.T) {
+	d := resultDigest{h: sha256.New()}
+	for ci, p := range diffCorpus() {
+		g := gen.MustLayered(p)
+		for _, name := range []string{engine.RTA, engine.Fixpoint} {
+			opts := corpusOpts(ci)
+			free, err := coldRun(name, g, opts)
+			d.add(free, err)
+			if err != nil {
+				continue
+			}
+			for _, deadline := range []model.Cycles{free.Makespan, free.Makespan * 3 / 4} {
+				opts.Deadline = deadline
+				d.add(coldRun(name, g, opts))
+			}
+		}
+	}
+	if got := hex.EncodeToString(d.h.Sum(nil)); got != releaseDigest {
+		t.Fatalf("release solver digest %s, want %s", got, releaseDigest)
+	}
+}

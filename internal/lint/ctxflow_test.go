@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/lint"
@@ -8,5 +9,5 @@ import (
 )
 
 func TestCtxFlow(t *testing.T) {
-	linttest.Run(t, "testdata/ctxflow", []*lint.Analyzer{lint.CtxFlow})
+	linttest.Run(context.Background(), t, "testdata/ctxflow", []*lint.Analyzer{lint.CtxFlow})
 }

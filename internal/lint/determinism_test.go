@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/lint"
@@ -8,5 +9,5 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	linttest.Run(t, "testdata/determ", []*lint.Analyzer{lint.Determinism})
+	linttest.Run(context.Background(), t, "testdata/determ", []*lint.Analyzer{lint.Determinism})
 }

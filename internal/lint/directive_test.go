@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/lint"
@@ -13,5 +14,5 @@ import (
 // Determinism is passed as the known analyzer so that the valid-but-unused
 // directive in the fixture counts as stale.
 func TestDirectives(t *testing.T) {
-	linttest.Run(t, "testdata/directives", []*lint.Analyzer{lint.Determinism})
+	linttest.Run(context.Background(), t, "testdata/directives", []*lint.Analyzer{lint.Determinism})
 }

@@ -1,5 +1,5 @@
 // Package lint is the repository's domain-specific static-analysis suite:
-// four analyzers that mechanically enforce the invariants the differential
+// seven analyzers that mechanically enforce the invariants the differential
 // and AllocsPerRun test suites can only observe after a regression has
 // landed. Each analyzer guards one load-bearing property of the
 // reproduction:
@@ -28,6 +28,20 @@
 //     MaxInput-checked validation helpers risks int64 overflow and is
 //     flagged, extending the 2^40 input bound from validation time to
 //     review time.
+//
+//   - locksafe, handlerflow and goroleak: the serving tier's concurrency
+//     contracts (a lock released on every return path and never held
+//     while blocking, exactly one response status per handler path, every
+//     goroutine visibly joined), made interprocedural by the module call
+//     graph (callgraph.go).
+//
+// locksafe and handlerflow are two sets of hooks over one path-sensitive
+// statement walker, flowWalker (flow.go). Where Go evaluates an expression,
+// the walker hands it to both: an assignment's left-hand sides after its
+// right-hand sides, a type switch's assign statement before its clauses,
+// and each case clause's expressions on that clause's arm before its body.
+// Run analyzes packages on a pool.Map of any size; the output is the same
+// bytes at every job count.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, a go-list-driven loader) but is built purely on the standard

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/lint"
@@ -8,5 +9,5 @@ import (
 )
 
 func TestGoRoLeak(t *testing.T) {
-	linttest.Run(t, "testdata/goroleak", []*lint.Analyzer{lint.GoRoLeak})
+	linttest.Run(context.Background(), t, "testdata/goroleak", []*lint.Analyzer{lint.GoRoLeak})
 }

@@ -16,8 +16,8 @@ var handlerFlowScopes = []string{"internal/server", "internal/shard"}
 // exactly one response status on every path. Zero writes leave the client
 // with net/http's silent implicit 200 on an empty body; two writes surface
 // only as a runtime "superfluous WriteHeader" log line after the wrong
-// status already left the socket. The analysis counts status commits as an
-// interval [lo, hi] per path — WriteHeader and the net/http reply helpers
+// status already left the socket. The analysis (flowWalker, flow.go) counts
+// status commits as an interval [lo, hi] per path — WriteHeader and the net/http reply helpers
 // (Error, NotFound, Redirect, ServeFile, ServeContent) commit explicitly, a
 // first body write commits an implicit 200 — and follows calls into module
 // helpers and local closures via memoized summaries, so the funnel pattern
@@ -53,7 +53,7 @@ func runHandlerFlow(p *Pass) error {
 				continue
 			}
 			if isHandlerSig(p.Pkg.Info, fd.Type) {
-				c.checkHandler(p.Pkg, fd.Body)
+				c.walk(p.Pkg, fd.Body, true)
 				continue
 			}
 			// Handler literals registered inline: mux.HandleFunc("/x",
@@ -61,7 +61,7 @@ func runHandlerFlow(p *Pass) error {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				lit, ok := n.(*ast.FuncLit)
 				if ok && isHandlerSig(p.Pkg.Info, lit.Type) {
-					c.checkHandler(p.Pkg, lit.Body)
+					c.walk(p.Pkg, lit.Body, true)
 					return false
 				}
 				return true
@@ -113,26 +113,16 @@ func isNetHTTPNamed(t types.Type, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == name
 }
 
-// hfSummary is the status-commit interval of one function: across all its
-// exit paths, it commits at least lo and at most hi statuses to the response
-// writers it can reach.
+// hfSummary is a status-commit interval [lo, hi], capped at 2 (past two,
+// more writes add no information). On a path it counts the statuses
+// certainly and possibly committed so far; as a function's summary, across
+// all its exit paths.
 type hfSummary struct{ lo, hi int }
 
 type hfChecker struct {
 	pass       *Pass
 	summaries  map[*types.Func]hfSummary
 	inProgress map[*types.Func]bool
-}
-
-// checkHandler runs the interval walk over one handler body with reporting
-// on.
-func (c *hfChecker) checkHandler(pkg *Package, body *ast.BlockStmt) {
-	w := &hfWalker{c: c, pkg: pkg, report: true, locals: map[types.Object]*ast.FuncLit{}}
-	w.bindLocalClosures(body)
-	st := &hfState{}
-	if terminated := w.walkStmts(body.List, st); !terminated {
-		w.exit(body.Rbrace, st)
-	}
 }
 
 // summarize computes (memoized, cycle-safe) the commit interval of a module
@@ -150,42 +140,26 @@ func (c *hfChecker) summarize(fn *types.Func) hfSummary {
 		return hfSummary{}
 	}
 	c.inProgress[fn] = true
-	w := &hfWalker{c: c, pkg: node.Pkg, locals: map[types.Object]*ast.FuncLit{}}
-	sm := w.run(node.Decl.Body)
+	sm := c.walk(node.Pkg, node.Decl.Body, false)
 	delete(c.inProgress, fn)
 	c.summaries[fn] = sm
 	return sm
 }
 
-// summarizeLit computes the commit interval of a local closure body.
-func (c *hfChecker) summarizeLit(pkg *Package, lit *ast.FuncLit) hfSummary {
-	w := &hfWalker{c: c, pkg: pkg, locals: map[types.Object]*ast.FuncLit{}}
-	return w.run(lit.Body)
-}
-
-// hfState is the per-path interval of committed statuses, capped at 2 (past
-// two, more writes add no information).
-type hfState struct{ lo, hi int }
-
-func cap2(n int) int {
-	if n > 2 {
-		return 2
+// walk interprets one function body and returns the join of its exit
+// intervals ({0,0} when no path leaves it). With report set, the body is a
+// handler's and its violations are reported.
+func (c *hfChecker) walk(pkg *Package, body *ast.BlockStmt, report bool) hfSummary {
+	w := &hfWalker{c: c, pkg: pkg, report: report, locals: map[types.Object]*ast.FuncLit{}}
+	w.bindLocalClosures(body)
+	flow := flowWalker[*hfSummary]{info: pkg.Info, hooks: w}
+	if st, ended := flow.stmts(body.List, &hfSummary{}); !ended {
+		w.exit(body.Rbrace, st)
 	}
-	return n
-}
-
-func (s *hfState) clone() *hfState { c := *s; return &c }
-
-func mergeHF(a, b *hfState) *hfState {
-	lo := a.lo
-	if b.lo < lo {
-		lo = b.lo
+	if w.out == nil {
+		return hfSummary{}
 	}
-	hi := a.hi
-	if b.hi > hi {
-		hi = b.hi
-	}
-	return &hfState{lo: lo, hi: hi}
+	return *w.out
 }
 
 type hfWalker struct {
@@ -193,29 +167,7 @@ type hfWalker struct {
 	pkg    *Package
 	report bool
 	locals map[types.Object]*ast.FuncLit
-	exits  []hfState
-}
-
-// run walks a body reporting nothing and returns its merged exit interval.
-func (w *hfWalker) run(body *ast.BlockStmt) hfSummary {
-	w.bindLocalClosures(body)
-	st := &hfState{}
-	if terminated := w.walkStmts(body.List, st); !terminated {
-		w.exits = append(w.exits, *st)
-	}
-	if len(w.exits) == 0 {
-		return hfSummary{}
-	}
-	sm := hfSummary{lo: w.exits[0].lo, hi: w.exits[0].hi}
-	for _, e := range w.exits[1:] {
-		if e.lo < sm.lo {
-			sm.lo = e.lo
-		}
-		if e.hi > sm.hi {
-			sm.hi = e.hi
-		}
-	}
-	return sm
+	out    *hfSummary // join of the exits seen so far
 }
 
 // bindLocalClosures records `name := func(...) {...}` bindings so calls of
@@ -246,179 +198,42 @@ func (w *hfWalker) bindLocalClosures(body *ast.BlockStmt) {
 	})
 }
 
-// exit records a path leaving the handler and reports the zero-status case.
-func (w *hfWalker) exit(pos token.Pos, st *hfState) {
-	w.exits = append(w.exits, *st)
+func (w *hfWalker) clone(st *hfSummary) *hfSummary { c := *st; return &c }
+
+func (w *hfWalker) join(a, b *hfSummary) *hfSummary {
+	return &hfSummary{lo: min(a.lo, b.lo), hi: max(a.hi, b.hi)}
+}
+
+// exit records a path leaving the function and reports a handler path
+// that wrote no status.
+func (w *hfWalker) exit(pos token.Pos, st *hfSummary) {
+	if w.out == nil {
+		w.out = w.clone(st)
+	} else {
+		w.out = w.join(w.out, st)
+	}
 	if w.report && st.hi == 0 {
 		w.c.pass.Reportf(pos, "handler path writes no response status; every path must reply exactly once")
 	}
 }
 
-func (w *hfWalker) walkStmts(stmts []ast.Stmt, st *hfState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
-		}
+// deferred models a deferred reply as an immediate commit: it runs on every
+// path from here on, so the funnel `defer writeReply(...)` is seen.
+func (w *hfWalker) deferred(call *ast.CallExpr, st *hfSummary) {
+	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
+	if !ok {
+		w.expr(call, st)
+		return
 	}
-	return false
+	if sm := w.c.walk(w.pkg, lit.Body, false); sm.lo > 0 || sm.hi > 0 {
+		w.commit(call.Pos(), "deferred closure", sm, st)
+	}
 }
 
-func (w *hfWalker) walkStmt(s ast.Stmt, st *hfState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, st)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, st)
-		w.scanExpr(s.Value, st)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, st)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, st)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e, st)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred reply runs on every path from here on; model it as an
-		// immediate commit so the funnel `defer writeReply(...)` is seen.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			sm := w.c.summarizeLit(w.pkg, lit)
-			if sm.lo > 0 || sm.hi > 0 {
-				w.commit(s.Call.Pos(), "deferred closure", sm, st)
-			}
-		} else {
-			w.scanExpr(s.Call, st)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, st)
-		}
-		w.exit(s.Pos(), st)
-		return true
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		then := st.clone()
-		thenTerm := w.walkStmts(s.Body.List, then)
-		els := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, els)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*st = *els
-		case elseTerm:
-			*st = *then
-		default:
-			*st = *mergeHF(then, els)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-		*st = *mergeHF(st, body)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, st)
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-		*st = *mergeHF(st, body)
-	case *ast.SelectStmt:
-		w.mergeBranches(st, commClauseBodies(s.Body.List), false)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Tag, st)
-		bodies, hasDefault := caseClauseBodies(s.Body.List)
-		w.mergeBranches(st, bodies, !hasDefault)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		bodies, hasDefault := caseClauseBodies(s.Body.List)
-		w.mergeBranches(st, bodies, !hasDefault)
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, st)
-		}
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.BranchStmt:
-		return true
-	}
-	return false
-}
+// blocking is a no-op: a status write has nothing to do with blocking.
+func (w *hfWalker) blocking(token.Pos, string, *hfSummary) {}
 
-func commClauseBodies(clauses []ast.Stmt) [][]ast.Stmt {
-	var bodies [][]ast.Stmt
-	for _, c := range clauses {
-		if cc, ok := c.(*ast.CommClause); ok {
-			bodies = append(bodies, cc.Body)
-		}
-	}
-	return bodies
-}
-
-func caseClauseBodies(clauses []ast.Stmt) (bodies [][]ast.Stmt, hasDefault bool) {
-	for _, c := range clauses {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			bodies = append(bodies, cc.Body)
-			if cc.List == nil {
-				hasDefault = true
-			}
-		}
-	}
-	return bodies, hasDefault
-}
-
-// mergeBranches clones the state per branch and joins the survivors;
-// fallThrough adds the entry state as one more arm (a switch with no
-// default).
-func (w *hfWalker) mergeBranches(st *hfState, bodies [][]ast.Stmt, fallThrough bool) {
-	var merged *hfState
-	if fallThrough {
-		merged = st.clone()
-	}
-	for _, b := range bodies {
-		bst := st.clone()
-		if w.walkStmts(b, bst) {
-			continue
-		}
-		if merged == nil {
-			merged = bst
-		} else {
-			merged = mergeHF(merged, bst)
-		}
-	}
-	if merged != nil {
-		*st = *merged
-	}
-	// merged == nil: every branch returned; keep the entry state for the
-	// unreachable-in-practice fall-through.
-}
-
-func (w *hfWalker) scanExpr(e ast.Expr, st *hfState) {
+func (w *hfWalker) expr(e ast.Expr, st *hfSummary) {
 	if e == nil {
 		return
 	}
@@ -439,7 +254,7 @@ var statusCommitters = map[string]bool{
 	"ServeFile": true, "ServeContent": true,
 }
 
-func (w *hfWalker) handleCall(call *ast.CallExpr, st *hfState) {
+func (w *hfWalker) handleCall(call *ast.CallExpr, st *hfSummary) {
 	info := w.pkg.Info
 	// Direct methods on a ResponseWriter-typed expression (a param or a
 	// struct field holding the writer).
@@ -459,7 +274,7 @@ func (w *hfWalker) handleCall(call *ast.CallExpr, st *hfState) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if obj := info.Uses[id]; obj != nil {
 			if lit, ok := w.locals[obj]; ok {
-				sm := w.c.summarizeLit(w.pkg, lit)
+				sm := w.c.walk(w.pkg, lit.Body, false)
 				w.commit(call.Pos(), id.Name, sm, st)
 				return
 			}
@@ -501,20 +316,15 @@ func (w *hfWalker) handleCall(call *ast.CallExpr, st *hfState) {
 
 // commit applies a definite-or-possible status write and reports the
 // definite-second-write case.
-func (w *hfWalker) commit(pos token.Pos, what string, sm hfSummary, st *hfState) {
+func (w *hfWalker) commit(pos token.Pos, what string, sm hfSummary, st *hfSummary) {
 	if w.report && sm.lo > 0 && st.lo > 0 {
 		w.c.pass.Reportf(pos, "%s writes a second response status on this path; the handler already replied", what)
 	}
-	st.lo = cap2(st.lo + sm.lo)
-	st.hi = cap2(st.hi + sm.hi)
+	st.lo = min(st.lo+sm.lo, 2)
+	st.hi = min(st.hi+sm.hi, 2)
 }
 
 // bodyWrite commits the implicit 200 when nothing was written yet.
-func (w *hfWalker) bodyWrite(st *hfState) {
-	if st.lo < 1 {
-		st.lo = 1
-	}
-	if st.hi < 1 {
-		st.hi = 1
-	}
+func (w *hfWalker) bodyWrite(st *hfSummary) {
+	st.lo, st.hi = max(st.lo, 1), max(st.hi, 1)
 }

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mia-rt/mia/internal/lint"
@@ -8,5 +9,5 @@ import (
 )
 
 func TestHandlerFlow(t *testing.T) {
-	linttest.Run(t, "testdata/handlerflow", []*lint.Analyzer{lint.HandlerFlow})
+	linttest.Run(context.Background(), t, "testdata/handlerflow", []*lint.Analyzer{lint.HandlerFlow})
 }

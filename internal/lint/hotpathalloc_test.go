@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, "testdata/hotpath", []*lint.Analyzer{lint.HotPathAlloc})
+	linttest.Run(context.Background(), t, "testdata/hotpath", []*lint.Analyzer{lint.HotPathAlloc})
 }
 
 // TestTransitiveHotPathReportsFullPath pins the exact shape of the
@@ -28,7 +29,7 @@ func TestTransitiveHotPathReportsFullPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading hotpath fixture: %v", err)
 	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.HotPathAlloc})
+	diags, err := lint.Run(context.Background(), 1, pkgs, []*lint.Analyzer{lint.HotPathAlloc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,10 +88,10 @@ func (ig *ignoreDirective) covers(analyzer string, pos token.Position) bool {
 }
 
 // directiveTable holds every package's parsed ignore directives for one run.
-// The mutex makes the used-marking safe under the parallel driver; marking is
-// idempotent and every package is always analyzed, so the final used set —
-// and therefore the stale-directive diagnostics — is identical at any job
-// count.
+// The mutex makes the used-marking safe when Run analyzes packages in
+// parallel; marking is idempotent and every package is always analyzed, so
+// the final used set — and therefore the stale-directive diagnostics — is
+// identical at any job count.
 type directiveTable struct {
 	mu     sync.Mutex
 	byFile map[string][]*ignoreDirective
@@ -184,30 +184,15 @@ func parseIgnores(pkg *Package, known map[string]bool) (igs []*ignoreDirective, 
 	return igs, malformed
 }
 
-// Run applies every analyzer to every package sequentially and returns the
-// surviving diagnostics sorted by position. Unused //mialint:ignore
-// directives are reported too: a suppression that no longer suppresses
-// anything is stale documentation and must be deleted rather than accumulate.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	run := newRunState(pkgs, analyzers)
-	perPkg := make([][]Diagnostic, len(pkgs))
-	for i := range pkgs {
-		diags, err := run.analyzePackage(i)
-		if err != nil {
-			return nil, err
-		}
-		perPkg[i] = diags
-	}
-	return run.finish(perPkg), nil
-}
-
-// RunParallel is Run with per-package analysis fanned out over a worker pool
-// (jobs <= 1 degrades to the sequential loop inside pool.Map). Output is
-// byte-identical at any job count: packages are analyzed independently, the
-// per-package diagnostic slices are merged in package order, and the final
-// sort imposes a total order — worker scheduling can reorder nothing the
-// caller can observe.
-func RunParallel(ctx context.Context, jobs int, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run applies every analyzer to every package and returns the surviving
+// diagnostics sorted by position. Packages are analyzed on up to jobs
+// workers (pool.Map; jobs <= 1 is its plain sequential loop), and the output
+// is byte-identical at any job count: packages are analyzed independently,
+// the per-package diagnostic slices are merged in package order, and the
+// final sort imposes a total order. Unused //mialint:ignore directives are
+// reported too: a suppression that no longer suppresses anything is stale
+// documentation and must be deleted rather than accumulate.
+func Run(ctx context.Context, jobs int, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	run := newRunState(pkgs, analyzers)
 	perPkg, err := pool.Map(ctx, jobs, len(pkgs), func(_ context.Context, i int) ([]Diagnostic, error) {
 		return run.analyzePackage(i)

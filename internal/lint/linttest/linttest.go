@@ -14,6 +14,7 @@ package linttest
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,9 +39,10 @@ type expectation struct {
 	matched  bool
 }
 
-// Run loads the fixture module at dir, applies the analyzers, and compares
-// the resulting diagnostics against the fixture's // want expectations.
-func Run(t *testing.T, dir string, analyzers []*lint.Analyzer) {
+// Run loads the fixture module at dir, applies the analyzers on one worker,
+// and compares the resulting diagnostics against the fixture's // want
+// expectations.
+func Run(ctx context.Context, t *testing.T, dir string, analyzers []*lint.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -54,7 +56,7 @@ func Run(t *testing.T, dir string, analyzers []*lint.Analyzer) {
 	if err != nil {
 		t.Fatalf("linttest: loading fixture %s: %v", dir, err)
 	}
-	diags, err := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run(ctx, 1, pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("linttest: running analyzers on %s: %v", dir, err)
 	}

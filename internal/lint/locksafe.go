@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -20,7 +21,7 @@ import (
 //     while any lock is held: the serving tier's tail latency budget does
 //     not include waiting on a channel inside a critical section.
 //
-// The interpretation is path-sensitive-lite: branches are analyzed with
+// The interpretation is flowWalker's (flow.go): branches are analyzed with
 // cloned states and merged by taking the minimum held count, so a lock
 // acquired only on one arm does not leak a false "still held" into the
 // join. A function that locks and never unlocks anywhere (a lock-helper
@@ -57,17 +58,6 @@ func newLockState() *lockState {
 	return &lockState{held: map[string]int{}, deferred: map[string]int{}}
 }
 
-func (s *lockState) clone() *lockState {
-	c := newLockState()
-	for k, v := range s.held {
-		c.held[k] = v
-	}
-	for k, v := range s.deferred {
-		c.deferred[k] = v
-	}
-	return c
-}
-
 // anyHeld returns the lexicographically first held key, so blocking-while-
 // locked diagnostics are deterministic when several locks are held.
 func (s *lockState) anyHeld() (string, bool) {
@@ -82,31 +72,6 @@ func (s *lockState) anyHeld() (string, bool) {
 	}
 	sort.Strings(keys)
 	return keys[0], true
-}
-
-// mergeMin joins two branch states by minimum held count: a lock held on
-// only one arm is treated as released at the join, which stays quiet on
-// correlated-condition code at the cost of missing some conditional leaks
-// (those still surface at returns *inside* the holding arm).
-func mergeMin(a, b *lockState) *lockState {
-	m := newLockState()
-	for k, v := range a.held {
-		if bv := b.held[k]; bv < v {
-			v = bv
-		}
-		if v > 0 {
-			m.held[k] = v
-		}
-	}
-	for k, v := range a.deferred {
-		if bv := b.deferred[k]; bv < v {
-			v = bv
-		}
-		if v > 0 {
-			m.deferred[k] = v
-		}
-	}
-	return m
 }
 
 // lockWalker carries one function's analysis.
@@ -134,197 +99,44 @@ func checkLockSafe(p *Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
-	st := newLockState()
-	if terminated := w.walkStmts(fd.Body.List, st); !terminated {
+	flow := flowWalker[*lockState]{info: w.info, hooks: w}
+	if st, ended := flow.stmts(fd.Body.List, newLockState()); !ended {
 		w.checkRelease(fd.Body.Rbrace, st, "when the function returns")
 	}
 }
 
-// walkStmts interprets a statement list, returning true when the path
-// terminates (return / branch out) before the end of the list.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, st *lockState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
+func (w *lockWalker) clone(st *lockState) *lockState {
+	return &lockState{held: maps.Clone(st.held), deferred: maps.Clone(st.deferred)}
 }
 
-func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, st)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, st)
-		w.scanExpr(s.Value, st)
-		w.blocking(s.Arrow, "channel send", st)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, st)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, st)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, st)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.scanExpr(e, st)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		w.deferRelease(s.Call, st)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, st)
-		}
-		w.checkRelease(s.Pos(), st, "on this return path")
-		return true
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		then := st.clone()
-		thenTerm := w.walkStmts(s.Body.List, then)
-		els := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, els)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*st = *els
-		case elseTerm:
-			*st = *then
-		default:
-			*st = *mergeMin(then, els)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-		*st = *mergeMin(st, body) // the loop may run zero times
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, st)
-		if t := w.info.TypeOf(s.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				w.blocking(s.Range, "range over a channel", st)
-			}
-		}
-		body := st.clone()
-		w.walkStmts(s.Body.List, body)
-		*st = *mergeMin(st, body)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.blocking(s.Select, "blocking select", st)
-		}
-		w.mergeClauses(s.Body.List, st, func(c ast.Stmt, cst *lockState) ([]ast.Stmt, bool) {
-			// The comm operation's blocking behavior is the select's, already
-			// accounted above — interpreting it again would double-report.
-			return c.(*ast.CommClause).Body, false
-		})
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Tag, st)
-		w.mergeCaseClauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.walkStmt(s.Assign, st)
-		w.mergeCaseClauses(s.Body.List, st)
-	case *ast.GoStmt:
-		// Argument expressions evaluate on this goroutine; the spawned body
-		// does not affect this path's lock state (goroleak owns it).
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, st)
-		}
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear path; treat as terminating so
-		// the states they carry never reach a misleading join.
-		return true
-	}
-	return false
+// join merges two paths by minimum held count: a lock held on only one
+// arm is treated as released at the join, which stays quiet on
+// correlated-condition code at the cost of missing some conditional leaks
+// (those still surface at returns *inside* the holding arm).
+func (w *lockWalker) join(a, b *lockState) *lockState {
+	return &lockState{held: minCounts(a.held, b.held), deferred: minCounts(a.deferred, b.deferred)}
 }
 
-// mergeClauses interprets each clause with a cloned state and joins the
-// survivors by min; all-terminating clause sets terminate the statement.
-func (w *lockWalker) mergeClauses(clauses []ast.Stmt, st *lockState, body func(ast.Stmt, *lockState) ([]ast.Stmt, bool)) bool {
-	var merged *lockState
-	for _, c := range clauses {
-		cst := st.clone()
-		stmts, term := body(c, cst)
-		if !term {
-			term = w.walkStmts(stmts, cst)
-		}
-		if term {
-			continue
-		}
-		if merged == nil {
-			merged = cst
-		} else {
-			merged = mergeMin(merged, cst)
+// minCounts keeps the keys counted above zero in both a and b, at the
+// smaller count.
+func minCounts(a, b map[string]int) map[string]int {
+	m := map[string]int{}
+	for k, v := range a {
+		if v = min(v, b[k]); v > 0 {
+			m[k] = v
 		}
 	}
-	if merged == nil {
-		return false // keep entry state: e.g. a select whose cases all return
-	}
-	*st = *merged
-	return false
+	return m
 }
 
-func (w *lockWalker) mergeCaseClauses(clauses []ast.Stmt, st *lockState) {
-	hasDefault := false
-	for _, c := range clauses {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			hasDefault = true
-		}
-	}
-	entry := st.clone()
-	w.mergeClauses(clauses, st, func(c ast.Stmt, cst *lockState) ([]ast.Stmt, bool) {
-		cc := c.(*ast.CaseClause)
-		for _, e := range cc.List {
-			w.scanExpr(e, cst)
-		}
-		return cc.Body, false
-	})
-	if !hasDefault {
-		// No case may match: the fall-through path keeps the entry state.
-		*st = *mergeMin(st, entry)
-	}
+func (w *lockWalker) exit(pos token.Pos, st *lockState) {
+	w.checkRelease(pos, st, "on this return path")
 }
 
-// scanExpr inspects an expression in evaluation context: lock operations,
+// expr inspects an expression in evaluation context: lock operations,
 // channel receives, and blocking calls. Function literal bodies are skipped —
 // they execute later, on their own path.
-func (w *lockWalker) scanExpr(e ast.Expr, st *lockState) {
+func (w *lockWalker) expr(e ast.Expr, st *lockState) {
 	if e == nil {
 		return
 	}
@@ -375,9 +187,9 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, st *lockState) {
 	}
 }
 
-// deferRelease accounts defer-scheduled unlocks: `defer mu.Unlock()` and the
+// deferred accounts defer-scheduled unlocks: `defer mu.Unlock()` and the
 // `defer func() { ...; mu.Unlock() }()` wrapper form.
-func (w *lockWalker) deferRelease(call *ast.CallExpr, st *lockState) {
+func (w *lockWalker) deferred(call *ast.CallExpr, st *lockState) {
 	if key, op, ok := w.mutexOp(call); ok && (op == "Unlock" || op == "RUnlock") {
 		if op == "RUnlock" {
 			key += " (read)"

@@ -20,10 +20,12 @@ func render(diags []lint.Diagnostic) string {
 }
 
 // TestRunParallelByteIdentical pins the acceptance criterion that mialint's
-// diagnostic stream is byte-identical at any worker count: the sequential
-// Run and RunParallel at several job counts must render the same bytes over
-// a multi-package fixture that actually produces diagnostics.
+// diagnostic stream is byte-identical at any worker count: Run on one
+// worker (pool.Map's plain sequential loop) and Run at several job counts
+// must render the same bytes over a multi-package fixture that actually
+// produces diagnostics.
 func TestRunParallelByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	pkgs, err := lint.Load("testdata/hotpath", "./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -31,21 +33,21 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	if len(pkgs) < 2 {
 		t.Fatalf("fixture loaded %d packages, need at least 2 for a meaningful parallel run", len(pkgs))
 	}
-	seq, err := lint.Run(pkgs, lint.All())
+	seq, err := lint.Run(ctx, 1, pkgs, lint.All())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Run(jobs=1): %v", err)
 	}
 	if len(seq) == 0 {
 		t.Fatal("fixture produced no diagnostics; the identity check would be vacuous")
 	}
 	want := render(seq)
-	for _, jobs := range []int{1, 2, 4, 8} {
-		par, err := lint.RunParallel(context.Background(), jobs, pkgs, lint.All())
+	for _, jobs := range []int{2, 4, 8} {
+		par, err := lint.Run(ctx, jobs, pkgs, lint.All())
 		if err != nil {
-			t.Fatalf("RunParallel(jobs=%d): %v", jobs, err)
+			t.Fatalf("Run(jobs=%d): %v", jobs, err)
 		}
 		if got := render(par); got != want {
-			t.Errorf("RunParallel(jobs=%d) output differs from sequential Run:\n--- sequential\n%s\n--- jobs=%d\n%s", jobs, want, jobs, got)
+			t.Errorf("Run(jobs=%d) output differs from jobs=1:\n--- jobs=1\n%s\n--- jobs=%d\n%s", jobs, want, jobs, got)
 		}
 	}
 }

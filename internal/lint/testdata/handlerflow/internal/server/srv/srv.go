@@ -51,6 +51,30 @@ func handleDoubleFunnel(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusOK, "again") // want handlerflow:"srv\\.reply writes a second response status"
 }
 
+// commitStatus writes code and returns it, so a status can be committed
+// from inside an expression.
+func commitStatus(w http.ResponseWriter, code int) int {
+	w.WriteHeader(code)
+	return code
+}
+
+// handleCaseStatus writes its second status from a case expression, which
+// runs before the clause body does.
+func handleCaseStatus(w http.ResponseWriter, r *http.Request) {
+	w.WriteHeader(http.StatusOK)
+	switch {
+	case commitStatus(w, http.StatusTeapot) > 0: // want handlerflow:"srv\\.commitStatus writes a second response status"
+	}
+}
+
+// handleIndexStatus writes its second status from an index expression on
+// an assignment's left side.
+func handleIndexStatus(w http.ResponseWriter, r *http.Request) {
+	sent := map[int]bool{}
+	w.WriteHeader(http.StatusOK)
+	sent[commitStatus(w, http.StatusTeapot)] = true // want handlerflow:"srv\\.commitStatus writes a second response status"
+}
+
 // handleError mixes the stdlib reply helpers with the funnel: clean.
 func handleError(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/missing" {

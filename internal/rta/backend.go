@@ -25,6 +25,7 @@ import (
 	"github.com/mia-rt/mia/internal/engine"
 	"github.com/mia-rt/mia/internal/model"
 	"github.com/mia-rt/mia/internal/sched"
+	"github.com/mia-rt/mia/internal/sched/fixpoint"
 )
 
 // Algorithm is the name recorded in results produced by this backend.
@@ -123,54 +124,11 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 		res.Response[i] = img.WCET[i] + inter
 	}
 
-	// Same-core predecessor table from the order overlay, then the release
-	// fixed point (Jacobi from the minimal releases, like the baseline's
-	// release pass) under the frozen responses.
-	pred := make([]model.TaskID, n)
-	for i := range pred {
-		pred[i] = model.NoTask
-	}
-	for k := 0; k < img.Cores; k++ {
-		order := ord.Order(model.CoreID(k))
-		for pos := 1; pos < len(order); pos++ {
-			pred[order[pos]] = order[pos-1]
-		}
-	}
-	rel := res.Release
-	copy(rel, img.MinRelease)
-	next := make([]model.Cycles, n)
-	rounds := 0
-	for {
-		rounds++
-		if rounds > n+2 {
-			return nil, sched.Deadlock(horizon(rel, res.Response), model.NoTask)
-		}
-		changed := false
-		for i := 0; i < n; i++ {
-			id := model.TaskID(i)
-			want := img.MinRelease[i]
-			for _, p := range img.Preds(id) {
-				if f := rel[p] + res.Response[p]; f > want {
-					want = f
-				}
-			}
-			if p := pred[id]; p != model.NoTask {
-				if f := rel[p] + res.Response[p]; f > want {
-					want = f
-				}
-			}
-			next[i] = want
-			if want != rel[i] {
-				changed = true
-			}
-		}
-		copy(rel, next)
-		if !changed {
-			break
-		}
-		if h := horizon(rel, res.Response); h > deadline {
-			return nil, sched.DeadlineExceeded(h)
-		}
+	// The release fixed point under the frozen responses, by the baseline's
+	// own solver.
+	rounds, err := fixpoint.NewReleaseSolver(img, ord).Solve(res.Response, res.Release, deadline)
+	if err != nil {
+		return nil, err
 	}
 	res.Iterations = rounds
 
@@ -179,16 +137,4 @@ func analyzeImage(ctx context.Context, img *engine.Image, ord *engine.Orders) (*
 		return nil, sched.DeadlineExceeded(res.Makespan)
 	}
 	return res, nil
-}
-
-// horizon is the latest finish date implied by the given releases and
-// responses.
-func horizon(rel, resp []model.Cycles) model.Cycles {
-	var h model.Cycles
-	for i := range rel {
-		if f := rel[i] + resp[i]; f > h {
-			h = f
-		}
-	}
-	return h
 }

@@ -19,11 +19,15 @@
 //     iterating (Jacobi, from the minimal release dates up) until stable
 //     under the frozen response times.
 //
-// Iteration starts from the interference-free schedule and repeats the pair
-// of fixed points until neither changes anything. Every interference round
-// rescans all O(n²) task pairs, each inner fixed point may need O(n)
-// rounds, and the outer alternation repeats them again: the O(n⁴) behaviour
-// the paper measures on this baseline.
+// Iteration starts with every release date at zero and every response time
+// at its WCET, and repeats the pair of fixed points until neither changes
+// anything. A first release pass under zero interference runs before the
+// loop, but only to screen for deadlock and the deadline: its dates are
+// not kept, so the first interference round sees every window start at
+// zero, and the first release pass inside the loop sets the dates. Every
+// interference round rescans all O(n²) task pairs, each inner fixed point
+// may need O(n) rounds, and the outer alternation repeats them again: the
+// O(n⁴) behaviour the paper measures on this baseline.
 //
 // Precision: the analysis equations (earliest releases + window-overlap
 // interference) admit several consistent solutions. The incremental
@@ -66,18 +70,7 @@ func analyze(ctx context.Context, img *engine.Image, ord *engine.Orders) (*sched
 	n := img.NumTasks
 	deadline := img.Opts.Deadline
 	res := sched.NewResult(Algorithm, n, img.Banks)
-
-	// Same-core predecessor table from the per-core execution orders.
-	pred := make([]model.TaskID, n)
-	for i := range pred {
-		pred[i] = model.NoTask
-	}
-	for k := 0; k < img.Cores; k++ {
-		order := ord.Order(model.CoreID(k))
-		for pos := 1; pos < len(order); pos++ {
-			pred[order[pos]] = order[pos-1]
-		}
-	}
+	releases := NewReleaseSolver(img, ord)
 
 	rel := res.Release
 	resp := res.Response
@@ -89,8 +82,10 @@ func analyze(ctx context.Context, img *engine.Image, ord *engine.Orders) (*sched
 	newInter := make([]model.Cycles, n)
 	w := newWindower(img)
 
-	// Initial schedule: releases under zero interference.
-	if err := releasePass(img, pred, resp, rel, newRel, deadline); err != nil {
+	// Screen the interference-free schedule for deadlock and the deadline.
+	// Its dates go to the scratch newRel and are not kept: the first
+	// interference round runs with rel all zero.
+	if _, err := releases.Solve(resp, newRel, deadline); err != nil {
 		return nil, err
 	}
 
@@ -146,8 +141,7 @@ func analyze(ctx context.Context, img *engine.Image, ord *engine.Orders) (*sched
 
 		// Release pass: recompute all release dates from the minimal
 		// releases up, under the frozen response times.
-		copy(newRel, rel)
-		if err := releasePass(img, pred, resp, rel, newRel, deadline); err != nil {
+		if _, err := releases.Solve(resp, newRel, deadline); err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
@@ -266,22 +260,49 @@ func (w *windower) interference(rel, fin []model.Cycles, dst model.TaskID, perBa
 	return total
 }
 
-// releasePass computes, into out, the release dates satisfying
-// rel_i = max(m_i, max_{j∈deps} rel_j+R_j, rel_pred+R_pred) by Jacobi
-// iteration from the minimal release dates, with the response times frozen.
-// rel is only read for the deadline horizon; out receives the result. The
-// pass needs at most depth(G) ≤ n rounds; needing more reveals a cycle
-// between the DAG and the per-core orders — the cross-core deadlock.
-func releasePass(img *engine.Image, pred []model.TaskID, resp []model.Cycles, rel, out []model.Cycles, deadline model.Cycles) error {
+// ReleaseSolver solves the release equations
+// rel_i = max(m_i, max_{j∈deps} rel_j+R_j, rel_pred+R_pred) under frozen
+// response times R, by Jacobi iteration from the minimal release dates m.
+// It is the baseline's release pass, and the rta bound solves its releases
+// with it once.
+type ReleaseSolver struct {
+	img  *engine.Image
+	pred []model.TaskID // same-core predecessor per task, or model.NoTask
+	next []model.Cycles
+}
+
+// NewReleaseSolver builds the same-core predecessor table from the per-core
+// execution orders in ord.
+func NewReleaseSolver(img *engine.Image, ord *engine.Orders) *ReleaseSolver {
 	n := img.NumTasks
+	s := &ReleaseSolver{img: img, pred: make([]model.TaskID, n), next: make([]model.Cycles, n)}
+	for i := range s.pred {
+		s.pred[i] = model.NoTask
+	}
+	for k := 0; k < img.Cores; k++ {
+		order := ord.Order(model.CoreID(k))
+		for pos := 1; pos < len(order); pos++ {
+			s.pred[order[pos]] = order[pos-1]
+		}
+	}
+	return s
+}
+
+// Solve writes into out the release dates under the response times resp
+// and returns the number of rounds it ran, counting the last one, which
+// changed nothing. A round that changed a date and left the horizon past
+// deadline fails with sched.DeadlineExceeded. Without a cycle between the
+// DAG and the per-core orders the dates settle within n+1 rounds, so a
+// round past n+2 fails with sched.Deadlock: the cross-core deadlock.
+func (s *ReleaseSolver) Solve(resp, out []model.Cycles, deadline model.Cycles) (int, error) {
+	img := s.img
 	copy(out, img.MinRelease)
-	next := make([]model.Cycles, n)
-	for round := 0; ; round++ {
-		if round > n+1 {
-			return sched.Deadlock(horizon(out, resp), model.NoTask)
+	for round := 1; ; round++ {
+		if round > img.NumTasks+2 {
+			return round, sched.Deadlock(horizon(out, resp), model.NoTask)
 		}
 		changed := false
-		for i := 0; i < n; i++ {
+		for i := range s.next {
 			id := model.TaskID(i)
 			want := img.MinRelease[i]
 			for _, p := range img.Preds(id) {
@@ -289,22 +310,22 @@ func releasePass(img *engine.Image, pred []model.TaskID, resp []model.Cycles, re
 					want = f
 				}
 			}
-			if p := pred[id]; p != model.NoTask {
+			if p := s.pred[id]; p != model.NoTask {
 				if f := out[p] + resp[p]; f > want {
 					want = f
 				}
 			}
-			next[i] = want
+			s.next[i] = want
 			if want != out[i] {
 				changed = true
 			}
 		}
-		copy(out, next)
+		copy(out, s.next)
 		if !changed {
-			return nil
+			return round, nil
 		}
 		if h := horizon(out, resp); h > deadline {
-			return sched.DeadlineExceeded(h)
+			return round, sched.DeadlineExceeded(h)
 		}
 	}
 }

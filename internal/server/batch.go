@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,9 +58,7 @@ func (s *Server) parseBatch(r *http.Request) (*engine.Image, []batchItem, *reply
 	}
 	items := make([]batchItem, len(b.Items))
 	for i, raw := range b.Items {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&items[i]); err != nil {
+		if err := wire.DecodeObject(raw, &items[i]); err != nil {
 			return fail(http.StatusBadRequest, fmt.Sprintf("parsing batch item %d: %v", i, err))
 		}
 	}

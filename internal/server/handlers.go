@@ -127,9 +127,7 @@ type swapEdit struct {
 func (s *Server) handleReschedule(w http.ResponseWriter, r *http.Request) {
 	s.met.reschedule.Add(1)
 	var req rescheduleRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("parsing reschedule request: " + err.Error())})
 		return
 	}

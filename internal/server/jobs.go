@@ -314,9 +314,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobCreateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		s.writeReply(w, reply{status: http.StatusBadRequest, body: errBody("parsing job request: " + err.Error())})
 		return
 	}

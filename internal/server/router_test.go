@@ -392,6 +392,39 @@ func TestRouterJobsRoutedByIDPrefix(t *testing.T) {
 	})
 }
 
+// TestRouterTrailingDataAnswersLikeHolder: a reschedule or job body with
+// data after its object cannot be fingerprinted, so the router places it by
+// its raw bytes, on any shard. Each such body must get the status the
+// shard holding the graph gives it. When the shards served these bodies,
+// the router answered 404 whenever a body landed on shards without the
+// graph.
+func TestRouterTrailingDataAnswersLikeHolder(t *testing.T) {
+	shards, urls := newFleet(t, 5, Config{Workers: 1})
+	router := newFleetRouter(t, urls, shard.Config{})
+	rr := routedDo(router, http.MethodPost, "/v1/analyze", "application/json", graphJSON(t, gen.Figure2()))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("routed analyze: got %d (body %s)", rr.Code, rr.Body.String())
+	}
+	hash := responseHash(t, rr)
+	holder := shardByURL(shards, shard.NewRing(urls, 0).Order(hash)[0])
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/reschedule", fmt.Sprintf(`{"hash":%q,"swaps":[]}`, hash)},
+		{"/v1/jobs", fmt.Sprintf(`{"hash":%q,"pop_size":4,"generations":1}`, hash)},
+	} {
+		for i := 0; i < 40; i++ {
+			body := fmt.Sprintf("%sx%d", tc.body, i)
+			want := do(holder.srv, http.MethodPost, tc.path, strings.NewReader(body)).Code
+			got := routedDo(router, http.MethodPost, tc.path, "application/json", []byte(body)).Code
+			for _, f := range shards {
+				f.srv.jobs.cancelAll("cancelled")
+			}
+			if got != want {
+				t.Errorf("POST %s %s: router answered %d, the holding shard %d", tc.path, body, got, want)
+			}
+		}
+	}
+}
+
 // TestRouterRejectsHugeShapesAndKeepsServing: the router fingerprints
 // every analyze body before placing it, and the shard compiles it, so a
 // graph whose declared shape is past the limits used to kill both; and a

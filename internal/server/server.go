@@ -369,6 +369,17 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 	s.met.countResponse(rep.status)
 }
 
+// decodeBody reads a request body under the size cap and decodes it by the
+// batch envelope's rule (wire.DecodeObject): no unknown key, and nothing but
+// whitespace after the object.
+func (s *Server) decodeBody(r *http.Request, v any) error {
+	body, err := httpbody.Read(nil, r, s.cfg.MaxRequestBytes)
+	if err != nil {
+		return err
+	}
+	return wire.DecodeObject(body, v)
+}
+
 // compileBody compiles a request body into a problem image, dispatching on
 // Content-Type: wire blobs take CompileFromWire, everything else
 // CompileJSON. Neither builds a graph on the way. Both paths apply the body

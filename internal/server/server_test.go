@@ -395,6 +395,9 @@ func TestBadInputs(t *testing.T) {
 			fmt.Sprintf(`{"hash":%q,"swaps":[{"core":99,"pos":0}]}`, hash), http.StatusBadRequest},
 		{"swap pos out of range", "/v1/reschedule",
 			fmt.Sprintf(`{"hash":%q,"swaps":[{"core":2,"pos":7}]}`, hash), http.StatusBadRequest},
+		// Data after the object: refused as in a batch envelope.
+		{"reschedule trailing data", "/v1/reschedule", fmt.Sprintf(`{"hash":%q,"swaps":[]}x`, hash), http.StatusBadRequest},
+		{"job trailing data", "/v1/jobs", fmt.Sprintf(`{"hash":%q,"pop_size":4,"generations":1}x`, hash), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

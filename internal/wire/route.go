@@ -63,12 +63,12 @@ func ParseBatch(contentType string, body []byte) (*Batch, error) {
 			return nil, errors.New("batch body must start with a wire graph blob")
 		}
 		var rest batchItems
-		if err := decodeObject(body[n:], &rest); err != nil {
+		if err := DecodeObject(body[n:], &rest); err != nil {
 			return nil, fmt.Errorf("parsing batch items after wire blob: %w", err)
 		}
 		b.Blob, b.Items = body[:n], rest.Items
 	} else {
-		if err := decodeObject(body, &b); err != nil {
+		if err := DecodeObject(body, &b); err != nil {
 			return nil, fmt.Errorf("parsing batch request: %w", err)
 		}
 		switch {
@@ -84,9 +84,11 @@ func ParseBatch(contentType string, body []byte) (*Batch, error) {
 	return &b, nil
 }
 
-// decodeObject decodes one JSON value into v, refusing keys v has no field
-// for and anything but whitespace after the value.
-func decodeObject(data []byte, v any) error {
+// DecodeObject decodes one JSON value into v, refusing keys v has no field
+// for and anything but whitespace after the value. It is the rule for every
+// JSON request envelope: a batch here, and the shard's reschedule and job
+// bodies.
+func DecodeObject(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
