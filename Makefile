@@ -139,7 +139,7 @@ perfbench-check:
 loc:
 	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '/testdata/' | grep -v '_test.go$$' | xargs cat | wc -l
 
-ci: lint build race perfbench-check fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
+ci: lint lint-fixtures build race engine-diff perfbench-check fuzz-smoke bench-smoke pareto-smoke serve-smoke serve-load-smoke serve-shard-smoke
 
 clean:
 	$(GO) clean ./...

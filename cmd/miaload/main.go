@@ -13,9 +13,13 @@
 //
 // Every edit scenario is an identity pair — the same adjacent swap applied
 // twice — so the evaluated orders equal the baseline and every scenario is
-// schedulable by construction, while the server still pays the full
-// apply-replay-undo cost. -wire switches the graph upload from JSON to the
-// binary wire format (Content-Type wire.ContentType).
+// schedulable by construction. A unary reschedule pays the full
+// apply-replay-undo cost for its scenario. In a batch every scenario
+// reaches the same configuration, so the per-batch result memo answers each
+// item after the first without a replay: -mode batch measures transport and
+// admission amortized over the batch plus that memo, not -batch replays.
+// -wire switches the graph upload from JSON to the binary wire format
+// (Content-Type wire.ContentType).
 //
 // Output is a human-readable summary or, with -json, a machine-readable
 // report (p50/p95/p99/mean/max latency in milliseconds, throughput,

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mia-rt/mia/internal/explore/objective"
 )
 
 // TestOptGeneratedInstance runs a tiny search end to end and checks the
@@ -60,6 +62,58 @@ func TestOptObjectiveSelection(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "objectives [makespan, comm-affinity]") {
 		t.Errorf("output missing custom objectives:\n%s", buf.String())
+	}
+}
+
+// goldenCases are miaopt searches whose full stdout testdata/<name>.golden
+// pins: the default objective vector, and makespan with comm-affinity, so
+// every registered objective is in one of them.
+var goldenCases = []struct {
+	name string
+	args []string
+}{
+	{"gen4x3_default", []string{"-gen", "4x3", "-cores", "4", "-banks", "4", "-graph-seed", "9", "-pop", "8", "-gens", "4", "-seed", "5"}},
+	{"gen4x3_makespan_comm-affinity", []string{"-gen", "4x3", "-cores", "4", "-banks", "4", "-pop", "6", "-gens", "2", "-objectives", "makespan,comm-affinity"}},
+}
+
+func TestGolden(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(context.Background(), tc.args, &buf); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("miaopt %s: stdout differs from testdata/%s.golden\ngot:\n%swant:\n%s",
+					strings.Join(tc.args, " "), tc.name, got, want)
+			}
+		})
+	}
+}
+
+// TestGoldenCoversObjectives: every registered objective is searched by a
+// TestGolden case, so an objective cannot land without pinned output.
+func TestGoldenCoversObjectives(t *testing.T) {
+	covered := map[string]bool{}
+	for _, tc := range goldenCases {
+		names := objective.NamesOf(objective.Default()) // the flag's default
+		for i := 0; i+1 < len(tc.args); i++ {
+			if tc.args[i] == "-objectives" {
+				names = strings.Split(tc.args[i+1], ",")
+			}
+		}
+		for _, name := range names {
+			covered[name] = true
+		}
+	}
+	for _, name := range objective.Names() {
+		if !covered[name] {
+			t.Errorf("miaopt -objectives %s has no TestGolden case", name)
+		}
 	}
 }
 

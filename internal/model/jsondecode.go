@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -20,40 +19,36 @@ import (
 // result has passed RawGraph.Validate, so it is exactly as vetted as a
 // graph built by Builder.
 //
-// The accepted language is that of encoding/json decoding into the
-// structs WriteJSON encodes from, with unknown fields disallowed: object
-// keys match field names case-insensitively (as bytes.EqualFold does), a
-// repeated key's last value wins, null leaves a field unset, and numbers
-// must be integers that fit int64. Platform shape is bounded by MaxCores,
-// MaxBanks, MaxTasks and MaxDemandCells before anything is sized by it.
-// Anything but whitespace after the graph object is an error.
+// The accepted language is the documented format as WriteJSON spells it.
+// A member name must match one of the format's names exactly (JSON escapes
+// in it decode first) and may appear at most once in its object: a folded
+// name such as "CORES" is an unknown field, a repeated one a duplicate
+// field. null leaves a field unset, and numbers must be integers that fit
+// int64. Platform shape is bounded by MaxCores, MaxBanks, MaxTasks and
+// MaxDemandCells before anything is sized by it. Anything but whitespace
+// after the graph object is an error.
 func DecodeJSON(data []byte) (*RawGraph, error) {
 	d := jsonDecoder{data: data}
 	return d.decode()
 }
 
-// jsonDecoder is the scanner behind DecodeJSON and ReadJSON.
-//
-// Arrays decode into retained storage the way encoding/json reuses a
-// slice's backing array, so repeated keys behave identically: a repeated
-// "tasks", "edges" or "order" key overwrites earlier elements position by
-// position, a field (or null element) the later value omits keeps the
-// earlier value, and an empty array or null drops the storage.
+// jsonDecoder is the scanner behind DecodeJSON and ReadJSON. Each task,
+// edge and order is appended to the arrays below as it is scanned.
 // FuzzDecodeJSON (jsondecode_test.go) holds the scanner to the
-// encoding/json decoder it replaced: same accepted set, same graphs.
+// encoding/json decoder it replaced: on every document whose member names
+// are spelled exactly and given once, the same accepted set and the same
+// graphs.
 type jsonDecoder struct {
 	data []byte
 	pos  int
 
 	wantNames bool   // collect task names (ReadJSON); DecodeJSON skips them
-	scratch   []byte // unquoted form of the latest escaped string
+	scratch   []byte // unquoted form of the latest escaped string value
 
 	cores, banks int
 	policy       string
 
-	// Task fields by position in the "tasks" array. Positions past ntasks
-	// hold elements an earlier, longer "tasks" value left behind.
-	ntasks     int
+	// Task fields by position in the "tasks" array.
 	id         []TaskID
 	wcet       []Cycles
 	minRelease []Cycles
@@ -61,55 +56,22 @@ type jsonDecoder struct {
 	local      []Accesses
 	names      []string // by position while scanning, by task ID after build
 
-	nedges int
 	edges  []Edge
-
-	norders int
-	orders  [][]TaskID
+	orders [][]TaskID
 }
 
-// Field indices of the three object kinds, in the order of the field
-// tables below.
-const (
-	graphCores = iota
-	graphBanks
-	graphTasks
-	graphEdges
-	graphOrder
-	graphBankPolicy
-)
+// fieldSet holds the members an object has given so far, one bit per name.
+type fieldSet uint8
 
-const (
-	taskID = iota
-	taskName
-	taskWCET
-	taskCore
-	taskMinRelease
-	taskLocal
-)
-
-const (
-	edgeFrom = iota
-	edgeTo
-	edgeWords
-)
-
-var (
-	graphFields = [][]byte{[]byte("cores"), []byte("banks"), []byte("tasks"), []byte("edges"), []byte("order"), []byte("bankPolicy")}
-	taskFields  = [][]byte{[]byte("id"), []byte("name"), []byte("wcet"), []byte("core"), []byte("minRelease"), []byte("local")}
-	edgeFields  = [][]byte{[]byte("from"), []byte("to"), []byte("words")}
-)
-
-// foldField returns the index of the field key names under case folding,
-// or -1. The object decoders try exact spellings first; this is the
-// fallback for keys such as "CORES".
-func foldField(key []byte, fields [][]byte) int {
-	for i, f := range fields {
-		if bytes.EqualFold(key, f) {
-			return i
-		}
+// add records member f, named key, and refuses a name the object gave
+// before. The object decoders call it once the member's value is scanned,
+// which member keeps the key valid for.
+func (s *fieldSet) add(f fieldSet, key []byte) error {
+	if *s&f != 0 {
+		return fmt.Errorf("model: parsing graph JSON: duplicate field %q", key)
 	}
-	return -1
+	*s |= f
+	return nil
 }
 
 func (d *jsonDecoder) decode() (*RawGraph, error) {
@@ -127,49 +89,38 @@ func (d *jsonDecoder) graph() error {
 	if err := d.open('{'); err != nil {
 		return err
 	}
+	var seen fieldSet
 	for first := true; ; first = false {
 		key, ok, err := d.member(first)
 		if err != nil || !ok {
 			return err
 		}
-		var f int
+		var f fieldSet
 		switch string(key) {
 		case "cores":
-			f = graphCores
+			f, err = 1<<0, setInt(d, &d.cores)
 		case "banks":
-			f = graphBanks
+			f, err = 1<<1, setInt(d, &d.banks)
 		case "tasks":
-			f = graphTasks
+			f, err = 1<<2, d.taskList()
 		case "edges":
-			f = graphEdges
+			f, err = 1<<3, d.edgeList()
 		case "order":
-			f = graphOrder
+			f, err = 1<<4, d.orderList()
 		case "bankPolicy":
-			f = graphBankPolicy
-		default:
-			f = foldField(key, graphFields)
-		}
-		switch f {
-		case graphCores:
-			err = setInt(d, &d.cores)
-		case graphBanks:
-			err = setInt(d, &d.banks)
-		case graphTasks:
-			err = d.taskList()
-		case graphEdges:
-			err = d.edgeList()
-		case graphOrder:
-			err = d.orderList()
-		case graphBankPolicy:
 			var s []byte
 			var set bool
 			if s, set, err = d.str(); set {
 				d.policy = string(s)
 			}
+			f = 1 << 5
 		default:
-			err = d.unknown(key)
+			return d.unknown(key)
 		}
 		if err != nil {
+			return err
+		}
+		if err := seen.add(f, key); err != nil {
 			return err
 		}
 	}
@@ -177,52 +128,32 @@ func (d *jsonDecoder) graph() error {
 
 func (d *jsonDecoder) taskList() error {
 	if d.null() {
-		d.ntasks = 0
-		d.dropTasks()
 		return nil
 	}
 	if err := d.open('['); err != nil {
 		return err
 	}
-	i := 0
 	for first := true; ; first = false {
 		ok, err := d.elem(first)
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			break
+		i := len(d.wcet)
+		if i == MaxTasks {
+			return d.syntax(fmt.Sprintf("more than %d tasks", MaxTasks))
 		}
-		if i == len(d.wcet) {
-			if i == MaxTasks {
-				return d.syntax(fmt.Sprintf("more than %d tasks", MaxTasks))
-			}
-			d.id = append(d.id, 0)
-			d.wcet = append(d.wcet, 0)
-			d.minRelease = append(d.minRelease, 0)
-			d.core = append(d.core, 0)
-			d.local = append(d.local, 0)
-			if d.wantNames {
-				d.names = append(d.names, "")
-			}
+		d.id = append(d.id, 0)
+		d.wcet = append(d.wcet, 0)
+		d.minRelease = append(d.minRelease, 0)
+		d.core = append(d.core, 0)
+		d.local = append(d.local, 0)
+		if d.wantNames {
+			d.names = append(d.names, "")
 		}
 		if err := d.task(i); err != nil {
 			return err
 		}
-		i++
 	}
-	d.ntasks = i
-	if i == 0 {
-		d.dropTasks()
-	}
-	return nil
-}
-
-// dropTasks discards the task storage, as encoding/json replaces a slice
-// decoded from null or [] with a fresh empty one.
-func (d *jsonDecoder) dropTasks() {
-	d.id, d.wcet, d.minRelease = d.id[:0], d.wcet[:0], d.minRelease[:0]
-	d.core, d.local, d.names = d.core[:0], d.local[:0], d.names[:0]
 }
 
 func (d *jsonDecoder) task(i int) error {
@@ -232,49 +163,38 @@ func (d *jsonDecoder) task(i int) error {
 	if err := d.open('{'); err != nil {
 		return err
 	}
+	var seen fieldSet
 	for first := true; ; first = false {
 		key, ok, err := d.member(first)
 		if err != nil || !ok {
 			return err
 		}
-		var f int
+		var f fieldSet
 		switch string(key) {
 		case "id":
-			f = taskID
+			f, err = 1<<0, setInt(d, &d.id[i])
 		case "name":
-			f = taskName
-		case "wcet":
-			f = taskWCET
-		case "core":
-			f = taskCore
-		case "minRelease":
-			f = taskMinRelease
-		case "local":
-			f = taskLocal
-		default:
-			f = foldField(key, taskFields)
-		}
-		switch f {
-		case taskID:
-			err = setInt(d, &d.id[i])
-		case taskName:
 			var s []byte
 			var set bool
 			if s, set, err = d.str(); set && d.wantNames {
 				d.names[i] = string(s)
 			}
-		case taskWCET:
-			err = setInt(d, &d.wcet[i])
-		case taskCore:
-			err = setInt(d, &d.core[i])
-		case taskMinRelease:
-			err = setInt(d, &d.minRelease[i])
-		case taskLocal:
-			err = setInt(d, &d.local[i])
+			f = 1 << 1
+		case "wcet":
+			f, err = 1<<2, setInt(d, &d.wcet[i])
+		case "core":
+			f, err = 1<<3, setInt(d, &d.core[i])
+		case "minRelease":
+			f, err = 1<<4, setInt(d, &d.minRelease[i])
+		case "local":
+			f, err = 1<<5, setInt(d, &d.local[i])
 		default:
-			err = d.unknown(key)
+			return d.unknown(key)
 		}
 		if err != nil {
+			return err
+		}
+		if err := seen.add(f, key); err != nil {
 			return err
 		}
 	}
@@ -282,40 +202,28 @@ func (d *jsonDecoder) task(i int) error {
 
 func (d *jsonDecoder) edgeList() error {
 	if d.null() {
-		d.nedges, d.edges = 0, d.edges[:0]
 		return nil
 	}
 	if err := d.open('['); err != nil {
 		return err
 	}
-	i, start := 0, d.pos
+	start := d.pos
 	for first := true; ; first = false {
 		ok, err := d.elem(first)
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			break
+		if len(d.edges) == 1 {
+			// Edges are most of a graph document and alike in size,
+			// so the first one's span sizes the array for the rest.
+			span := max(d.pos-start, edgeBytesMin)
+			d.edges = slices.Grow(d.edges, (len(d.data)-d.pos)/span+1)
 		}
-		if i == len(d.edges) {
-			if i == 1 {
-				// Edges are most of a graph document and alike in size,
-				// so the first one's span sizes the array for the rest.
-				span := max(d.pos-start, edgeBytesMin)
-				d.edges = slices.Grow(d.edges, (len(d.data)-d.pos)/span+1)
-			}
-			d.edges = append(d.edges, Edge{})
-		}
-		if err := d.edge(&d.edges[i]); err != nil {
+		d.edges = append(d.edges, Edge{})
+		if err := d.edge(&d.edges[len(d.edges)-1]); err != nil {
 			return err
 		}
-		i++
 	}
-	d.nedges = i
-	if i == 0 {
-		d.edges = d.edges[:0]
-	}
-	return nil
 }
 
 func (d *jsonDecoder) edge(e *Edge) error {
@@ -325,33 +233,27 @@ func (d *jsonDecoder) edge(e *Edge) error {
 	if err := d.open('{'); err != nil {
 		return err
 	}
+	var seen fieldSet
 	for first := true; ; first = false {
 		key, ok, err := d.member(first)
 		if err != nil || !ok {
 			return err
 		}
-		var f int
+		var f fieldSet
 		switch string(key) {
 		case "from":
-			f = edgeFrom
+			f, err = 1<<0, setInt(d, &e.From)
 		case "to":
-			f = edgeTo
+			f, err = 1<<1, setInt(d, &e.To)
 		case "words":
-			f = edgeWords
+			f, err = 1<<2, setInt(d, &e.Words)
 		default:
-			f = foldField(key, edgeFields)
-		}
-		switch f {
-		case edgeFrom:
-			err = setInt(d, &e.From)
-		case edgeTo:
-			err = setInt(d, &e.To)
-		case edgeWords:
-			err = setInt(d, &e.Words)
-		default:
-			err = d.unknown(key)
+			return d.unknown(key)
 		}
 		if err != nil {
+			return err
+		}
+		if err := seen.add(f, key); err != nil {
 			return err
 		}
 	}
@@ -367,83 +269,56 @@ const edgeBytesMin = 24
 // IDs. A null entry is an empty order for its core.
 func (d *jsonDecoder) orderList() error {
 	if d.null() {
-		d.norders, d.orders = 0, d.orders[:0]
 		return nil
 	}
 	if err := d.open('['); err != nil {
 		return err
 	}
-	k := 0
 	for first := true; ; first = false {
 		ok, err := d.elem(first)
+		if err != nil || !ok {
+			return err
+		}
+		if len(d.orders) == MaxCores {
+			return d.syntax(fmt.Sprintf("more than %d order lists", MaxCores))
+		}
+		order, err := d.order()
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		if k == len(d.orders) {
-			if k == MaxCores {
-				return d.syntax(fmt.Sprintf("more than %d order lists", MaxCores))
-			}
-			d.orders = append(d.orders, nil)
-		}
-		if err := d.order(&d.orders[k]); err != nil {
-			return err
-		}
-		k++
+		d.orders = append(d.orders, order)
 	}
-	d.norders = k
-	if k == 0 {
-		d.orders = d.orders[:0]
-	}
-	return nil
 }
 
-// order decodes one core's order into *dst, reusing its backing array up
-// to capacity the way encoding/json does.
-func (d *jsonDecoder) order(dst *[]TaskID) error {
+// order decodes one core's order; null is an empty order.
+func (d *jsonDecoder) order() ([]TaskID, error) {
 	if d.null() {
-		*dst = nil
-		return nil
+		return nil, nil
 	}
 	if err := d.open('['); err != nil {
-		return err
+		return nil, err
 	}
-	buf := (*dst)[:cap(*dst)]
-	j := 0
+	var order []TaskID
 	for first := true; ; first = false {
 		ok, err := d.elem(first)
-		if err != nil {
-			return err
+		if err != nil || !ok {
+			return order, err
 		}
-		if !ok {
-			break
+		if len(order) == MaxTasks {
+			return nil, d.syntax(fmt.Sprintf("order longer than %d tasks", MaxTasks))
 		}
-		if j == len(buf) {
-			if j == MaxTasks {
-				return d.syntax(fmt.Sprintf("order longer than %d tasks", MaxTasks))
-			}
-			buf = append(buf, 0)
+		order = append(order, 0)
+		if err := setInt(d, &order[len(order)-1]); err != nil {
+			return nil, err
 		}
-		if err := setInt(d, &buf[j]); err != nil {
-			return err
-		}
-		j++
 	}
-	if j == 0 {
-		*dst = buf[:0:0] // encoding/json replaces an empty array with a fresh slice
-	} else {
-		*dst = buf[:j]
-	}
-	return nil
 }
 
 // build checks the platform shape, places tasks by ID, compiles demands
 // and orders with Builder's compiler and defaults, and validates the
 // result.
 func (d *jsonDecoder) build() (*RawGraph, error) {
-	n, cores, banks := d.ntasks, d.cores, d.banks
+	n, cores, banks := len(d.wcet), d.cores, d.banks
 	switch {
 	case cores < 1 || cores > MaxCores:
 		return nil, fmt.Errorf("model: graph has %d cores, want 1..%d", cores, MaxCores)
@@ -451,8 +326,8 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 		return nil, fmt.Errorf("model: graph has %d banks, want 1..%d", banks, MaxBanks)
 	case n*banks > MaxDemandCells:
 		return nil, fmt.Errorf("model: %d tasks × %d banks exceeds the %d-cell demand limit", n, banks, MaxDemandCells)
-	case d.norders > cores:
-		return nil, fmt.Errorf("model: %d order lists for %d cores", d.norders, cores)
+	case len(d.orders) > cores:
+		return nil, fmt.Errorf("model: %d order lists for %d cores", len(d.orders), cores)
 	}
 	var policy func(CoreID) BankID
 	switch d.policy {
@@ -465,7 +340,7 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 	default:
 		return nil, fmt.Errorf("model: unknown bank policy %q (want shared, perCore or striped)", d.policy)
 	}
-	r := &RawGraph{Cores: cores, Banks: banks, Edges: d.edges[:d.nedges:d.nedges]}
+	r := &RawGraph{Cores: cores, Banks: banks, Edges: slices.Clip(d.edges)}
 	if err := d.placeTasks(r); err != nil {
 		return nil, err
 	}
@@ -473,7 +348,7 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 		return nil, err
 	}
 	if err := r.fillOrders(func(k CoreID) ([]TaskID, bool) {
-		if int(k) < d.norders {
+		if int(k) < len(d.orders) {
 			return d.orders[k], true
 		}
 		return nil, false
@@ -491,21 +366,18 @@ func (d *jsonDecoder) build() (*RawGraph, error) {
 // 0..n-1; in the common case they already appear in ID order and the
 // scanned arrays are adopted as they are.
 func (d *jsonDecoder) placeTasks(r *RawGraph) error {
-	n := d.ntasks
-	ids := d.id[:n]
+	n := len(d.wcet)
 	inOrder := true
-	for i, id := range ids {
+	for i, id := range d.id {
 		if id != TaskID(i) {
 			inOrder = false
 			break
 		}
 	}
 	if inOrder {
-		r.WCET, r.MinRelease = d.wcet[:n:n], d.minRelease[:n:n]
-		r.Core, r.Local = d.core[:n:n], d.local[:n:n]
-		if d.wantNames {
-			d.names = d.names[:n:n]
-		}
+		r.WCET, r.MinRelease = slices.Clip(d.wcet), slices.Clip(d.minRelease)
+		r.Core, r.Local = slices.Clip(d.core), slices.Clip(d.local)
+		d.names = slices.Clip(d.names)
 		return nil
 	}
 	r.WCET = make([]Cycles, n)
@@ -517,7 +389,7 @@ func (d *jsonDecoder) placeTasks(r *RawGraph) error {
 		names = make([]string, n)
 	}
 	seen := make([]bool, n)
-	for i, id := range ids {
+	for i, id := range d.id {
 		if id < 0 || int(id) >= n {
 			return fmt.Errorf("model: task ID %d outside dense range 0..%d", id, n-1)
 		}
@@ -603,8 +475,8 @@ func (d *jsonDecoder) null() bool {
 
 // member advances to the next member of an object whose '{' is consumed,
 // and returns its key with the scanner at the member's value; ok is false
-// once the closing '}' is consumed. The key aliases the input or the
-// scratch buffer, so it is valid until the next string is scanned.
+// once the closing '}' is consumed. The key aliases the input or, when
+// escaped, a copy of its own, so it stays valid while the value is scanned.
 func (d *jsonDecoder) member(first bool) (key []byte, ok bool, err error) {
 	d.ws()
 	if d.pos >= len(d.data) {
@@ -622,8 +494,12 @@ func (d *jsonDecoder) member(first bool) (key []byte, ok bool, err error) {
 		d.pos++
 		d.ws()
 	}
-	if key, err = d.quoted(); err != nil {
+	var plain bool
+	if key, plain, err = d.quoted(); err != nil {
 		return nil, false, err
+	}
+	if !plain {
+		key = slices.Clone(key)
 	}
 	d.ws()
 	if d.pos >= len(d.data) || d.data[d.pos] != ':' {
@@ -718,18 +594,18 @@ func (d *jsonDecoder) str() (s []byte, set bool, err error) {
 	if d.null() {
 		return nil, false, nil
 	}
-	s, err = d.quoted()
+	s, _, err = d.quoted()
 	return s, err == nil, err
 }
 
 // quoted scans a string literal and returns its decoded bytes: a slice of
-// the input when the literal holds only plain ASCII, otherwise the scratch
-// buffer holding it unquoted as encoding/json unquotes (invalid UTF-8 and
-// unpaired surrogates become U+FFFD).
-func (d *jsonDecoder) quoted() ([]byte, error) {
+// the input when the literal holds only plain ASCII (plain is true),
+// otherwise the scratch buffer holding it unquoted as encoding/json
+// unquotes (invalid UTF-8 and unpaired surrogates become U+FFFD).
+func (d *jsonDecoder) quoted() (s []byte, plain bool, err error) {
 	data := d.data
 	if d.pos >= len(data) || data[d.pos] != '"' {
-		return nil, d.syntax("expected a string")
+		return nil, false, d.syntax("expected a string")
 	}
 	start := d.pos + 1
 	i := start
@@ -738,21 +614,18 @@ func (d *jsonDecoder) quoted() ([]byte, error) {
 	}
 	if i < len(data) && data[i] == '"' {
 		d.pos = i + 1
-		return data[start:i], nil
+		return data[start:i], true, nil
 	}
-	plain := true
+	// The literal holds an escape or a non-ASCII byte: scan to its closing
+	// quote and unquote it.
 	for i < len(data) {
 		c := data[i]
 		switch {
 		case c == '"':
 			d.pos = i + 1
-			if plain {
-				return data[start:i], nil
-			}
 			d.scratch = unquote(d.scratch[:0], data[start:i])
-			return d.scratch, nil
+			return d.scratch, false, nil
 		case c == '\\':
-			plain = false
 			if i+1 >= len(data) {
 				i++
 				continue
@@ -763,25 +636,22 @@ func (d *jsonDecoder) quoted() ([]byte, error) {
 			case 'u':
 				if i+6 > len(data) || hex4(data[i+2:i+6]) < 0 {
 					d.pos = i
-					return nil, d.syntax(`invalid \u escape`)
+					return nil, false, d.syntax(`invalid \u escape`)
 				}
 				i += 6
 			default:
 				d.pos = i
-				return nil, d.syntax("invalid escape")
+				return nil, false, d.syntax("invalid escape")
 			}
 		case c < ' ':
 			d.pos = i
-			return nil, d.syntax("control character in string")
-		case c >= utf8.RuneSelf:
-			plain = false
-			i++
+			return nil, false, d.syntax("control character in string")
 		default:
 			i++
 		}
 	}
 	d.pos = len(data)
-	return nil, d.syntax("")
+	return nil, false, d.syntax("")
 }
 
 // plainByte marks the bytes a string literal carries through unchanged:

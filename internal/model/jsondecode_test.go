@@ -13,11 +13,14 @@ import (
 
 // referenceReadJSON is the encoding/json graph decoder ReadJSON was built
 // on before the single-pass scanner, kept as an independent oracle for
-// FuzzDecodeJSON. It adds only the two rules the scanner introduced on
+// FuzzDecodeJSON. It adds two of the rules the scanner introduced on
 // purpose: nothing but whitespace may follow the graph object, and the
 // platform shape stays within MaxCores, MaxBanks, MaxTasks and
 // MaxDemandCells (without them a 62-byte document asking for 10^12 cores
-// exhausts memory inside Build, which no recover can catch).
+// exhausts memory inside Build, which no recover can catch). The third,
+// exact member names given once each, is the differential check's own
+// split (spelledExactly): encoding/json folds case and lets a repeated
+// member win.
 func referenceReadJSON(data []byte) (*Graph, error) {
 	var in graphJSON
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -70,16 +73,19 @@ func referenceReadJSON(data []byte) (*Graph, error) {
 	return b.Build()
 }
 
-// decodeJSONQuirkSeeds are documents whose treatment by encoding/json the
-// scanner reproduces on purpose, plus number forms both decoders reject.
+// decodeJSONQuirkSeeds are corner cases of the format: member names
+// encoding/json accepts and the scanner refuses on purpose, JSON forms both
+// decoders read alike, and number forms both reject.
 var decodeJSONQuirkSeeds = []string{
-	// Case-folded keys, including the Unicode folds bytes.EqualFold
-	// applies (U+212A KELVIN SIGN ~ k, U+017F LONG S ~ s).
+	// Names the scanner refuses. Case-folded names, including the Unicode
+	// folds encoding/json applies (U+212A KELVIN SIGN ~ k, U+017F LONG
+	// S ~ s), are unknown fields.
 	`{"CORES":1,"Banks":1,"TASKS":[{"ID":0,"WCET":3,"Core":0,"minrelease":2,"LOCAL":1,"NAME":"a"}],"EDGES":[],"ORDER":[[0]],"BANKPOLICY":"shared"}`,
 	`{"cores":1,"ban\u212As":1,"ta\u017Fks":[{"id":0,"wcet":1,"core":0}]}`,
 	"{\"cores\":1,\"ban\xe2\x84\xaas\":1}",
-	// Last-wins duplicate keys; repeated arrays merge element-wise into
-	// the storage the earlier value left, and [] drops it.
+	// Repeated names are duplicate fields, where encoding/json lets the
+	// last value win and merges a repeated array into the earlier one
+	// element by element.
 	`{"cores":1,"cores":2,"banks":2,"tasks":[{"id":0,"wcet":1,"core":0,"wcet":5}],"edges":[]}`,
 	`{"cores":2,"banks":2,"tasks":[{"id":0,"wcet":1,"core":1,"name":"a"},{"id":1,"wcet":2,"core":0}],"tasks":[{"id":0}],"tasks":[{"id":0},{"id":1}],"edges":[]}`,
 	`{"cores":2,"banks":2,"tasks":[{"id":0,"wcet":1,"core":1},{"id":1,"wcet":1,"core":1}],"tasks":[],"tasks":[{"id":0},{"id":1}]}`,
@@ -87,6 +93,8 @@ var decodeJSONQuirkSeeds = []string{
 	`{"cores":1,"banks":1,"tasks":[{"id":0,"core":0},{"id":1,"core":0}],"edges":[],"order":[[0,1]],"order":[[null,1]]}`,
 	`{"cores":1,"banks":1,"tasks":[{"id":0,"core":0},{"id":1,"core":0}],"edges":[],"order":[[1,0]],"order":[[0,null]]}`,
 	`{"cores":1,"banks":1,"bankPolicy":"bogus","bankPolicy":"shared","bankPolicy":null}`,
+	// A name spelled with escapes is spelled exactly once they decode.
+	`{"c\u006fres":1,"banks":1,"tasks":[{"\u0069d":0,"wcet":1,"core":0}],"edges":[]}`,
 	// null: an empty order for its core, an unset field, a zero task.
 	`{"cores":2,"banks":2,"tasks":[{"id":0,"wcet":1,"core":0}],"edges":[],"order":[[0],null]}`,
 	`{"cores":2,"banks":2,"tasks":[{"id":0,"wcet":1,"core":1}],"edges":[],"order":[[0],null]}`,
@@ -133,10 +141,12 @@ var decodeJSONQuirkSeeds = []string{
 	`{"cores":1,"banks":65537}`,
 }
 
-// FuzzDecodeJSON holds the scanner to the encoding/json reference: both
-// accept exactly the same documents, and on acceptance ReadJSON and
-// DecodeJSON yield the reference graph's fingerprint, task fields and
-// names, edges, orders and bank assignment.
+// FuzzDecodeJSON holds the scanner to the encoding/json reference. On a
+// document whose member names are all spelled as WriteJSON spells them and
+// none repeats in its object, the three decoders accept exactly the same
+// documents, and on acceptance ReadJSON and DecodeJSON yield the reference
+// graph's fingerprint, task fields and names, edges, orders and bank
+// assignment. ReadJSON and DecodeJSON refuse every other document.
 func FuzzDecodeJSON(f *testing.F) {
 	for _, s := range readJSONSeeds {
 		f.Add([]byte(s))
@@ -151,9 +161,15 @@ func FuzzDecodeJSON(f *testing.F) {
 
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
-	want, werr := referenceReadJSON(data)
 	got, gerr := ReadJSON(bytes.NewReader(data))
 	raw, rerr := DecodeJSON(data)
+	if !spelledExactly(data) {
+		if gerr == nil || rerr == nil {
+			t.Fatalf("member names not spelled as WriteJSON spells them, or repeated, accepted on %q:\n ReadJSON:   %v\n DecodeJSON: %v", data, gerr, rerr)
+		}
+		return
+	}
+	want, werr := referenceReadJSON(data)
 	if (werr == nil) != (gerr == nil) || (werr == nil) != (rerr == nil) {
 		t.Fatalf("acceptance differs on %q:\n reference:  %v\n ReadJSON:   %v\n DecodeJSON: %v", data, werr, gerr, rerr)
 	}
@@ -189,6 +205,58 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	}
 }
 
+// writtenNames are the 15 member names WriteJSON writes: the graph's,
+// a task's and an edge's.
+var writtenNames = map[string]bool{
+	"cores": true, "banks": true, "tasks": true, "edges": true, "order": true, "bankPolicy": true,
+	"id": true, "name": true, "wcet": true, "core": true, "minRelease": true, "local": true,
+	"from": true, "to": true, "words": true,
+}
+
+// spelledExactly reports whether every member name in data is one of
+// writtenNames and none repeats in its object. It walks data with
+// json.Decoder.Token, which decodes escapes in names first. A document that
+// is not JSON at all counts as spelled exactly, so every decoder must
+// refuse it.
+func spelledExactly(data []byte) bool {
+	// One frame per open object or array: the names the object has given
+	// (nil for an array) and whether its next token is a name.
+	type frame struct {
+		names  map[string]bool
+		atName bool
+	}
+	var stack []frame
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return true // the end of the input, or not JSON
+		}
+		if tok == json.Delim('}') || tok == json.Delim(']') {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if top := len(stack) - 1; top >= 0 && stack[top].names != nil {
+			f := &stack[top]
+			if f.atName {
+				name, _ := tok.(string)
+				if !writtenNames[name] || f.names[name] {
+					return false
+				}
+				f.names[name], f.atName = true, false
+				continue
+			}
+			f.atName = true // tok starts the member's value
+		}
+		switch tok {
+		case json.Delim('{'):
+			stack = append(stack, frame{names: map[string]bool{}, atName: true})
+		case json.Delim('['):
+			stack = append(stack, frame{})
+		}
+	}
+}
+
 // TestDecodeJSONMatchesReference runs the differential check over the
 // seeds and over documents the repository's own writer produces, so it
 // holds under a plain `go test` too.
@@ -205,7 +273,7 @@ func TestDecodeJSONMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDecodeJSONTrailingData pins the one deliberate departure from
+// TestDecodeJSONTrailingData pins a deliberate departure from
 // encoding/json: json.Decoder.Decode stops after the first value and
 // ignores what follows, the scanner rejects anything but whitespace there.
 func TestDecodeJSONTrailingData(t *testing.T) {
@@ -227,6 +295,35 @@ func TestDecodeJSONTrailingData(t *testing.T) {
 	}
 	if _, err := DecodeJSON([]byte(doc + " \n\t\r")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestDecodeJSONExactMembers pins the second deliberate departure from
+// encoding/json: it matches a member name to a field case-insensitively
+// and lets a repeated member's value win, where the scanner refuses a name
+// not spelled as WriteJSON spells it as an unknown field and a name given
+// twice in one object as a duplicate field.
+func TestDecodeJSONExactMembers(t *testing.T) {
+	cases := []struct{ doc, want string }{
+		{`{"CORES":1,"banks":1,"tasks":[],"edges":[]}`, `unknown field "CORES"`},
+		{`{"cores":1,"banks":1,"tasks":[{"id":0,"wcet":1,"Core":0}],"edges":[]}`, `unknown field "Core"`},
+		{`{"cores":1,"banks":1,"tasks":[],"tasks":[],"edges":[]}`, `duplicate field "tasks"`},
+		{`{"cores":1,"banks":1,"tasks":[{"id":0,"wcet":1,"core":0},{"id":1,"wcet":1,"core":0}],` +
+			`"edges":[{"from":0,"to":1,"words":1,"words":2}]}`, `duplicate field "words"`},
+		// The repeat is escaped and its value holds an escaped name, so
+		// the error names the key, not the last string scanned.
+		{`{"cores":1,"banks":1,"tasks":[],"t\u0061sks":[{"id":0,"wcet":1,"core":0,"name":"\u00e9"}]}`, `duplicate field "tasks"`},
+	}
+	for _, tc := range cases {
+		if _, err := referenceReadJSON([]byte(tc.doc)); err != nil {
+			t.Errorf("encoding/json no longer accepts %s (%v); the documented divergence is gone", tc.doc, err)
+		}
+		if _, err := DecodeJSON([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeJSON(%s) = %v, want an error naming %s", tc.doc, err, tc.want)
+		}
+		if _, err := ReadJSON(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadJSON(%s) = %v, want an error naming %s", tc.doc, err, tc.want)
+		}
 	}
 }
 

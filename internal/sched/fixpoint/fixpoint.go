@@ -29,6 +29,15 @@
 // may need O(n) rounds, and the outer alternation repeats them again: the
 // O(n⁴) behaviour the paper measures on this baseline.
 //
+// Both passes check the deadline against the horizon reached so far, not
+// only at the fixed point. The first interference round sees every window
+// start at zero, and the release pass after it checks the deadline under
+// the inflated response times that round set. So the baseline can refuse
+// a deadline equal to the makespan it reaches without one (Figure 1:
+// makespan 7, refused at t=8 under a deadline of 7; likewise every
+// instance of the engine's corpus), where incremental and rta accept
+// theirs. TestReleaseSolverDigestGolden pins these verdicts (DESIGN §3.2).
+//
 // Precision: the analysis equations (earliest releases + window-overlap
 // interference) admit several consistent solutions. The incremental
 // scheduler constructs the *least* fixed point — the operational

@@ -26,8 +26,10 @@ const benchEdits = 100
 // admission, so the benchmarks must include them the way a client pays them
 // — registers a ~128-task layered graph, and returns identity-pair swap
 // bodies for benchEdits scenarios (the same swap applied twice evaluates
-// the baseline orders, so every scenario is schedulable by construction
-// while still paying the full apply-replay-undo cost).
+// the baseline orders, so every scenario is schedulable by construction).
+// A unary reschedule pays the full apply-replay-undo cost for each. In a
+// batch all of them reach the same configuration, so the per-batch result
+// memo answers every item after the first without a replay.
 func benchServe(b *testing.B) (*httptest.Server, string, []string) {
 	b.Helper()
 	p := gen.NewParams(2, 64)

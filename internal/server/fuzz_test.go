@@ -88,6 +88,11 @@ func TestBatchBodyParity(t *testing.T) {
 		{"valid wire", blob + `{` + items + `}`, true, http.StatusOK},
 		{"bad item", `{` + hash + `"items":[{"swaps":[]},{"swaps":[],"bogus":1}]}`, false, http.StatusBadRequest},
 		{"item out of range", `{` + hash + `"items":[{"swaps":[]},{"swaps":[{"core":9,"pos":0}]}]}`, false, http.StatusOK},
+		// Inline graphs whose names are folded or repeated: the router
+		// gets no fingerprint, places the body by its bytes and relays the
+		// shard's 400.
+		{"folded graph member", `{"graph":{"CORES":1,"banks":1,"tasks":[],"edges":[]},` + items + `}`, false, http.StatusBadRequest},
+		{"repeated graph member", `{"graph":{"cores":1,"banks":1,"cores":1,"tasks":[],"edges":[]},` + items + `}`, false, http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := ft.check(t, "/v1/batch", []byte(tc.body), tc.asWire); got != tc.want {

@@ -387,6 +387,15 @@ func TestBadInputs(t *testing.T) {
 		{"huge cores inline batch", "/v1/batch", `{"graph":` + hugeCoresGraph + `,"items":[{"swaps":[]}]}`, http.StatusBadRequest},
 		{"huge banks inline job", "/v1/jobs", `{"graph":` + hugeBanksGraph + `}`, http.StatusBadRequest},
 		{"trailing data", "/v1/analyze", `{"cores":1,"banks":1,"tasks":[],"edges":[]} trailing-garbage`, http.StatusBadRequest},
+		// Member names are spelled as WriteJSON spells them, each once
+		// per object: encoding/json would fold the first and merge the
+		// repeats.
+		{"folded member name", "/v1/analyze", `{"CORES":1,"banks":1,"tasks":[],"edges":[]}`, http.StatusBadRequest},
+		{"repeated member", "/v1/analyze",
+			`{"cores":1,"banks":1,"tasks":[{"id":0,"wcet":1,"core":0}],"tasks":[{"id":0,"wcet":2,"core":0}],"edges":[]}`, http.StatusBadRequest},
+		{"repeated member inline batch", "/v1/batch",
+			`{"graph":{"cores":1,"banks":1,"tasks":[{"id":0,"wcet":1,"core":0},{"id":1,"wcet":1,"core":0}],` +
+				`"edges":[{"from":0,"to":1,"words":1,"words":2}]},"items":[{"swaps":[]}]}`, http.StatusBadRequest},
 		{"malformed reschedule", "/v1/reschedule", "{", http.StatusBadRequest},
 		{"unknown field", "/v1/reschedule", `{"hash":"x","moves":[]}`, http.StatusBadRequest},
 		{"missing hash", "/v1/reschedule", `{"swaps":[]}`, http.StatusBadRequest},
